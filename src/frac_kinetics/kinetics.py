@@ -146,6 +146,39 @@ def _check_reading(reading: str) -> None:
         raise DomainError(f"reading must be one of {READINGS}, got {reading!r}")
 
 
+def _gamma_sign(x: float) -> float:
+    """Sign of Gamma(x) off its poles: negative on (-1, 0), (-3, -2), ..."""
+    return -1.0 if x < 0.0 and math.floor(x) % 2 == 1 else 1.0
+
+
+def _log_row_coef(r: int, n0: float, c: float, base: float, e: float, g: float, l: float, k: float) -> float:
+    """Row coefficient of the solution series, evaluated in log space.
+
+    The coefficient is  n0 (-c)**r base**e Gamma(g + 1) / (Gamma_k(rk + l + 3k/2) Gamma(r + 3/2)).
+    Used for rows whose direct product overflows although the coefficient
+    itself may fit in a double; raises ``OverflowError`` only when it does not.
+    """
+    if (r and c == 0.0) or base == 0.0:
+        return 0.0
+    x = r + l / k + 1.5  # Gamma_k(x k) = k**(x - 1) * Gamma(x)
+    log_abs = (
+        math.log(n0)
+        + (r * math.log(abs(c)) if r else 0.0)
+        + e * math.log(base)
+        + math.lgamma(g + 1.0)
+        - (x - 1.0) * math.log(k)
+        - math.lgamma(x)
+        - math.lgamma(r + 1.5)
+    )
+    sign = (-1.0 if c > 0.0 and r % 2 else 1.0) * _gamma_sign(g + 1.0) * _gamma_sign(x)
+    try:
+        return sign * math.exp(log_abs)
+    except OverflowError:
+        raise OverflowError(
+            f"series row r = {r} exceeds the double range; reduce max_terms"
+        ) from None
+
+
 @lru_cache(maxsize=128)
 def _thm1_rows(
     n0: float, upsilon: float, l: float, c: float, k: float, max_terms: int
@@ -166,9 +199,9 @@ def _thm1_rows(
                 / (k_gamma(r * k + l + 1.5 * k, k) * math.gamma(r + 1.5))
             )
         except OverflowError:
-            raise OverflowError(
-                f"series row r = {r} exceeds the double range; reduce max_terms"
-            ) from None
+            coef = math.inf
+        if not math.isfinite(coef):  # a factor or partial product overflowed
+            coef = _log_row_coef(r, n0, c, 1.0, e, e, l, k)
         rows.append((coef, e, e + 1.0))
     return tuple(rows)
 
@@ -203,9 +236,9 @@ def _thm23_rows(
                 * math.gamma(a_exp + 1.0)
             )
         except OverflowError:
-            raise OverflowError(
-                f"series row r = {r} exceeds the double range; reduce max_terms"
-            ) from None
+            coef = math.inf
+        if not math.isfinite(coef):  # a factor or partial product overflowed
+            coef = _log_row_coef(r, n0, c, d**upsilon / 2.0, e, a_exp, l, k)
         rows.append((coef, a_exp, a_exp + 1.0))
     return tuple(rows)
 

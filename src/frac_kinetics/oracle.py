@@ -7,6 +7,8 @@ Three legs, none of which shares series code with :mod:`.kinetics`:
   ``(t - s)**(upsilon - 1)``, second-order for smooth ones);
 * a marching solver for the underlying Volterra equation of the second kind,
   obtained by moving the diagonal quadrature weight to the left-hand side;
+  its k-Struve forcing is tabulated once per grid, in one array pass, and the
+  table is kept for the residual check on the same problem and grid;
 * Laplace-domain checks: the closed-form image of the THM1 solution (the
   geometric resummation of its transform series, valid for ``s > d``) and a
   truncated numerical transform with an explicit tail bound.
@@ -29,7 +31,7 @@ import numpy as np
 from ._compensated import dd_add
 from .errors import DomainError, RangeError, SingularStepError
 from .kinetics import KineticProblem, SolutionTable, Variant, _thm1_rows
-from .special import SeriesControl, k_struve
+from .special import SeriesControl, _k_struve_grid
 
 __all__ = [
     "QuadratureGrid",
@@ -143,13 +145,22 @@ def rl_integral(f, upsilon: float, grid: QuadratureGrid) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1)
 def _forcing_values(p: KineticProblem, forcing: Forcing, grid: QuadratureGrid, ctl: SeriesControl | None) -> np.ndarray:
+    """Read-only forcing table at the grid nodes.
+
+    The last table is kept, so ``residual`` reuses the one ``volterra_solve``
+    just built on the same problem and grid.
+    """
     if forcing is Forcing.CONSTANT:
-        return np.ones(grid.n + 1)
-    if forcing is Forcing.STRUVE_T:
-        return np.array([k_struve(p.struve, t, ctl) for t in grid.nodes])
-    dpow = p.d**p.upsilon
-    return np.array([k_struve(p.struve, dpow * t**p.upsilon, ctl) for t in grid.nodes])
+        vals = np.ones(grid.n + 1)
+    elif forcing is Forcing.STRUVE_T:
+        vals = _k_struve_grid(p.struve, grid.nodes, ctl)
+    else:
+        dpow = p.d**p.upsilon
+        vals = _k_struve_grid(p.struve, np.array([dpow * t**p.upsilon for t in grid.nodes]), ctl)
+    vals.setflags(write=False)
+    return vals
 
 
 def _variant_forcing(p: KineticProblem) -> Forcing:

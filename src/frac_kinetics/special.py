@@ -13,6 +13,10 @@ numerically trustworthy region (no asymptotic continuation is attempted):
 * ``ML_SERIES_CAP`` — Mittag-Leffler argument, ``|z| <= 50``;
 * ``STRUVE_SERIES_CAP`` — Struve / k-Struve argument, ``|x| <= 20``.
 
+``_k_struve_grid`` evaluates the k-Struve series at every node of a grid in
+one numpy pass with the same arithmetic, so each entry is the double
+``k_struve`` returns for that node.
+
 For positive integer ``alpha`` the Mittag-Leffler term ratio collapses to the
 exact rational ``z / ((alpha*n + beta) ... (alpha*n + beta + alpha - 1))``,
 so terms themselves are generated in double-double arithmetic.  That is what
@@ -25,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from ._compensated import dd_add, dd_div_double, dd_mul_double
 from .errors import DomainError, PoleError, RangeError
@@ -269,3 +275,66 @@ def k_struve(params: KStruveParams, x: float, ctl: SeriesControl | None = None) 
             )
     coeffs = _k_struve_coeffs(params.nu, params.c, params.k, ctl.max_terms)
     return _power_series(coeffs, x / 2.0, params.nu / params.k + 1.0, ctl)
+
+
+# --------------------------------------------------------------------------
+# k-Struve over a grid
+
+# Nodes summed per pass; bounds the per-pass Python float lists (peak memory).
+_GRID_CHUNK = 512
+
+
+def _power_series_grid(coeffs: tuple[float, ...], half_x: np.ndarray, exp0: float, ctl: SeriesControl) -> np.ndarray:
+    """:func:`_power_series` at every entry of ``half_x``, node for node the same double.
+
+    Each node keeps its own stop rule, so a node leaves the active set after
+    exactly the terms the scalar loop would take, and ``dd_add`` runs the same
+    error-free sums elementwise.  The powers go through CPython's float ``**``
+    (libm ``pow``): ``np.power`` differs from it in the last bit on a few per
+    cent of non-integer exponents.
+    """
+    out = np.empty(half_x.size)
+    pos = np.arange(half_x.size)
+    hi = np.zeros(half_x.size)
+    lo = np.zeros(half_x.size)
+    for r, coef in enumerate(coeffs):
+        e = 2 * r + exp0
+        powers = np.fromiter((h**e for h in half_x.tolist()), float, half_x.size)
+        term = coef * powers
+        hi, lo = dd_add(hi, lo, term)
+        done = np.abs(term) <= ctl.rel_tol * np.abs(hi)
+        if done.any():
+            out[pos[done]] = hi[done] + lo[done]
+            keep = ~done
+            pos, half_x, hi, lo = pos[keep], half_x[keep], hi[keep], lo[keep]
+            if not pos.size:
+                return out
+    out[pos] = hi + lo
+    return out
+
+
+def _k_struve_grid(params: KStruveParams, xs: np.ndarray, ctl: SeriesControl | None = None) -> np.ndarray:
+    """``[k_struve(params, x, ctl) for x in xs]`` as an array, in one array pass.
+
+    Same coefficient table, stop rule, double-double accumulation and errors
+    as the scalar path, so every entry is the exact double it returns.
+    """
+    if ctl is None:
+        ctl = _DEFAULT_CTL
+    xs = np.asarray(xs, dtype=float)
+    ratio = params.nu / params.k
+    bad = ~np.isfinite(xs) | (xs < 0.0) | (xs > STRUVE_SERIES_CAP)
+    if ratio < -1.0:
+        bad |= xs == 0.0
+    if bad.any():
+        # the scalar path owns the argument checks: it raises for the first
+        # bad node with the same type and message
+        k_struve(params, float(xs[np.argmax(bad)]), ctl)
+    coeffs = _k_struve_coeffs(params.nu, params.c, params.k, ctl.max_terms)
+    out = np.zeros(xs.size)
+    summed = np.flatnonzero(xs) if ratio > -1.0 else np.arange(xs.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, summed.size, _GRID_CHUNK):
+            idx = summed[start : start + _GRID_CHUNK]
+            out[idx] = _power_series_grid(coeffs, xs[idx] / 2.0, ratio + 1.0, ctl)
+    return out

@@ -52,6 +52,15 @@ def test_eval_thm1_matches_library(capsys):
     assert out.strip() == f"{solve_thm1(p, 0.8):.15g}"
 
 
+def test_eval_thm1_long_budget_past_gamma_overflow(capsys):
+    args = ["eval", "thm1", "--n0", "1", "--d", "1", "--upsilon", "1",
+            "--l", "1", "--c", "1", "--k", "1", "--t", "0.5"]
+    for budget in ("85", "90"):
+        code, out, err = _run(capsys, *args, "--max-terms", budget)
+        assert code == 0, err
+        assert out.strip() == "0.0444162359567548"
+
+
 def test_eval_thm3_runs(capsys):
     code, out, _ = _run(
         capsys, "eval", "thm3", "--n0", "1", "--d", "2", "--a", "1",

@@ -274,6 +274,35 @@ def test_first_omitted_outer_term_is_negligible(ups, l, k):
     assert term <= 1e-12 * abs(total)
 
 
+def test_rows_past_gamma_overflow_fit_in_a_double():
+    # Gamma(e_r + 1) overflows from r = 85 although the row coefficients stay
+    # near 4**r; those rows come from log space, the earlier ones unchanged
+    import mpmath as mp
+
+    from frac_kinetics.kinetics import _thm1_rows
+
+    short = _thm1_rows(1.0, 1.0, 1.0, 1.0, 1.0, 85)
+    long = _thm1_rows(1.0, 1.0, 1.0, 1.0, 1.0, 90)
+    assert long[:85] == short
+    for r in range(85, 90):
+        want = (-1) ** r * mp.gamma(2 * r + 3) / (mp.gamma(r + 2.5) * mp.gamma(r + 1.5))
+        assert abs(long[r][0] - want) <= 1e-12 * abs(want)
+    p = _thm1()
+    assert solve_thm1(p, 0.5, SeriesControl(max_terms=90)) == solve_thm1(
+        p, 0.5, SeriesControl(max_terms=85)
+    )
+
+
+def test_thm2_rows_past_gamma_overflow():
+    # at upsilon = 2 Gamma(upsilon e_r + 1) overflows from r = 42 within the
+    # default budget, while the coefficients reach only 6.7e215 at r = 49
+    p = _thm2(upsilon=2.0)
+    assert solve_thm2(p, 0.5) == solve_thm2(p, 0.5, SeriesControl(max_terms=42))
+    # at upsilon = 3 they do leave the double range
+    with pytest.raises(OverflowError, match="series row r = "):
+        solve_thm2(_thm2(upsilon=3.0), 0.5, SeriesControl(max_terms=90))
+
+
 # ---------------------------------------------------------------- tables
 
 

@@ -21,6 +21,7 @@ from frac_kinetics import (
     rl_integral,
     volterra_solve,
 )
+from frac_kinetics import oracle
 
 INV_GAMMA_2P5 = 0.75225277806367504926  # 1/Gamma(5/2), 45-digit reference
 LAPLACE_H1_AT_3 = 0.014442894009948271266  # int_0^inf exp(-3t) H_1(t) dt
@@ -179,6 +180,56 @@ def test_volterra_richardson_contraction(ups):
     d1 = float(np.max(np.abs(sols[256] - sols[512][::2])))
     d2 = float(np.max(np.abs(sols[512] - sols[1024][::2])))
     assert 3.0 <= d1 / d2 <= 5.0
+
+
+# ---------------------------------------------------------------- forcing table
+
+
+@pytest.mark.parametrize("ups,l,c,k,d", [(0.7, 1.0, 1.0, 1.0, 1.0), (0.5, 0.3, 0.7, 2.0, 3.0), (2.0, 2.0, 1.0, 3.0, 1.5)])
+def test_forcing_table_is_the_per_node_expression(ups, l, c, k, d):
+    g = QuadratureGrid(n=4096, t_max=1.0)
+    p = _problem(variant=Variant.THM2, upsilon=ups, d=d, l=l, c=c, k=k)
+    want_t = np.array([k_struve(p.struve, t) for t in g.nodes])
+    dpow = p.d**p.upsilon
+    want_dt = np.array([k_struve(p.struve, dpow * t**p.upsilon) for t in g.nodes])
+    assert np.array_equal(oracle._forcing_values(p, Forcing.STRUVE_T, g, None), want_t)
+    assert np.array_equal(oracle._forcing_values(p, Forcing.STRUVE_DT, g, None), want_dt)
+
+
+def test_forcing_table_is_read_only():
+    g = QuadratureGrid(n=64, t_max=1.0)
+    for forcing in Forcing:
+        table = oracle._forcing_values(_problem(), forcing, g, None)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
+def test_solve_then_check_tabulates_the_forcing_once(monkeypatch):
+    calls = []
+    kernel = oracle._k_struve_grid
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(oracle, "_k_struve_grid", counting)
+    oracle._forcing_values.cache_clear()
+    p = _problem(upsilon=0.5, k=2.0)
+    g = QuadratureGrid(n=128, t_max=1.0)
+    residual(p, volterra_solve(p, Forcing.STRUVE_T, g), g)
+    assert len(calls) == 1
+    # another grid, then another problem, each get a fresh table
+    other = QuadratureGrid(n=256, t_max=1.0)
+    residual(p, volterra_solve(p, Forcing.STRUVE_T, other), other)
+    assert len(calls) == 2
+    q = _problem(upsilon=0.5, k=3.0)
+    residual(q, volterra_solve(q, Forcing.STRUVE_T, other), other)
+    assert len(calls) == 3
+    assert not np.array_equal(
+        oracle._forcing_values(q, Forcing.STRUVE_T, other, None),
+        oracle._forcing_values(p, Forcing.STRUVE_T, other, None),
+    )
 
 
 # ---------------------------------------------------------------- residual

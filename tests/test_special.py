@@ -17,6 +17,8 @@ from frac_kinetics import (
     mittag_leffler2,
     struve_h,
 )
+from frac_kinetics.kgamma import k_gamma
+from frac_kinetics.special import _k_struve_grid
 
 # frozen 45-digit brute-force series references (200 terms)
 STRUVE_H_0_1 = 0.56865662704828795099
@@ -165,6 +167,60 @@ def test_divergent_at_zero_raises():
         k_struve(KStruveParams(nu=-2.5, c=1.0, k=2.0), 0.0)
     # boundary case p = -1 has the finite limit 2/pi
     assert struve_h(-1.0, 0.0) == pytest.approx(TWO_OVER_PI, rel=1e-14)
+
+
+# ---------------------------------------------------------------- k_struve over a grid
+
+
+def _scalar_k_struve(p, xs, ctl=None):
+    return np.array([k_struve(p, x, ctl) for x in xs])
+
+
+@pytest.mark.parametrize("n", [65, 4097])
+@pytest.mark.parametrize(
+    "nu,c,k", [(1.0, 1.0, 1.0), (1.0, 1.0, 2.0), (0.3, 0.7, 3.0), (-0.5, -1.0, 1.0), (2.5, 3.0, 0.5)]
+)
+@pytest.mark.parametrize(
+    "ctl",
+    [None, SeriesControl(max_terms=7), SeriesControl(rel_tol=1e-6), SeriesControl(max_terms=80, rel_tol=1e-15)],
+)
+def test_k_struve_grid_is_the_scalar_path(n, nu, c, k, ctl):
+    # node for node the same double: np.power differs from CPython's float
+    # ** in the last bit on some nodes, so a tolerance would hide a change
+    p = KStruveParams(nu, c, k)
+    xs = np.linspace(0.0, STRUVE_SERIES_CAP, n)
+    assert np.array_equal(_k_struve_grid(p, xs, ctl), _scalar_k_struve(p, xs, ctl))
+    xs = np.linspace(0.0, 1.0, n)
+    assert np.array_equal(_k_struve_grid(p, xs, ctl), _scalar_k_struve(p, xs, ctl))
+
+
+def test_k_struve_grid_at_zero():
+    xs = np.array([0.0, 0.5, 0.0])
+    # nu/k > -1: the series vanishes at the origin
+    got = _k_struve_grid(KStruveParams(1.0, 1.0, 2.0), xs)
+    assert got[0] == 0.0 and got[2] == 0.0
+    # nu/k = -1: the limit is the r = 0 coefficient
+    p = KStruveParams(-2.0, 1.0, 2.0)
+    got = _k_struve_grid(p, xs)
+    assert got[0] == k_struve(p, 0.0) == 1.0 / (k_gamma(1.0, 2.0) * math.gamma(1.5))
+    assert np.array_equal(got, _scalar_k_struve(p, xs))
+    # nu/k < -1: divergent
+    with pytest.raises(DomainError, match="diverges at x = 0"):
+        _k_struve_grid(KStruveParams(-2.5, 1.0, 2.0), xs)
+
+
+@pytest.mark.parametrize(
+    "bad", [-0.5, float("nan"), float("inf"), -float("inf"), STRUVE_SERIES_CAP + 0.5]
+)
+def test_k_struve_grid_errors_match_the_scalar_path(bad):
+    p = KStruveParams(1.0, 1.0, 2.0)
+    xs = np.array([0.0, 1.0, bad, -1.0, 2.0])
+    with pytest.raises(DomainError) as scalar:
+        _scalar_k_struve(p, xs)
+    with pytest.raises(DomainError) as grid:
+        _k_struve_grid(p, xs)
+    assert type(grid.value) is type(scalar.value)
+    assert str(grid.value) == str(scalar.value)
 
 
 # ---------------------------------------------------------------- mittag-leffler
