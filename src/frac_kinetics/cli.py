@@ -30,6 +30,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -334,7 +335,9 @@ def _add_control_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="frac-kinetics",
         description="k-Struve fractional kinetics: evaluate, sweep, verify.",

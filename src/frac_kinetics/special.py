@@ -15,7 +15,8 @@ numerically trustworthy region (no asymptotic continuation is attempted):
 
 ``_k_struve_grid`` evaluates the k-Struve series at every node of a grid in
 one numpy pass with the same arithmetic, so each entry is the double
-``k_struve`` returns for that node.
+``k_struve`` returns for that node; ``_ml_eval_pairs`` does the same for the
+Mittag-Leffler series over (beta, z) pairs.
 
 For positive integer ``alpha`` the Mittag-Leffler term ratio collapses to the
 exact rational ``z / ((alpha*n + beta) ... (alpha*n + beta + alpha - 1))``,
@@ -151,6 +152,61 @@ def _ml_eval(alpha: float, beta: float, z: float, ctl: SeriesControl) -> float:
     return sum_hi + sum_lo
 
 
+def _ml_eval_pairs(
+    alpha: float, inv_g: np.ndarray, beta: np.ndarray, row: np.ndarray, z: np.ndarray, ctl: SeriesControl
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_ml_eval` at every pair i, E_{alpha, beta[row[i]]}(z[i]), pair for pair the same double.
+
+    ``inv_g[r]`` is the ``_ml_inv_gammas(alpha, beta[r], ctl.max_terms)``
+    table of row r, gathered by each pair's row index.  Each pair keeps its
+    own stop rule and leaves the active set after exactly the terms the
+    scalar loop would take; ``dd_add`` and the double-double term recurrence
+    run elementwise.  Returns the values and a mask of the pairs for which
+    ``_ml_eval`` raises ``OverflowError`` (their values are meaningless).
+    """
+    out = np.empty(z.size)
+    overflow = np.zeros(z.size, dtype=bool)
+    pos = np.arange(z.size)
+    hi = np.zeros(z.size)
+    lo = np.zeros(z.size)
+    n_int = round(alpha)
+    integer = alpha == n_int and n_int >= 1
+    if integer:
+        b = beta[row]
+        t_hi, t_lo = inv_g[row, 0], np.zeros(z.size)
+    else:
+        zn = np.ones(z.size)
+    for n in range(ctl.max_terms):
+        if integer:
+            hi, lo = dd_add(hi, lo, t_hi, t_lo)
+            done = np.abs(t_hi) <= ctl.rel_tol * np.abs(hi)
+        else:
+            term = zn * inv_g[row, n]
+            hi, lo = dd_add(hi, lo, term)
+            done = np.abs(term) <= ctl.rel_tol * np.abs(hi)
+            zn = zn * z
+            inf = np.isinf(zn) & ~done
+            if inf.any():
+                overflow[pos[inf]] = True
+                done |= inf
+        if done.any():
+            out[pos[done]] = hi[done] + lo[done]
+            keep = ~done
+            pos, row, z, hi, lo = pos[keep], row[keep], z[keep], hi[keep], lo[keep]
+            if integer:
+                b, t_hi, t_lo = b[keep], t_hi[keep], t_lo[keep]
+            else:
+                zn = zn[keep]
+            if not pos.size:
+                return out, overflow
+        if integer:
+            t_hi, t_lo = dd_mul_double(t_hi, t_lo, z)
+            for j in range(n_int):
+                t_hi, t_lo = dd_div_double(t_hi, t_lo, alpha * n + b + j)
+    out[pos] = hi + lo
+    return out, overflow
+
+
 def mittag_leffler2(alpha: float, beta: float, z: float, ctl: SeriesControl | None = None) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
@@ -198,6 +254,45 @@ def _struve_coeffs(p: float, max_terms: int) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _gamma_sign(x: float) -> float:
+    """Sign of Gamma(x) off its poles: negative on (-1, 0), (-3, -2), ..."""
+    return -1.0 if x < 0.0 and math.floor(x) % 2 == 1 else 1.0
+
+
+def _log_coef(
+    r: int, c: float, nu: float, k: float,
+    n0: float = 1.0, base: float = 1.0, e: float = 0.0, g: float = 0.0,
+) -> float:
+    """Series coefficient  n0 (-c)**r base**e Gamma(g + 1) / (Gamma_k(rk + nu + 3k/2) Gamma(r + 3/2)), in log space.
+
+    With the defaults this is coefficient r of the k-Struve series; the
+    solution rows of :mod:`frac_kinetics.kinetics` add the other factors.
+    Used where the direct product leaves the double range although the
+    coefficient itself may fit in a double: it comes out 0.0 only when its
+    magnitude is below the double range, and raises ``OverflowError`` only
+    when it is above.
+    """
+    if (r and c == 0.0) or base == 0.0:
+        return 0.0
+    x = r + nu / k + 1.5  # Gamma_k(x k) = k**(x - 1) * Gamma(x)
+    log_abs = (
+        math.log(n0)
+        + (r * math.log(abs(c)) if r else 0.0)
+        + e * math.log(base)
+        + math.lgamma(g + 1.0)
+        - (x - 1.0) * math.log(k)
+        - math.lgamma(x)
+        - math.lgamma(r + 1.5)
+    )
+    sign = (-1.0 if c > 0.0 and r % 2 else 1.0) * _gamma_sign(g + 1.0) * _gamma_sign(x)
+    try:
+        return sign * math.exp(log_abs)
+    except OverflowError:
+        raise OverflowError(
+            f"series row r = {r} exceeds the double range; reduce max_terms"
+        ) from None
+
+
 @lru_cache(maxsize=256)
 def _k_struve_coeffs(nu: float, c: float, k: float, max_terms: int) -> tuple[float, ...]:
     out = []
@@ -205,9 +300,9 @@ def _k_struve_coeffs(nu: float, c: float, k: float, max_terms: int) -> tuple[flo
         try:
             denom = k_gamma(r * k + nu + 1.5 * k, k) * math.gamma(r + 1.5)
         except OverflowError:
-            out.append(0.0)
-            continue
-        out.append((-c) ** r / denom)
+            denom = math.inf
+        # past the double range the quotient would be a silent 0.0
+        out.append((-c) ** r / denom if math.isfinite(denom) else _log_coef(r, c, nu, k))
     return tuple(out)
 
 

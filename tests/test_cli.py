@@ -325,3 +325,33 @@ def test_env_value_reaches_default_used_elsewhere(capsys, monkeypatch):
     assert code == 0
     # 7 alternating terms of exp(-10) are wildly unconverged
     assert abs(float(out)) > 1.0
+
+
+# ---------------------------------------------------------------- parser reuse
+
+
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
+    # the argument tree is built once per process; a flag given to one call
+    # must not reach the next.  At upsilon = 0.1 the 50-term default is not
+    # converged, so a leaked --max-terms 90 would change the printed value.
+    code, _, err = _run(capsys, "sweep", "--max-terms", "90", "--out", str(tmp_path / "s.csv"))
+    assert code == 0, err
+    args = ("eval", "thm1", "--n0", "1", "--d", "1", "--upsilon", "0.1",
+            "--l", "1", "--c", "1", "--k", "1", "--t", "1")
+    code, out, err = _run(capsys, *args)
+    assert code == 0, err
+    p = KineticProblem(
+        n0=1.0, upsilon=0.1, d=1.0, struve=KStruveParams(1.0, 1.0, 1.0), variant=Variant.THM1
+    )
+    assert out.strip() == f"{solve_thm1(p, 1.0):.15g}"
+    assert out.strip() != f"{solve_thm1(p, 1.0, SeriesControl(max_terms=90)):.15g}"
+
+
+def test_help_exits_zero_and_parser_still_works(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "frac-kinetics" in capsys.readouterr().out
+    code, out, _ = _run(capsys, "eval", "ml2", "--alpha", "1", "--beta", "2", "--z", "1")
+    assert code == 0
+    assert out.strip() == "1.71828182845905"

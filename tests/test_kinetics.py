@@ -342,3 +342,141 @@ def test_solve_table_reports_failing_index():
     p = _thm1(d=1.0)
     with pytest.raises(RangeError, match="grid index 1"):
         solve_table(p, np.array([0.5, 60.0]))
+
+
+# ---------------------------------------------------------------- the array pass
+
+
+def _scalar_table(p, grid, ctl=None, reading="consistent"):
+    """Reference: the scalar solver node by node, failing like the array pass must."""
+    if p.variant is Variant.THM1:
+        solve = lambda t: solve_thm1(p, t, ctl)  # noqa: E731
+    elif p.variant is Variant.THM2:
+        solve = lambda t: solve_thm2(p, t, ctl, reading=reading)  # noqa: E731
+    else:
+        solve = lambda t: solve_thm3(p, t, ctl, reading=reading)  # noqa: E731
+    values = np.empty(grid.size)
+    for i, ti in enumerate(grid):
+        try:
+            values[i] = solve(float(ti))
+        except (DomainError, OverflowError) as exc:
+            raise type(exc)(f"grid index {i} (t = {ti!r}): {exc}") from exc
+    return values
+
+
+def _same_failure(p, grid, ctl=None, reading="consistent"):
+    with pytest.raises((DomainError, OverflowError)) as want:
+        _scalar_table(p, grid, ctl, reading)
+    with pytest.raises(want.type) as got:
+        solve_table(p, grid, ctl, reading=reading)
+    assert got.type is want.type
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
+_VARIANTS = [
+    (_thm1, "consistent"),
+    (_thm2, "consistent"),
+    (_thm2, "printed"),
+    (_thm3, "consistent"),
+    (_thm3, "printed"),
+]
+_CONTROLS = [None, SeriesControl(max_terms=90), SeriesControl(max_terms=30, rel_tol=1e-10)]
+
+
+@pytest.mark.parametrize("make,reading", _VARIANTS)
+@pytest.mark.parametrize("ups", [0.1, 0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("ctl", _CONTROLS)
+def test_solve_table_is_the_scalar_solver_bit_for_bit(make, reading, ups, ctl):
+    # integer upsilon takes the double-double term recurrence of the
+    # Mittag-Leffler kernel, fractional upsilon the plain power recurrence
+    p = make(upsilon=ups, l=0.7, c=1.3, k=2.0)
+    grid = np.linspace(0.0, 1.5, 101)
+    try:
+        want = _scalar_table(p, grid, ctl, reading)
+    except OverflowError:
+        # THM2/THM3 rows at upsilon = 2 leave the double range before row 90
+        assert (make, ups, ctl.max_terms) in {(_thm2, 2.0, 90), (_thm3, 2.0, 90)}
+        _same_failure(p, grid, ctl, reading)
+        return
+    assert np.array_equal(solve_table(p, grid, ctl, reading=reading).n, want)
+
+
+@pytest.mark.parametrize(
+    "p,reading",
+    [
+        (_thm1(upsilon=0.5, l=1.0, k=2.0), "consistent"),
+        (_thm2(upsilon=1.0, l=0.5, k=3.0), "printed"),
+        (_thm3(upsilon=2.0, l=1.5, c=0.6, k=1.0), "consistent"),
+    ],
+)
+def test_solve_table_bit_for_bit_across_grid_chunks(p, reading):
+    # 4,097 nodes span nine 512-node chunks
+    grid = np.linspace(0.0, 1.0, 4097)
+    assert np.array_equal(solve_table(p, grid, reading=reading).n, _scalar_table(p, grid, reading=reading))
+
+
+def test_solve_table_bit_for_bit_off_the_origin():
+    p = _thm1(upsilon=1.5, d=0.4, l=-0.5, c=2.0, k=1.0)
+    grid = np.geomspace(1e-6, 6.0, 57)
+    assert np.array_equal(solve_table(p, grid).n, _scalar_table(p, grid))
+    assert np.array_equal(solve_table(p, grid[:1]).n, _scalar_table(p, grid[:1]))
+
+
+def test_solve_table_range_error_at_first_node_past_the_cap():
+    # z = -(2 t)**2 leaves |z| <= 50 after t = 3.54: index 71 of this grid
+    p = _thm1(d=2.0, upsilon=2.0)
+    msg = _same_failure(p, np.linspace(0.0, 5.0, 101))
+    assert msg.startswith("grid index 71 (t = ")
+
+
+def test_solve_table_domain_error_at_the_origin():
+    msg = _same_failure(_thm2(l=-1.2), np.linspace(0.0, 1.0, 11))
+    assert msg.startswith("grid index 0 (t = np.float64(0.0)): t = 0 requires")
+
+
+def test_solve_table_row_overflow_at_the_first_positive_node():
+    p, ctl = _thm2(upsilon=3.0), SeriesControl(max_terms=90)
+    # t[0] = 0 returns before any rows are built
+    assert _same_failure(p, np.linspace(0.0, 1.0, 11), ctl).startswith("grid index 1 (")
+    assert _same_failure(p, np.linspace(0.5, 1.0, 11), ctl).startswith("grid index 0 (")
+
+
+def test_solve_table_fails_like_the_scalar_row_sum():
+    # a term's power (t/2)**e or a Mittag-Leffler z**n overflows only for the
+    # nodes whose sum has not stopped before that row
+    _same_failure(_thm1(d=1e-3), np.linspace(0.0, 2e4, 9), SeriesControl(max_terms=120))
+    msg = _same_failure(
+        _thm2(upsilon=0.1, d=1e-17), np.array([0.0, 1.0, 5e33, 1e34]), SeriesControl(max_terms=200)
+    )
+    assert "Mittag-Leffler series term overflow" in msg
+    # printed reading: row 0 has beta = -1/2, so alpha + beta hits a gamma pole
+    msg = _same_failure(_thm2(upsilon=0.5, l=-4.0, k=4.0), np.array([0.5, 1.0]), reading="printed")
+    assert "gamma pole" in msg
+    _same_failure(_thm1(), np.array([0.0, 0.5, np.inf]))
+    _same_failure(_thm2(), np.array([0.5, 1.0]), reading="bogus")
+
+
+# ---------------------------------------------------------------- rows past the double range
+
+
+def test_rows_with_an_overflowing_denominator_are_not_silent_zeros():
+    # Gamma_k(rk + l + 3k/2) * Gamma(r + 3/2) overflows to inf from row 87,
+    # while the rows themselves are as small as 1e-88
+    import mpmath as mp
+
+    from frac_kinetics.kinetics import _thm23_rows
+
+    n0, d, ups, l, c, k = 1.0, 3.0, 0.7, 2.0, 3.0, 3.0
+    long = _thm23_rows(n0, d, ups, l, c, k, "consistent", 120)
+    assert long[:87] == _thm23_rows(n0, d, ups, l, c, k, "consistent", 87)
+    mp.mp.dps = 40
+    for r in range(87, 120):
+        e = 2 * r + mp.mpf(l) / k + 1
+        kg = mp.mpf(k) ** ((r * k + l + 1.5 * k) / k - 1) * mp.gamma((r * k + l + 1.5 * k) / k)
+        want = (
+            n0 * (-c) ** r / (kg * mp.gamma(r + 1.5))
+            * (mp.mpf(d) ** ups / 2) ** e * mp.gamma(ups * e + 1)
+        )
+        assert long[r][0] != 0.0
+        assert abs(long[r][0] - want) <= 1e-12 * abs(want)

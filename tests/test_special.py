@@ -314,3 +314,22 @@ def test_ml2_pole_detection():
         mittag_leffler2(1.0, -3.0, 0.5)
     # never hits an integer for (0.5, -0.25): stays valid
     assert math.isfinite(mittag_leffler2(0.5, -0.25, 0.5))
+
+
+def test_k_struve_coefficients_past_the_double_range_are_not_silent_zeros():
+    # the denominator Gamma_k(rk + nu + 3k/2) * Gamma(r + 3/2) overflows to
+    # inf from r = 87 although the coefficient (-3.6e-269 there) is a double
+    import mpmath as mp
+
+    from frac_kinetics.special import _k_struve_coeffs
+
+    nu, c, k = 2.0, 3.0, 3.0
+    long = _k_struve_coeffs(nu, c, k, 120)
+    assert long[:87] == _k_struve_coeffs(nu, c, k, 87)
+    mp.mp.dps = 40
+    for r in range(87, 120):
+        x = mp.mpf(r * k + nu + 1.5 * k) / k
+        want = (-c) ** r / (mp.mpf(k) ** (x - 1) * mp.gamma(x) * mp.gamma(r + 1.5))
+        # relative error |log coef| * 2**-52 at most, plus the subnormal spacing
+        assert abs(long[r] - want) <= 1e-12 * abs(want) + 5e-324
+    assert long[87] != 0.0
