@@ -54,19 +54,6 @@ __all__ = ["main", "SweepSpec", "VERIFY_TOL"]
 VERIFY_TOL = 5e-4
 ENV_MAX_TERMS = "FRAC_KINETICS_MAX_TERMS"
 
-_EVAL_PARAMS = {
-    "gamma": ("x",),
-    "kgamma": ("x", "k"),
-    "struve": ("p", "x"),
-    "kstruve": ("nu", "c", "k", "x"),
-    "ml": ("alpha", "z"),
-    "ml2": ("alpha", "beta", "z"),
-    "thm1": ("n0", "d", "upsilon", "l", "c", "k", "t"),
-    "thm2": ("n0", "d", "upsilon", "l", "c", "k", "t"),
-    "thm3": ("n0", "d", "a", "upsilon", "l", "c", "k", "t"),
-}
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """A (k, upsilon) product sweep of one theorem variant over a t-grid."""
@@ -188,30 +175,33 @@ def _build_problem(variant: Variant, v: dict[str, float]) -> KineticProblem:
     )
 
 
+_THM_PARAMS = ("n0", "d", "upsilon", "l", "c", "k", "t")
+
+# eval function -> (parameter names, call on (values, ctl, reading))
+_EVAL = {
+    "gamma": (("x",), lambda v, ctl, rd: gamma(v["x"])),
+    "kgamma": (("x", "k"), lambda v, ctl, rd: k_gamma(v["x"], v["k"])),
+    "struve": (("p", "x"), lambda v, ctl, rd: struve_h(v["p"], v["x"], ctl)),
+    "kstruve": (
+        ("nu", "c", "k", "x"),
+        lambda v, ctl, rd: k_struve(KStruveParams(nu=v["nu"], c=v["c"], k=v["k"]), v["x"], ctl),
+    ),
+    "ml": (("alpha", "z"), lambda v, ctl, rd: mittag_leffler(v["alpha"], v["z"], ctl)),
+    "ml2": (("alpha", "beta", "z"), lambda v, ctl, rd: mittag_leffler2(v["alpha"], v["beta"], v["z"], ctl)),
+    "thm1": (_THM_PARAMS, lambda v, ctl, rd: solve_thm1(_build_problem(Variant.THM1, v), v["t"], ctl)),
+    "thm2": (_THM_PARAMS, lambda v, ctl, rd: solve_thm2(_build_problem(Variant.THM2, v), v["t"], ctl, reading=rd)),
+    "thm3": (
+        ("n0", "d", "a", "upsilon", "l", "c", "k", "t"),
+        lambda v, ctl, rd: solve_thm3(_build_problem(Variant.THM3, v), v["t"], ctl, reading=rd),
+    ),
+}
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     ctl, config = _resolve_control(args)
     reading = _resolve_reading(args, config)
-    name = args.function
-    v = _need(args, _EVAL_PARAMS[name])
-    if name == "gamma":
-        value = gamma(v["x"])
-    elif name == "kgamma":
-        value = k_gamma(v["x"], v["k"])
-    elif name == "struve":
-        value = struve_h(v["p"], v["x"], ctl)
-    elif name == "kstruve":
-        value = k_struve(KStruveParams(nu=v["nu"], c=v["c"], k=v["k"]), v["x"], ctl)
-    elif name == "ml":
-        value = mittag_leffler(v["alpha"], v["z"], ctl)
-    elif name == "ml2":
-        value = mittag_leffler2(v["alpha"], v["beta"], v["z"], ctl)
-    elif name == "thm1":
-        value = solve_thm1(_build_problem(Variant.THM1, v), v["t"], ctl)
-    elif name == "thm2":
-        value = solve_thm2(_build_problem(Variant.THM2, v), v["t"], ctl, reading=reading)
-    else:
-        value = solve_thm3(_build_problem(Variant.THM3, v), v["t"], ctl, reading=reading)
-    print(f"{value:.15g}")
+    names, call = _EVAL[args.function]
+    print(f"{call(_need(args, names), ctl, reading):.15g}")
     return 0
 
 
@@ -237,10 +227,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         variant=variant,
         k_values=_parse_list(args.k_list, "k-list"),
         upsilon_values=_parse_list(args.upsilon_list, "upsilon-list"),
-        n0=args.n0 if args.n0 is not None else 1.0,
-        d=args.d if args.d is not None else 1.0,
-        c=args.c if args.c is not None else 1.0,
-        l=args.l if args.l is not None else 1.0,
+        n0=args.n0,
+        d=args.d,
+        c=args.c,
+        l=args.l,
         a=args.a,
         t_min=args.t_min,
         t_max=args.t_max,
@@ -299,19 +289,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ctl, config = _resolve_control(args)
     reading = _resolve_reading(args, config)
     variant = Variant(args.variant)
-    v = {
-        "n0": args.n0 if args.n0 is not None else 1.0,
-        "d": args.d if args.d is not None else 1.0,
-        "upsilon": args.upsilon if args.upsilon is not None else 1.0,
-        "l": args.l if args.l is not None else 1.0,
-        "c": args.c if args.c is not None else 1.0,
-        "k": args.k if args.k is not None else 1.0,
-    }
-    if args.a is not None:
-        v["a"] = args.a
     if args.grid_n < 8:
         raise _CliError(f"--grid-n must be >= 8, got {args.grid_n}")
-    problem = _build_problem(variant, v)
+    problem = _build_problem(variant, vars(args))
     grid = QuadratureGrid(n=args.grid_n, t_max=args.t_max)
     table = solve_table(problem, grid.nodes, ctl, reading=reading)
     report = residual(problem, table, grid, ctl)
@@ -345,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_eval = subs.add_parser("eval", help="print one function value (15 significant digits)")
-    p_eval.add_argument("function", choices=sorted(_EVAL_PARAMS))
+    p_eval.add_argument("function", choices=sorted(_EVAL))
     for flag in ("x", "k", "p", "nu", "c", "alpha", "beta", "z", "n0", "d", "a", "upsilon", "l", "t"):
         p_eval.add_argument(f"--{flag}", type=float, default=None)
     _add_control_flags(p_eval)
@@ -355,8 +335,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--variant", choices=[v.value for v in Variant], default="thm1")
     p_sweep.add_argument("--k-list", default="1", help="comma-separated k values (outer columns)")
     p_sweep.add_argument("--upsilon-list", default="1", help="comma-separated upsilon values (inner)")
-    for flag in ("n0", "d", "c", "l", "a"):
-        p_sweep.add_argument(f"--{flag}", type=float, default=None)
+    for flag in ("n0", "d", "c", "l"):
+        p_sweep.add_argument(f"--{flag}", type=float, default=1.0)
+    p_sweep.add_argument("--a", type=float, default=None)
     p_sweep.add_argument("--t-min", type=float, default=0.0)
     p_sweep.add_argument("--t-max", type=float, default=1.0)
     p_sweep.add_argument("--points", type=int, default=101)
@@ -366,8 +347,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = subs.add_parser("verify", help="residual-check a closed form against the oracle")
     p_verify.add_argument("--variant", choices=[v.value for v in Variant], default="thm1")
-    for flag in ("n0", "d", "a", "upsilon", "l", "c", "k"):
-        p_verify.add_argument(f"--{flag}", type=float, default=None)
+    for flag in ("n0", "d", "upsilon", "l", "c", "k"):
+        p_verify.add_argument(f"--{flag}", type=float, default=1.0)
+    p_verify.add_argument("--a", type=float, default=None)
     p_verify.add_argument("--grid-n", type=int, default=1024)
     p_verify.add_argument("--t-max", type=float, default=1.0)
     _add_control_flags(p_verify)

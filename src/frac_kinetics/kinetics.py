@@ -2,21 +2,19 @@
 
 Three problem families are covered, all of the shape
 
-    N(t) - N0 * F(t) = -rate**upsilon * (I^upsilon N)(t),
+    N(t) - N0 * S^k_{l,c}(lam * t**sigma) = -rate**upsilon * (I^upsilon N)(t),
 
-where ``I^upsilon`` is the Riemann-Liouville integral and ``F`` is a k-Struve
-forcing:
+where ``I^upsilon`` is the Riemann-Liouville integral and the forcing scale
+(lam, sigma) is ``KineticProblem.forcing_scale``: (1, 1) for ``THM1`` (rate
+``d``), (d**upsilon, upsilon) for ``THM2`` (rate ``d``) and for ``THM3`` (a
+distinct rate ``a != d``).  Every family solves as one series of
+Mittag-Leffler-damped powers of t, built by one row builder (``_rows``).
 
-* ``THM1`` — forcing S^k_{l,c}(t), rate ``d``;
-* ``THM2`` — forcing S^k_{l,c}(d**upsilon * t**upsilon), rate ``d``;
-* ``THM3`` — same forcing as THM2 but a distinct rate ``a != d``.
-
-Each solution is a series of Mittag-Leffler-damped powers of t.  For THM2 and
-THM3 two readings of the term exponent are shipped behind the ``reading``
-switch: the default ``"consistent"`` reading carries the k-Struve exponent
-``2r + l/k + 1`` through the transform algebra (and is the one the numerical
-oracle confirms; see the README erratum note), while ``"printed"`` uses
-``2r + l + 1``, which drops the ``1/k``.  The two coincide at k = 1.
+For THM2 and THM3 two readings of the term exponent are shipped behind the
+``reading`` switch: the default ``"consistent"`` reading carries the k-Struve
+exponent ``2r + l/k + 1`` through the transform algebra (and is the one the
+numerical oracle confirms; see the README erratum note), while ``"printed"``
+uses ``2r + l + 1``, which drops the ``1/k``.  The two coincide at k = 1.
 
 Series evaluation reuses the compensated Mittag-Leffler core of
 :mod:`frac_kinetics.special`, and per-problem coefficient rows are cached.
@@ -31,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -117,6 +116,13 @@ class KineticProblem:
         """The relaxation rate entering the integral term (a for THM3)."""
         return self.a if self.variant is Variant.THM3 else self.d
 
+    @property
+    def forcing_scale(self) -> tuple[float, float]:
+        """(lam, sigma) of the forcing S^k_{l,c}(lam * t**sigma)."""
+        if self.variant is Variant.THM1:
+            return 1.0, 1.0
+        return self.d**self.upsilon, self.upsilon
+
 
 @dataclass(frozen=True)
 class SolutionTable:
@@ -155,61 +161,46 @@ def _check_reading(reading: str) -> None:
 
 
 @lru_cache(maxsize=128)
-def _thm1_rows(
-    n0: float, upsilon: float, l: float, c: float, k: float, max_terms: int
+def _rows(
+    n0: float, lam: float, sigma: float, l: float, c: float, k: float, reading: str, max_terms: int
 ) -> tuple[tuple[float, float, float], ...]:
-    """Rows (coef, t_exponent, ml_beta) of the THM1 series.
+    """Rows (coef, t_exponent, ml_beta) of the solution series.
 
-    Term r of the solution is  coef * (t/2)**e_r * E_{upsilon, e_r + 1}(z)
-    with e_r = 2r + l/k + 1 and z = -d**upsilon * t**upsilon.
-    """
-    rows = []
-    for r in range(max_terms):
-        e = _exponent(r, l, k, "consistent")
-        try:
-            denom = k_gamma(r * k + l + 1.5 * k, k) * math.gamma(r + 1.5)
-            coef = n0 * (-c) ** r * math.gamma(e + 1.0) / denom
-        except OverflowError:
-            denom = coef = math.inf
-        # a factor or partial product overflowed (an infinite denominator
-        # would otherwise give a silent 0.0)
-        if not (math.isfinite(coef) and math.isfinite(denom)):
-            coef = _log_coef(r, c, l, k, n0, 1.0, e, e)
-        rows.append((coef, e, e + 1.0))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=128)
-def _thm23_rows(
-    n0: float,
-    d: float,
-    upsilon: float,
-    l: float,
-    c: float,
-    k: float,
-    reading: str,
-    max_terms: int,
-) -> tuple[tuple[float, float, float], ...]:
-    """Rows (coef, t_exponent, ml_beta) for the THM2/THM3 series.
-
-    Term r is  coef * t**(upsilon*e_r) * E_{upsilon, upsilon*e_r + 1}(z)
-    with coef absorbing (d**upsilon / 2)**e_r * Gamma(upsilon*e_r + 1) and
+    Term r is  coef * t**(sigma*e_r) * E_{upsilon, sigma*e_r + 1}(z)
+    with coef absorbing (lam / 2)**e_r * Gamma(sigma*e_r + 1) and
     z = -rate**upsilon * t**upsilon.
     """
     rows = []
     for r in range(max_terms):
         e = _exponent(r, l, k, reading)
-        a_exp = upsilon * e
+        g = sigma * e
+        if g + 1.0 <= 0.0 and g + 1.0 == math.floor(g + 1.0):
+            raise PoleError(f"row r = {r}: Gamma(sigma*e_r + 1) hits a gamma pole at {g + 1.0!r}")
         try:
             denom = k_gamma(r * k + l + 1.5 * k, k) * math.gamma(r + 1.5)
-            coef = n0 * (-c) ** r / denom * (d**upsilon / 2.0) ** e * math.gamma(a_exp + 1.0)
+            head, power = n0 * (-c) ** r / denom, (lam / 2.0) ** e
+            steps = (denom, head, power, head * power, head * power * math.gamma(g + 1.0))
         except OverflowError:
-            denom = coef = math.inf
-        # as in _thm1_rows
-        if not (math.isfinite(coef) and math.isfinite(denom)):
-            coef = _log_coef(r, c, l, k, n0, d**upsilon / 2.0, e, a_exp)
-        rows.append((coef, a_exp, a_exp + 1.0))
+            steps = (math.inf,)
+        coef = steps[-1]
+        # a factor or partial product that overflowed (an infinite denominator
+        # would otherwise give a silent 0.0) or passed through zero or a
+        # subnormal is redone in log space, unless the row is exactly zero
+        if not all(map(math.isfinite, steps)) or (
+            min(map(abs, steps)) < sys.float_info.min and not ((r and c == 0.0) or lam == 0.0)
+        ):
+            coef = _log_coef(r, c, l, k, n0, lam / 2.0, e, g)
+        rows.append((coef, g, g + 1.0))
     return tuple(rows)
+
+
+def _problem_rows(p: KineticProblem, reading: str, max_terms: int) -> tuple[tuple[float, float, float], ...]:
+    s = p.struve
+    return _rows(p.n0, *p.forcing_scale, s.nu, s.c, s.k, reading, max_terms)
+
+
+# the benchmark tracer (perfbench/tracer.py) looks the row cache up under its former names
+_thm1_rows = _thm23_rows = _rows
 
 
 def _check_t(p: KineticProblem, t: float) -> float:
@@ -229,11 +220,11 @@ def _ml_argument(rate: float, upsilon: float, t: float) -> float:
     return z
 
 
-def _sum_rows(rows, half_arg: float, z: float, upsilon: float, ctl: SeriesControl) -> float:
-    """Sum coef * half_arg**e * E_{upsilon,beta}(z) with compensation."""
+def _sum_rows(rows, t: float, z: float, upsilon: float, ctl: SeriesControl) -> float:
+    """Sum coef * t**e * E_{upsilon,beta}(z) with compensation."""
     sum_hi, sum_lo = 0.0, 0.0
     for coef, e, beta in rows:
-        term = coef * half_arg**e * _ml_eval(upsilon, beta, z, ctl)
+        term = coef * t**e * _ml_eval(upsilon, beta, z, ctl)
         sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
         if abs(term) <= ctl.rel_tol * abs(sum_hi):
             break
@@ -249,32 +240,21 @@ def _zero_t_value(p: KineticProblem) -> float:
     )
 
 
+def _solve(p: KineticProblem, t: float, ctl: SeriesControl | None, reading: str) -> float:
+    if ctl is None:
+        ctl = SeriesControl()
+    t = _check_t(p, t)
+    if t == 0.0:
+        return _zero_t_value(p)
+    z = _ml_argument(p.rate, p.upsilon, t)
+    return _sum_rows(_problem_rows(p, reading, ctl.max_terms), t, z, p.upsilon, ctl)
+
+
 def solve_thm1(p: KineticProblem, t: float, ctl: SeriesControl | None = None) -> float:
     """N(t) for the THM1 problem (forcing S^k_{l,c}(t), rate d)."""
     if p.variant is not Variant.THM1:
         raise DomainError(f"solve_thm1 requires variant THM1, got {p.variant}")
-    if ctl is None:
-        ctl = SeriesControl()
-    t = _check_t(p, t)
-    if t == 0.0:
-        return _zero_t_value(p)
-    s = p.struve
-    z = _ml_argument(p.d, p.upsilon, t)
-    rows = _thm1_rows(p.n0, p.upsilon, s.nu, s.c, s.k, ctl.max_terms)
-    return _sum_rows(rows, t / 2.0, z, p.upsilon, ctl)
-
-
-def _solve_thm23(p: KineticProblem, t: float, ctl: SeriesControl | None, reading: str) -> float:
-    _check_reading(reading)
-    if ctl is None:
-        ctl = SeriesControl()
-    t = _check_t(p, t)
-    if t == 0.0:
-        return _zero_t_value(p)
-    s = p.struve
-    z = _ml_argument(p.rate, p.upsilon, t)
-    rows = _thm23_rows(p.n0, p.d, p.upsilon, s.nu, s.c, s.k, reading, ctl.max_terms)
-    return _sum_rows(rows, t, z, p.upsilon, ctl)
+    return _solve(p, t, ctl, "consistent")
 
 
 def solve_thm2(
@@ -283,7 +263,8 @@ def solve_thm2(
     """N(t) for the THM2 problem (forcing S^k_{l,c}(d**ups * t**ups), rate d)."""
     if p.variant is not Variant.THM2:
         raise DomainError(f"solve_thm2 requires variant THM2, got {p.variant}")
-    return _solve_thm23(p, t, ctl, reading)
+    _check_reading(reading)
+    return _solve(p, t, ctl, reading)
 
 
 def solve_thm3(
@@ -292,7 +273,8 @@ def solve_thm3(
     """N(t) for the THM3 problem (THM2 forcing, distinct rate a != d)."""
     if p.variant is not Variant.THM3:
         raise DomainError(f"solve_thm3 requires variant THM3, got {p.variant}")
-    return _solve_thm23(p, t, ctl, reading)
+    _check_reading(reading)
+    return _solve(p, t, ctl, reading)
 
 
 def solve_constant(p: KineticProblem, t: float, ctl: SeriesControl | None = None) -> float:
@@ -376,7 +358,7 @@ def _row_block(rows, start: int, upsilon: float, max_terms: int):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _sum_rows_grid(blocks: dict, rows, half_arg: np.ndarray, z: np.ndarray, upsilon: float, ctl: SeriesControl):
+def _sum_rows_grid(blocks: dict, rows, ts: np.ndarray, z: np.ndarray, upsilon: float, ctl: SeriesControl):
     """:func:`_sum_rows` at every node, node for node the same double.
 
     Each node keeps the scalar stop rule and ``dd_add`` runs elementwise.  The
@@ -385,11 +367,11 @@ def _sum_rows_grid(blocks: dict, rows, half_arg: np.ndarray, z: np.ndarray, upsi
     :func:`_row_block` across calls.  Returns the values and a mask of the
     nodes for which ``_sum_rows`` raises (their values are meaningless).
     """
-    out = np.empty(half_arg.size)
-    failed = np.zeros(half_arg.size, dtype=bool)
-    pos = np.arange(half_arg.size)
-    hi = np.zeros(half_arg.size)
-    lo = np.zeros(half_arg.size)
+    out = np.empty(ts.size)
+    failed = np.zeros(ts.size, dtype=bool)
+    pos = np.arange(ts.size)
+    hi = np.zeros(ts.size)
+    lo = np.zeros(ts.size)
     for start in range(0, len(rows), _ROW_BLOCK):
         if start not in blocks:
             blocks[start] = _row_block(rows, start, upsilon, ctl.max_terms)
@@ -402,7 +384,7 @@ def _sum_rows_grid(blocks: dict, rows, half_arg: np.ndarray, z: np.ndarray, upsi
         bad = ml_bad.reshape(len(coefs), m) | pole[:, None]
         col = np.arange(m)  # each active node's column in ml
         for j, (coef, e) in enumerate(zip(coefs, exps)):
-            powers, pow_bad = _powers(half_arg[pos].tolist(), e)
+            powers, pow_bad = _powers(ts[pos].tolist(), e)
             term = coef * powers * ml[j, col]
             hi, lo = dd_add(hi, lo, term)
             done = np.abs(term) <= ctl.rel_tol * np.abs(hi)
@@ -441,8 +423,9 @@ def solve_table(
         raise DomainError("grid must be strictly increasing with all entries >= 0")
     if ctl is None:
         ctl = SeriesControl()
-    thm1 = p.variant is Variant.THM1
-    if not thm1:
+    if p.variant is Variant.THM1:
+        reading = "consistent"  # THM1 has a single reading and accepts any value here
+    else:
         with _at_node(g, 0):
             _check_reading(reading)
     values = np.zeros(g.size)
@@ -454,21 +437,16 @@ def solve_table(
     ts = g[first:]
     z = _ml_arguments(p, ts)
     if z.size:
-        s = p.struve
         with _at_node(g, first):
-            if thm1:
-                rows = _thm1_rows(p.n0, p.upsilon, s.nu, s.c, s.k, ctl.max_terms)
-            else:
-                rows = _thm23_rows(p.n0, p.d, p.upsilon, s.nu, s.c, s.k, reading, ctl.max_terms)
-        half_arg = ts[: z.size] / 2.0 if thm1 else ts[: z.size]
+            rows = _problem_rows(p, reading, ctl.max_terms)
         blocks: dict = {}
         for start in range(0, z.size, _GRID_CHUNK):
-            part = slice(start, start + _GRID_CHUNK)
-            vals, failed = _sum_rows_grid(blocks, rows, half_arg[part], z[part], p.upsilon, ctl)
+            part = slice(start, min(start + _GRID_CHUNK, z.size))
+            vals, failed = _sum_rows_grid(blocks, rows, ts[part], z[part], p.upsilon, ctl)
             if failed.any():
                 i = start + int(np.argmax(failed))
                 with _at_node(g, first + i):
-                    _sum_rows(rows, float(half_arg[i]), float(z[i]), p.upsilon, ctl)
+                    _sum_rows(rows, float(ts[i]), float(z[i]), p.upsilon, ctl)
                 raise RuntimeError(f"grid index {first + i}: array pass and scalar row sum disagree")
             values[first + start : first + start + vals.size] = vals
     if z.size < ts.size:

@@ -13,6 +13,9 @@ Three legs, none of which shares series code with :mod:`.kinetics`:
   geometric resummation of its transform series, valid for ``s > d``) and a
   truncated numerical transform with an explicit tail bound.
 
+The k-Struve forcing S^k_{l,c}(lam * t**sigma) is tabulated from its scale
+(lam, sigma); ``residual`` takes the problem's ``forcing_scale``.
+
 The quadrature weights come from integrating the hat-function interpolant
 exactly:  with ``c_u = h**u / Gamma(u + 2)`` the node weights at step ``i``
 are ``c_u`` on the diagonal, ``c_u * ((i-1)**(u+1) - (i-1-u) * i**u)`` at the
@@ -30,7 +33,7 @@ import numpy as np
 
 from ._compensated import dd_add
 from .errors import DomainError, RangeError, SingularStepError
-from .kinetics import KineticProblem, SolutionTable, Variant, _thm1_rows
+from .kinetics import KineticProblem, SolutionTable, Variant, _problem_rows
 from .special import SeriesControl, _k_struve_grid
 
 __all__ = [
@@ -145,26 +148,27 @@ def rl_integral(f, upsilon: float, grid: QuadratureGrid) -> np.ndarray:
     return out
 
 
+def _scale(p: KineticProblem, forcing):
+    """(lam, sigma) of S(lam * t**sigma) for STRUVE_T (S(t)) and STRUVE_DT (THM2's); others pass through."""
+    return {Forcing.STRUVE_T: (1.0, 1.0), Forcing.STRUVE_DT: (p.d**p.upsilon, p.upsilon)}.get(forcing, forcing)
+
+
 @lru_cache(maxsize=1)
-def _forcing_values(p: KineticProblem, forcing: Forcing, grid: QuadratureGrid, ctl: SeriesControl | None) -> np.ndarray:
+def _forcing_values(p: KineticProblem, forcing, grid: QuadratureGrid, ctl: SeriesControl | None) -> np.ndarray:
     """Read-only forcing table at the grid nodes.
 
-    The last table is kept, so ``residual`` reuses the one ``volterra_solve``
-    just built on the same problem and grid.
+    ``forcing`` is a :class:`Forcing` member or a scale (lam, sigma).  The
+    last table is kept: ``volterra_solve`` and ``residual`` pass the scale,
+    so ``residual`` reuses the table ``volterra_solve`` just built on the
+    same problem and grid.
     """
     if forcing is Forcing.CONSTANT:
         vals = np.ones(grid.n + 1)
-    elif forcing is Forcing.STRUVE_T:
-        vals = _k_struve_grid(p.struve, grid.nodes, ctl)
     else:
-        dpow = p.d**p.upsilon
-        vals = _k_struve_grid(p.struve, np.array([dpow * t**p.upsilon for t in grid.nodes]), ctl)
+        lam, sigma = _scale(p, forcing)
+        vals = _k_struve_grid(p.struve, np.array([lam * t**sigma for t in grid.nodes.tolist()]), ctl)
     vals.setflags(write=False)
     return vals
-
-
-def _variant_forcing(p: KineticProblem) -> Forcing:
-    return Forcing.STRUVE_T if p.variant is Variant.THM1 else Forcing.STRUVE_DT
 
 
 def volterra_solve(
@@ -179,7 +183,7 @@ def volterra_solve(
     left-hand side and the scalar linear equation solved; everything else is
     a convolution over already-computed nodes.
     """
-    F = _forcing_values(p, forcing, grid, ctl)
+    F = _forcing_values(p, _scale(p, forcing), grid, ctl)
     n = grid.n
     c, a0, dker = _weight_parts(n, p.upsilon)
     cu = c * grid.h**p.upsilon
@@ -203,11 +207,11 @@ def residual(p: KineticProblem, sol: SolutionTable, grid: QuadratureGrid, ctl: S
     """Defect of a tabulated candidate in the variant's integral equation.
 
     defect_i = N_i - N0*F(t_i) + rate**u * (I^u N)(t_i), with the forcing
-    picked by the problem's variant.
+    of the problem's ``forcing_scale``.
     """
     if sol.t.shape != grid.nodes.shape or not np.array_equal(sol.t, grid.nodes):
         raise DomainError("solution table abscissae do not match the grid nodes")
-    F = _forcing_values(p, _variant_forcing(p), grid, ctl)
+    F = _forcing_values(p, p.forcing_scale, grid, ctl)
     integ = rl_integral(sol.n, p.upsilon, grid)
     defect = np.abs(sol.n - p.n0 * F + p.rate**p.upsilon * integ)
     imax = int(np.argmax(defect))
@@ -223,7 +227,8 @@ def laplace_image(p: KineticProblem, s: float, ctl: SeriesControl | None = None)
 
     Term-wise transform of the solution series with the inner binomial tail
     resummed geometrically:
-        sum_r coef_r * 2**(-e_r) * Gamma(e_r + 1) * s**-(e_r+1) / (1 + d**u s**-u).
+        sum_r coef_r * s**-(e_r+1) / (1 + d**u s**-u),
+    with the rows (coef_r, e_r) of the solution series.
     """
     if p.variant is not Variant.THM1:
         raise DomainError(f"laplace_image requires variant THM1, got {p.variant}")
@@ -236,11 +241,9 @@ def laplace_image(p: KineticProblem, s: float, ctl: SeriesControl | None = None)
         raise RangeError(
             f"s = {s!r} is outside the geometric convergence region (requires s > d = {p.d!r})"
         )
-    st = p.struve
-    rows = _thm1_rows(p.n0, p.upsilon, st.nu, st.c, st.k, ctl.max_terms)
     sum_hi, sum_lo = 0.0, 0.0
-    for coef, e, _beta in rows:
-        term = coef * 0.5**e * s ** (-(e + 1.0))
+    for coef, e, _beta in _problem_rows(p, "consistent", ctl.max_terms):
+        term = coef * s ** (-(e + 1.0))
         sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
         if abs(term) <= ctl.rel_tol * abs(sum_hi):
             break

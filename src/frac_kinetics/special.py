@@ -240,20 +240,6 @@ def mittag_leffler(alpha: float, z: float, ctl: SeriesControl | None = None) -> 
 # Struve
 
 
-@lru_cache(maxsize=256)
-def _struve_coeffs(p: float, max_terms: int) -> tuple[float, ...]:
-    out = []
-    for m in range(max_terms):
-        try:
-            denom = math.gamma(m + 1.5) * math.gamma(m + p + 1.5)
-        except OverflowError:
-            # denominator beyond the double range: coefficient underflows to 0
-            out.append(0.0)
-            continue
-        out.append((-1.0) ** m / denom)
-    return tuple(out)
-
-
 def _gamma_sign(x: float) -> float:
     """Sign of Gamma(x) off its poles: negative on (-1, 0), (-3, -2), ..."""
     return -1.0 if x < 0.0 and math.floor(x) % 2 == 1 else 1.0
@@ -341,7 +327,8 @@ def struve_h(p: float, x: float, ctl: SeriesControl | None = None) -> float:
         if p < -1.0:
             raise DomainError(f"H_p diverges at x = 0 for p < -1 (p = {p!r})")
         # p == -1: the series limit is the r = 0 coefficient, 2/pi
-    return _power_series(_struve_coeffs(p, ctl.max_terms), x / 2.0, p + 1.0, ctl)
+    # k_gamma(x, 1) is exactly math.gamma(x): H_p is S^1_{p,1}
+    return _power_series(_k_struve_coeffs(p, 1.0, 1.0, ctl.max_terms), x / 2.0, p + 1.0, ctl)
 
 
 def k_struve(params: KStruveParams, x: float, ctl: SeriesControl | None = None) -> float:

@@ -6,8 +6,15 @@ from frac_kinetics import (
     KStruveParams,
     SeriesControl,
     Variant,
+    gamma,
+    k_gamma,
+    k_struve,
+    mittag_leffler,
+    mittag_leffler2,
     solve_thm1,
     solve_thm2,
+    solve_thm3,
+    struve_h,
 )
 from frac_kinetics.cli import ENV_MAX_TERMS, main
 
@@ -76,6 +83,48 @@ def test_eval_pole_is_input_error(capsys):
     assert out == ""
     assert err.startswith("error:")
     assert "x" in err and "pole" in err
+
+
+_THM_ARGS = ["--n0", "1.5", "--d", "0.8", "--upsilon", "0.7", "--l", "0.5", "--c", "1.2", "--k", "2", "--t", "0.6"]
+_THM_STRUVE = KStruveParams(0.5, 1.2, 2.0)
+
+
+@pytest.mark.parametrize(
+    "name,args,value",
+    [
+        ("gamma", ["--x", "2.5"], lambda: gamma(2.5)),
+        ("kgamma", ["--x", "2.5", "--k", "1.5"], lambda: k_gamma(2.5, 1.5)),
+        ("struve", ["--p", "0.5", "--x", "3"], lambda: struve_h(0.5, 3.0)),
+        ("kstruve", ["--nu", "1", "--c", "2", "--k", "1.5", "--x", "2"],
+         lambda: k_struve(KStruveParams(1.0, 2.0, 1.5), 2.0)),
+        ("ml", ["--alpha", "0.8", "--z", "-1.5"], lambda: mittag_leffler(0.8, -1.5)),
+        ("ml2", ["--alpha", "0.8", "--beta", "1.7", "--z", "-1.5"], lambda: mittag_leffler2(0.8, 1.7, -1.5)),
+        ("thm1", _THM_ARGS, lambda: solve_thm1(
+            KineticProblem(n0=1.5, upsilon=0.7, d=0.8, struve=_THM_STRUVE, variant=Variant.THM1), 0.6)),
+        ("thm2", _THM_ARGS, lambda: solve_thm2(
+            KineticProblem(n0=1.5, upsilon=0.7, d=0.8, struve=_THM_STRUVE, variant=Variant.THM2), 0.6)),
+        ("thm3", _THM_ARGS + ["--a", "1.9"], lambda: solve_thm3(
+            KineticProblem(n0=1.5, upsilon=0.7, d=0.8, a=1.9, struve=_THM_STRUVE, variant=Variant.THM3), 0.6)),
+    ],
+)
+def test_eval_every_function_matches_library(capsys, name, args, value):
+    code, out, err = _run(capsys, "eval", name, *args)
+    assert (code, err) == (0, "")
+    assert out == f"{value():.15g}\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--upsilon", "4", "--l", "-1.25", "--k", "1"],
+        ["--upsilon", "1", "--l", "-2", "--k", "2", "--exponent-reading", "printed"],
+    ],
+)
+def test_eval_gamma_pole_in_a_row_is_input_error(capsys, args):
+    code, out, err = _run(capsys, "eval", "thm2", "--n0", "1", "--d", "1", "--c", "1", "--t", "0.5", *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "gamma pole" in err
 
 
 def test_eval_missing_parameter(capsys):

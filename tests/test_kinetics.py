@@ -8,6 +8,7 @@ from frac_kinetics import (
     Forcing,
     KineticProblem,
     KStruveParams,
+    PoleError,
     QuadratureGrid,
     RangeError,
     READINGS,
@@ -276,16 +277,20 @@ def test_first_omitted_outer_term_is_negligible(ups, l, k):
 
 def test_rows_past_gamma_overflow_fit_in_a_double():
     # Gamma(e_r + 1) overflows from r = 85 although the row coefficients stay
-    # near 4**r; those rows come from log space, the earlier ones unchanged
+    # near 4**r (times the 2**-e_r the THM1 rows carry); those rows come
+    # from log space, the earlier ones unchanged
     import mpmath as mp
 
-    from frac_kinetics.kinetics import _thm1_rows
+    from frac_kinetics.kinetics import _rows
 
-    short = _thm1_rows(1.0, 1.0, 1.0, 1.0, 1.0, 85)
-    long = _thm1_rows(1.0, 1.0, 1.0, 1.0, 1.0, 90)
+    short = _rows(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "consistent", 85)
+    long = _rows(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "consistent", 90)
     assert long[:85] == short
     for r in range(85, 90):
-        want = (-1) ** r * mp.gamma(2 * r + 3) / (mp.gamma(r + 2.5) * mp.gamma(r + 1.5))
+        want = (
+            (-1) ** r * mp.gamma(2 * r + 3) / (mp.gamma(r + 2.5) * mp.gamma(r + 1.5))
+            * mp.mpf(2) ** -(2 * r + 2)
+        )
         assert abs(long[r][0] - want) <= 1e-12 * abs(want)
     p = _thm1()
     assert solve_thm1(p, 0.5, SeriesControl(max_terms=90)) == solve_thm1(
@@ -465,11 +470,11 @@ def test_rows_with_an_overflowing_denominator_are_not_silent_zeros():
     # while the rows themselves are as small as 1e-88
     import mpmath as mp
 
-    from frac_kinetics.kinetics import _thm23_rows
+    from frac_kinetics.kinetics import _rows
 
     n0, d, ups, l, c, k = 1.0, 3.0, 0.7, 2.0, 3.0, 3.0
-    long = _thm23_rows(n0, d, ups, l, c, k, "consistent", 120)
-    assert long[:87] == _thm23_rows(n0, d, ups, l, c, k, "consistent", 87)
+    long = _rows(n0, d**ups, ups, l, c, k, "consistent", 120)
+    assert long[:87] == _rows(n0, d**ups, ups, l, c, k, "consistent", 87)
     mp.mp.dps = 40
     for r in range(87, 120):
         e = 2 * r + mp.mpf(l) / k + 1
@@ -480,3 +485,50 @@ def test_rows_with_an_overflowing_denominator_are_not_silent_zeros():
         )
         assert long[r][0] != 0.0
         assert abs(long[r][0] - want) <= 1e-12 * abs(want)
+
+
+def test_rows_whose_direct_product_underflows_are_not_silent_zeros():
+    # (lam/2)**e_r underflows before the large Gamma(sigma e_r + 1) multiplies
+    # it, while the rows themselves are as large as 1e-159
+    import mpmath as mp
+
+    from frac_kinetics.kinetics import _rows
+
+    n0, d, ups, l, c, k = 1.0, 0.01, 2.0, 1.0, 1.0, 1.0
+    rows = _rows(n0, d**ups, ups, l, c, k, "consistent", 50)
+    mp.mp.dps = 40
+    for r in range(30, 42):
+        e = 2 * r + mp.mpf(l) / k + 1
+        want = (
+            n0 * (-c) ** r / (mp.gamma(r + 2.5) * mp.gamma(r + 1.5))
+            * (mp.mpf(d**ups) / 2) ** e * mp.gamma(ups * e + 1)
+        )
+        assert rows[r][0] != 0.0
+        assert abs(rows[r][0] - want) <= 1e-12 * abs(want)
+
+
+def test_rows_that_are_exactly_zero_stay_zero():
+    from frac_kinetics.kinetics import _rows
+
+    # c = 0 leaves only row 0; lam = 0 (d = 0) zeroes every row with e_r > 0
+    assert all(coef == 0.0 for coef, _, _ in _rows(1.0, 0.01, 2.0, 1.0, 0.0, 1.0, "consistent", 50)[1:])
+    assert all(coef == 0.0 for coef, _, _ in _rows(1.0, 0.0, 2.0, 1.0, 1.0, 1.0, "consistent", 50))
+
+
+def test_forcing_scale():
+    assert _thm1(upsilon=0.5, d=3.0).forcing_scale == (1.0, 1.0)
+    assert _thm2(upsilon=0.5, d=3.0).forcing_scale == (3.0**0.5, 0.5)
+    assert _thm3(upsilon=0.5, d=3.0).forcing_scale == (3.0**0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "p,reading",
+    [(_thm2(upsilon=4.0, l=-1.25, k=1.0), "consistent"), (_thm2(upsilon=1.0, l=-2.0, k=2.0), "printed")],
+)
+def test_gamma_pole_in_a_row_is_a_pole_error(p, reading):
+    # Gamma(upsilon e_0 + 1) at 0 (consistent: e_0 = -1/4) and at -1
+    # (printed: e_0 = -1)
+    with pytest.raises(PoleError, match="gamma pole"):
+        solve_thm2(p, 0.5, reading=reading)
+    with pytest.raises(PoleError, match=r"^grid index 0 \(t = .*0\.5\)\): .*gamma pole"):
+        solve_table(p, np.array([0.5, 1.0]), reading=reading)
