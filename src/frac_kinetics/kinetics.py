@@ -176,6 +176,11 @@ def _rows(
         g = sigma * e
         if g + 1.0 <= 0.0 and g + 1.0 == math.floor(g + 1.0):
             raise PoleError(f"row r = {r}: Gamma(sigma*e_r + 1) hits a gamma pole at {g + 1.0!r}")
+        if lam == 0.0 and e < 0.0:
+            raise DomainError(
+                f"row r = {r}: lam = 0 puts the forcing at S(0), which diverges for a negative "
+                f"exponent e_r = {e!r} (l/k < -1 under the consistent reading)"
+            )
         try:
             denom = k_gamma(r * k + l + 1.5 * k, k) * math.gamma(r + 1.5)
             head, power = n0 * (-c) ** r / denom, (lam / 2.0) ** e
@@ -298,7 +303,7 @@ def _at_node(g: np.ndarray, i: int):
     try:
         yield
     except (DomainError, OverflowError) as exc:
-        raise type(exc)(f"grid index {i} (t = {g[i]!r}): {exc}") from exc
+        raise type(exc)(f"grid index {i} (t = {float(g[i])!r}): {exc}") from exc
 
 
 def _node_argument(p: KineticProblem, t: float) -> float:

@@ -127,6 +127,15 @@ def test_eval_gamma_pole_in_a_row_is_input_error(capsys, args):
     assert err.startswith("error:") and "gamma pole" in err
 
 
+def test_eval_zero_rate_with_a_divergent_forcing_is_input_error(capsys):
+    # d = 0 evaluates the THM2 forcing at S(0), which diverges for l/k < -1
+    code, out, err = _run(capsys, "eval", "thm2", "--n0", "1", "--d", "0", "--upsilon", "1",
+                          "--l", "-1.2", "--c", "1", "--k", "1", "--t", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "diverges" in err
+
+
 def test_eval_missing_parameter(capsys):
     code, _, err = _run(capsys, "eval", "struve", "--p", "1")
     assert code == 2

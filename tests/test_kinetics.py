@@ -365,7 +365,7 @@ def _scalar_table(p, grid, ctl=None, reading="consistent"):
         try:
             values[i] = solve(float(ti))
         except (DomainError, OverflowError) as exc:
-            raise type(exc)(f"grid index {i} (t = {ti!r}): {exc}") from exc
+            raise type(exc)(f"grid index {i} (t = {float(ti)!r}): {exc}") from exc
     return values
 
 
@@ -437,7 +437,7 @@ def test_solve_table_range_error_at_first_node_past_the_cap():
 
 def test_solve_table_domain_error_at_the_origin():
     msg = _same_failure(_thm2(l=-1.2), np.linspace(0.0, 1.0, 11))
-    assert msg.startswith("grid index 0 (t = np.float64(0.0)): t = 0 requires")
+    assert msg.startswith("grid index 0 (t = 0.0): t = 0 requires")
 
 
 def test_solve_table_row_overflow_at_the_first_positive_node():
@@ -530,5 +530,14 @@ def test_gamma_pole_in_a_row_is_a_pole_error(p, reading):
     # (printed: e_0 = -1)
     with pytest.raises(PoleError, match="gamma pole"):
         solve_thm2(p, 0.5, reading=reading)
-    with pytest.raises(PoleError, match=r"^grid index 0 \(t = .*0\.5\)\): .*gamma pole"):
+    with pytest.raises(PoleError, match=r"^grid index 0 \(t = 0\.5\): .*gamma pole"):
         solve_table(p, np.array([0.5, 1.0]), reading=reading)
+
+
+def test_zero_rate_with_a_divergent_forcing_is_a_domain_error():
+    # THM2 at d = 0 sums rows of S(0 * t**upsilon); row 0 has e_0 = l/k + 1 = -0.2
+    p = _thm2(d=0.0, l=-1.2)
+    with pytest.raises(DomainError, match=r"^row r = 0: .*diverges"):
+        solve_thm2(p, 0.5)
+    with pytest.raises(DomainError, match=r"^grid index 0 \(t = 0\.5\): row r = 0: .*diverges"):
+        solve_table(p, np.array([0.5, 1.0]))

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -180,6 +181,63 @@ def test_volterra_richardson_contraction(ups):
     d1 = float(np.max(np.abs(sols[256] - sols[512][::2])))
     d2 = float(np.max(np.abs(sols[512] - sols[1024][::2])))
     assert 3.0 <= d1 / d2 <= 5.0
+
+
+def _node_by_node_march(p, forcing, grid):
+    """Reference: the march one node at a time, each history sum one np.dot."""
+    F = oracle._forcing_values(p, oracle._scale(p, forcing), grid, None)
+    c, a0, dker = oracle._weight_parts(grid.n, p.upsilon)
+    cu = c * grid.h**p.upsilon
+    lam = p.rate**p.upsilon
+    denom = 1.0 + lam * cu
+    N = np.empty(grid.n + 1)
+    N[0] = p.n0 * F[0]
+    for i in range(1, grid.n + 1):
+        conv = a0[i - 1] * N[0]
+        if i >= 2:
+            conv += np.dot(dker[: i - 1], N[i - 1 : 0 : -1])
+        N[i] = (p.n0 * F[i] - lam * cu * conv) / denom
+    return SolutionTable(grid.nodes, N)
+
+
+def _relative_defect(p, sol, grid):
+    scale = float(np.max(np.abs(sol.n)))
+    defect = residual(p, sol, grid).max_defect
+    return defect / scale if scale else defect
+
+
+@pytest.mark.parametrize("variant,forcing", [(Variant.THM1, Forcing.STRUVE_T), (Variant.THM2, Forcing.STRUVE_DT)])
+@pytest.mark.parametrize("ups", [0.1, 0.5, 1.0, 2.0, 2.5])
+@pytest.mark.parametrize("d", [0.0, 1.0, 100.0, 300.0])
+def test_halving_march_defect_within_twice_the_node_by_node_march(variant, forcing, ups, d):
+    # 16-node leaves: sizes below, at and just past one leaf, and grids that
+    # are not powers of two.  Both defects are rounding-level; on the coarse
+    # stiff grids (n <= 33, d >= 100) two summation orders can differ by a
+    # few times either way, so this bound is tight there.
+    p = _problem(variant=variant, upsilon=ups, d=d, l=0.5, c=1.2, k=2.0)
+    for n in (8, 15, 16, 17, 33, 1000, 4096):
+        g = QuadratureGrid(n=n, t_max=1.0)
+        try:
+            want = _node_by_node_march(p, forcing, g)
+        except (DomainError, OverflowError) as exc:
+            with pytest.raises(type(exc)) as got:
+                volterra_solve(p, forcing, g)
+            assert str(got.value) == str(exc)
+            continue
+        got = volterra_solve(p, forcing, g)
+        assert _relative_defect(p, got, g) <= max(2.0 * _relative_defect(p, want, g), 64 * 2.0**-52)
+
+
+def test_halving_march_leaves_no_garbage_cycles():
+    p = _problem(upsilon=0.5, k=2.0)
+    g = QuadratureGrid(n=1000, t_max=1.0)
+    gc.collect()
+    gc.disable()
+    try:
+        volterra_solve(p, Forcing.STRUVE_T, g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------- forcing table
