@@ -40,7 +40,6 @@ from ._compensated import dd_add
 from .errors import DomainError, PoleError, RangeError
 from .kgamma import k_gamma
 from .special import (
-    _GRID_CHUNK,
     ML_SERIES_CAP,
     KStruveParams,
     SeriesControl,
@@ -295,6 +294,7 @@ def solve_constant(p: KineticProblem, t: float, ctl: SeriesControl | None = None
 # Rows whose Mittag-Leffler values are evaluated in one pass over the active
 # nodes; of 4, 8, 16, 32 and 64, 8 was fastest on 101- and 4,097-node grids.
 _ROW_BLOCK = 8
+_GRID_CHUNK = 512  # nodes per pass; bounds the (row, node) pair arrays (peak memory)
 
 
 @contextmanager

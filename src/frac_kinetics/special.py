@@ -13,6 +13,8 @@ numerically trustworthy region (no asymptotic continuation is attempted):
 * ``ML_SERIES_CAP`` — Mittag-Leffler argument, ``|z| <= 50``;
 * ``STRUVE_SERIES_CAP`` — Struve / k-Struve argument, ``|x| <= 20``.
 
+The Struve powers (x/2)**(2r + exp0) start from one CPython ``**`` and are
+multiplied by (x/2)**2 once per term; a power or sum that overflows raises.
 ``_k_struve_grid`` evaluates the k-Struve series at every node of a grid in
 one numpy pass with the same arithmetic, so each entry is the double
 ``k_struve`` returns for that node; ``_ml_eval_pairs`` does the same for the
@@ -33,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._compensated import dd_add, dd_div_double, dd_mul_double
+from ._compensated import _SPLITTER, dd_add, dd_div_double, dd_mul_double
 from .errors import DomainError, PoleError, RangeError
 from .kgamma import k_gamma
 
@@ -50,6 +52,7 @@ __all__ = [
 
 ML_SERIES_CAP = 50.0
 STRUVE_SERIES_CAP = 20.0
+_STRUVE_OVERFLOW = "Struve series leaves the double range: a power (x/2)**(2r + nu/k + 1) or the sum overflows"
 
 
 @dataclass(frozen=True)
@@ -122,33 +125,54 @@ def _ml_inv_gammas(alpha: float, beta: float, max_terms: int) -> tuple[float, ..
 
 
 def _ml_eval(alpha: float, beta: float, z: float, ctl: SeriesControl) -> float:
-    """Core series for E_{alpha,beta}(z); shared by every public caller."""
+    """Core series for E_{alpha,beta}(z); shared by every public caller, double-double steps inlined."""
     inv_g = _ml_inv_gammas(alpha, beta, ctl.max_terms)
-    sum_hi, sum_lo = 0.0, 0.0
+    rel_tol = ctl.rel_tol
     n_int = round(alpha)
-    if alpha == n_int and n_int >= 1:
-        # exact term recurrence: t_{n+1} = t_n * z / prod(alpha*n + beta + j)
-        m = int(n_int)
-        t_hi, t_lo = inv_g[0], 0.0
-        for n in range(ctl.max_terms):
-            sum_hi, sum_lo = dd_add(sum_hi, sum_lo, t_hi, t_lo)
-            if abs(t_hi) <= ctl.rel_tol * abs(sum_hi):
-                break
-            t_hi, t_lo = dd_mul_double(t_hi, t_lo, z)
-            for j in range(m):
-                t_hi, t_lo = dd_div_double(t_hi, t_lo, alpha * n + beta + j)
-    else:
-        zn = 1.0
-        for n in range(ctl.max_terms):
-            term = zn * inv_g[n]
-            sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
-            if abs(term) <= ctl.rel_tol * abs(sum_hi):
-                break
+    integer = alpha == n_int and n_int >= 1
+    c = _SPLITTER * z
+    zh = c - (c - z)
+    zl = z - zh
+    sum_hi, sum_lo, t_hi, t_lo, zn = 0.0, 0.0, inv_g[0], 0.0, 1.0
+    for n in range(ctl.max_terms):
+        if not integer:
+            t_hi = zn * inv_g[n]
+        s = sum_hi + t_hi  # sum += t
+        b = s - sum_hi
+        e = (sum_hi - (s - b)) + (t_hi - b)
+        e += sum_lo + t_lo
+        sum_hi = s + e
+        b = sum_hi - s
+        sum_lo = (s - (sum_hi - b)) + (e - b)
+        if abs(t_hi) <= rel_tol * abs(sum_hi):
+            break
+        if not integer:
             zn *= z
             if math.isinf(zn):
                 raise OverflowError(
                     f"Mittag-Leffler series term overflow at n = {n + 1} (z = {z!r})"
                 )
+            continue
+        # exact term recurrence: t_{n+1} = t_n * z / prod(alpha*n + beta + j)
+        p, c = t_hi * z, _SPLITTER * t_hi
+        ah = c - (c - t_hi)
+        al = t_hi - ah
+        e = ((ah * zh - p) + ah * zl + al * zh) + al * zl + t_lo * z
+        t_hi = p + e
+        b = t_hi - p
+        t_lo = (p - (t_hi - b)) + (e - b)
+        for j in range(n_int):
+            if not t_hi and sum_hi:  # t = (0, 0) ends a nonzero sum whatever the signs of its zeros
+                break
+            d = alpha * n + beta + j  # t /= d
+            q = t_hi / d
+            p, c, cd = q * d, _SPLITTER * q, _SPLITTER * d
+            ah, dh = c - (c - q), cd - (cd - d)
+            al, dl = q - ah, d - dh
+            e = ((t_hi - p) - (((ah * dh - p) + ah * dl + al * dh) + al * dl) + t_lo) / d
+            t_hi = q + e
+            b = t_hi - q
+            t_lo = (q - (t_hi - b)) + (e - b)
     return sum_hi + sum_lo
 
 
@@ -202,6 +226,8 @@ def _ml_eval_pairs(
         if integer:
             t_hi, t_lo = dd_mul_double(t_hi, t_lo, z)
             for j in range(n_int):
+                if not t_hi.any() and hi.all():  # _ml_eval's exit, once it holds for every pair
+                    break
                 t_hi, t_lo = dd_div_double(t_hi, t_lo, alpha * n + b + j)
     out[pos] = hi + lo
     return out, overflow
@@ -293,14 +319,23 @@ def _k_struve_coeffs(nu: float, c: float, k: float, max_terms: int) -> tuple[flo
 
 
 def _power_series(coeffs: tuple[float, ...], half_x: float, exp0: float, ctl: SeriesControl) -> float:
-    """Sum coeffs[r] * half_x**(2r + exp0), compensated, with early exit."""
+    """Sum coeffs[r] * half_x**(2r + exp0), compensated, with early exit; raises where it overflows."""
+    try:
+        power = half_x**exp0
+    except OverflowError:
+        raise OverflowError(_STRUVE_OVERFLOW) from None
+    h2 = half_x * half_x
     sum_hi, sum_lo = 0.0, 0.0
-    for r, coef in enumerate(coeffs):
-        term = coef * half_x ** (2 * r + exp0)
+    for coef in coeffs:
+        term = coef * power
         sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
         if abs(term) <= ctl.rel_tol * abs(sum_hi):
             break
-    return sum_hi + sum_lo
+        power *= h2
+    total = sum_hi + sum_lo
+    if not math.isfinite(total):
+        raise OverflowError(_STRUVE_OVERFLOW)
+    return total
 
 
 def struve_h(p: float, x: float, ctl: SeriesControl | None = None) -> float:
@@ -362,36 +397,38 @@ def k_struve(params: KStruveParams, x: float, ctl: SeriesControl | None = None) 
 # --------------------------------------------------------------------------
 # k-Struve over a grid
 
-# Nodes summed per pass; bounds the per-pass Python float lists (peak memory).
-_GRID_CHUNK = 512
-
-
 def _power_series_grid(coeffs: tuple[float, ...], half_x: np.ndarray, exp0: float, ctl: SeriesControl) -> np.ndarray:
     """:func:`_power_series` at every entry of ``half_x``, node for node the same double.
 
     Each node keeps its own stop rule, so a node leaves the active set after
     exactly the terms the scalar loop would take, and ``dd_add`` runs the same
-    error-free sums elementwise.  The powers go through CPython's float ``**``
-    (libm ``pow``): ``np.power`` differs from it in the last bit on a few per
-    cent of non-integer exponents.
+    error-free sums elementwise.  The power recurrence starts from CPython's
+    float ``**`` (libm ``pow``): ``np.power`` differs from it in the last bit
+    on a few per cent of non-integer exponents.  Any overflow raises.
     """
     out = np.empty(half_x.size)
     pos = np.arange(half_x.size)
     hi = np.zeros(half_x.size)
     lo = np.zeros(half_x.size)
-    for r, coef in enumerate(coeffs):
-        e = 2 * r + exp0
-        powers = np.fromiter((h**e for h in half_x.tolist()), float, half_x.size)
-        term = coef * powers
+    try:
+        power = np.fromiter((h**exp0 for h in half_x.tolist()), float, half_x.size)
+    except OverflowError:
+        raise OverflowError(_STRUVE_OVERFLOW) from None
+    h2 = half_x * half_x
+    for coef in coeffs:
+        term = coef * power
         hi, lo = dd_add(hi, lo, term)
         done = np.abs(term) <= ctl.rel_tol * np.abs(hi)
         if done.any():
             out[pos[done]] = hi[done] + lo[done]
             keep = ~done
-            pos, half_x, hi, lo = pos[keep], half_x[keep], hi[keep], lo[keep]
+            pos, power, h2, hi, lo = pos[keep], power[keep], h2[keep], hi[keep], lo[keep]
             if not pos.size:
-                return out
+                break
+        power *= h2
     out[pos] = hi + lo
+    if not np.isfinite(out).all():
+        raise OverflowError(_STRUVE_OVERFLOW)
     return out
 
 
@@ -416,7 +453,5 @@ def _k_struve_grid(params: KStruveParams, xs: np.ndarray, ctl: SeriesControl | N
     out = np.zeros(xs.size)
     summed = np.flatnonzero(xs) if ratio > -1.0 else np.arange(xs.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, summed.size, _GRID_CHUNK):
-            idx = summed[start : start + _GRID_CHUNK]
-            out[idx] = _power_series_grid(coeffs, xs[idx] / 2.0, ratio + 1.0, ctl)
+        out[summed] = _power_series_grid(coeffs, xs[summed] / 2.0, ratio + 1.0, ctl)
     return out

@@ -333,3 +333,202 @@ def test_k_struve_coefficients_past_the_double_range_are_not_silent_zeros():
         # relative error |log coef| * 2**-52 at most, plus the subnormal spacing
         assert abs(long[r] - want) <= 1e-12 * abs(want) + 5e-324
     assert long[87] != 0.0
+
+
+# ---------------------------------------------------------------- inlined double-double in _ml_eval
+
+
+def _ml_eval_reference(alpha, beta, z, ctl):
+    """The Mittag-Leffler loop as it reads with the ``_compensated`` helper calls."""
+    from frac_kinetics._compensated import dd_add, dd_div_double, dd_mul_double
+    from frac_kinetics.special import _ml_inv_gammas
+
+    inv_g = _ml_inv_gammas(alpha, beta, ctl.max_terms)
+    sum_hi, sum_lo = 0.0, 0.0
+    n_int = round(alpha)
+    if alpha == n_int and n_int >= 1:
+        t_hi, t_lo = inv_g[0], 0.0
+        for n in range(ctl.max_terms):
+            sum_hi, sum_lo = dd_add(sum_hi, sum_lo, t_hi, t_lo)
+            if abs(t_hi) <= ctl.rel_tol * abs(sum_hi):
+                break
+            t_hi, t_lo = dd_mul_double(t_hi, t_lo, z)
+            for j in range(int(n_int)):
+                t_hi, t_lo = dd_div_double(t_hi, t_lo, alpha * n + beta + j)
+    else:
+        zn = 1.0
+        for n in range(ctl.max_terms):
+            term = zn * inv_g[n]
+            sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
+            if abs(term) <= ctl.rel_tol * abs(sum_hi):
+                break
+            zn *= z
+            if math.isinf(zn):
+                raise OverflowError(
+                    f"Mittag-Leffler series term overflow at n = {n + 1} (z = {z!r})"
+                )
+    return sum_hi + sum_lo
+
+
+def _outcome(f, *args):
+    # repr tells -0.0 from 0.0; errors compare by type and message
+    try:
+        return repr(f(*args))
+    except Exception as e:  # noqa: BLE001 - any error type must match
+        return type(e), str(e)
+
+
+def _ml_draws(seed):
+    rng = np.random.default_rng(seed)
+    cases = []
+    for alpha in (0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0):
+        cases += [(alpha, b, z) for b, z in zip(rng.uniform(-2.5, 4.0, 40), rng.uniform(-50.0, 50.0, 40))]
+    alphas = np.concatenate([rng.uniform(0.05, 3.5, 200), rng.integers(1, 7, 100).astype(float)])
+    cases += [(a, b, z) for a, b, z in zip(alphas, rng.uniform(-2.5, 4.0, 300), rng.uniform(-50.0, 50.0, 300))]
+    # exact zeros, a tiny argument and the ends of the cap
+    cases += [(a, b, z) for a in (0.5, 1.0, 2.0, 3.0) for b in (1.0, 2.5) for z in (0.0, -0.0, 1e-300, -50.0, 50.0)]
+    return [(float(a), float(b), float(z)) for a, b, z in cases]
+
+
+@pytest.mark.parametrize(
+    "ctl", [SeriesControl(), SeriesControl(max_terms=90), SeriesControl(max_terms=30, rel_tol=1e-10)]
+)
+def test_inlined_ml_eval_is_the_helper_loop(ctl):
+    from frac_kinetics.special import _ml_eval
+
+    for alpha, beta, z in _ml_draws(11):
+        assert _outcome(_ml_eval, alpha, beta, z, ctl) == _outcome(_ml_eval_reference, alpha, beta, z, ctl), (
+            alpha, beta, z)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,z,ctl",
+    [
+        (0.3, 1.0, 50.0, SeriesControl(max_terms=200)),  # z**n overflow
+        (0.7, 1.2, -50.0, SeriesControl(max_terms=200)),
+        (1.0, -2.0, 0.5, SeriesControl()),  # gamma pole
+        (2.0, -3.0, 0.5, SeriesControl()),
+    ],
+)
+def test_inlined_ml_eval_raises_as_the_helper_loop(alpha, beta, z, ctl):
+    from frac_kinetics.special import _ml_eval
+
+    want = _outcome(_ml_eval_reference, alpha, beta, z, ctl)
+    assert isinstance(want, tuple)
+    assert _outcome(_ml_eval, alpha, beta, z, ctl) == want
+
+
+def test_huge_integer_alpha_leaves_the_divisor_loop_scalar():
+    # 1/Gamma(alpha n + beta) is 0.0 from n = 1 on and the term t_1 = z / (beta)_alpha
+    # underflows to (0, 0) within a few hundred of the alpha divisions: the
+    # loop must stop there, not run all alpha of them on every term
+    import sys
+
+    from frac_kinetics import special
+
+    code = special._ml_eval.__code__
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    sys.settrace(tracer)
+    try:
+        got = mittag_leffler(1e5, 0.5)
+    finally:
+        sys.settrace(None)
+    assert got == 1.0
+    assert lines < 10_000
+
+
+def test_huge_integer_alpha_leaves_the_divisor_loop_array(monkeypatch):
+    from frac_kinetics import special
+
+    calls = 0
+    div = special.dd_div_double
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return div(*args)
+
+    monkeypatch.setattr(special, "dd_div_double", counted)
+    alpha = 1e4
+    beta = np.array([1.0, 2.5])
+    inv_g = np.array([special._ml_inv_gammas(alpha, b, 50) for b in beta])
+    row = np.array([0, 1, 0, 1, 0])
+    z = np.array([0.5, -3.0, 0.0, 50.0, -50.0])
+    out, overflow = special._ml_eval_pairs(alpha, inv_g, beta, row, z, SeriesControl())
+    assert not overflow.any()
+    want = [_ml_eval_reference(alpha, beta[r], zi, SeriesControl()) for r, zi in zip(row, z)]
+    assert [repr(v) for v in out] == [repr(v) for v in want]
+    assert calls < 1_000
+
+
+# ---------------------------------------------------------------- k-Struve power recurrence
+
+
+def _power_series_reference(coeffs, x, exp0):
+    """(sum, sum of |term|) of sum coeffs[r] (x/2)**(2r + exp0) with exact powers, at 40 digits."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        h = mp.mpf(x) / 2
+        power, h2, terms = h**exp0, h * h, []
+        for coef in coeffs:
+            terms.append(coef * power)
+            power *= h2
+        return float(mp.fsum(terms)), float(mp.fsum(abs(t) for t in terms))
+
+
+def test_k_struve_power_recurrence_rounding_bound():
+    # the powers and the compensated sum stay within 32 u * sum |term_r| of
+    # the series on the same double coefficients (worst seen over 1,500
+    # draws: 13.7 u; one libm pow per term with the rounded exponent
+    # 2r + nu/k + 1 reached 36.3 u)
+    import mpmath as mp
+
+    from frac_kinetics.special import _k_struve_coeffs
+
+    ctl = SeriesControl(max_terms=200, rel_tol=1e-17)  # the tail is below the rounding
+    u = 2.0**-53
+    rng = np.random.default_rng(2071)
+    for _ in range(400):
+        k = float(rng.uniform(0.5, 3.0))
+        nu = float(rng.uniform(-1.4, 3.0)) * k
+        c = float(rng.uniform(-2.0, 2.0))
+        x = float(20.0 - rng.uniform(0.0, 20.0))  # in (0, 20]
+        coeffs = _k_struve_coeffs(nu, c, k, ctl.max_terms)
+        want, mag = _power_series_reference(coeffs, x, mp.mpf(nu) / k + 1)
+        got = k_struve(KStruveParams(nu, c, k), x, ctl)
+        assert abs(got - want) <= 32 * u * mag, (nu, c, k, x)
+    for _ in range(200):
+        p = float(rng.uniform(-1.4, 4.0))
+        x = float(20.0 - rng.uniform(0.0, 20.0))
+        want, mag = _power_series_reference(_k_struve_coeffs(p, 1.0, 1.0, ctl.max_terms), x, mp.mpf(p) + 1)
+        assert abs(struve_h(p, x, ctl) - want) <= 32 * u * mag, (p, x)
+
+
+@pytest.mark.parametrize(
+    "nu,xs",
+    [
+        (3.0, [1.0, 20.0]),  # (x/2)**(2r + 301) leaves the double range at r = 4
+        (3.1, [20.0]),  # (x/2)**311 overflows at the first power
+        (3.1, [1.0, 10.0, 20.0, 5.0]),  # running overflow at 10, first power at 20
+    ],
+)
+def test_k_struve_power_overflow_raises_the_same_error_on_a_grid(nu, xs):
+    # nu/k = 300 or 310 with a small k keeps the coefficients inside the
+    # double range, so the series really reaches the overflowing powers
+    p = KStruveParams(nu, 1.0, 0.01)
+    with pytest.raises(OverflowError, match="double range") as scalar:
+        _scalar_k_struve(p, xs)
+    with pytest.raises(OverflowError) as grid:
+        _k_struve_grid(p, np.array(xs))
+    assert type(grid.value) is type(scalar.value)
+    assert str(grid.value) == str(scalar.value)
