@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -332,24 +332,23 @@ def _ml_arguments(p: KineticProblem, ts: np.ndarray) -> np.ndarray:
     return np.array(zs)
 
 
-def _powers(xs: list[float], e: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """``x**e`` with CPython's float ``**`` (``np.power`` differs in the last bit),
-    and a mask of the nodes where it raises (None if none)."""
+def _powers(xs: list[float], exps: list[float]) -> np.ndarray:
+    """``x**e`` at every (exponent, node) pair with CPython's float ``**`` (``np.power``
+    differs in the last bit), NaN where it raises (x**e is never NaN for x > 0)."""
     try:
-        return np.fromiter((x**e for x in xs), float, len(xs)), None
+        return np.fromiter((x**e for e in exps for x in xs), float, len(exps) * len(xs)).reshape(len(exps), len(xs))
     except ArithmeticError:
         pass
-    vals, bad = np.empty(len(xs)), np.zeros(len(xs), dtype=bool)
-    for i, x in enumerate(xs):
-        try:
-            vals[i] = x**e
-        except ArithmeticError:
-            bad[i] = True
-    return vals, bad
+    vals = np.full((len(exps), len(xs)), np.nan)
+    for j, e in enumerate(exps):
+        for i, x in enumerate(xs):
+            with suppress(ArithmeticError):
+                vals[j, i] = x**e
+    return vals
 
 
 def _row_block(rows, start: int, upsilon: float, max_terms: int):
-    """(coefs, exponents, betas, inverse-gamma table, pole mask) of one block of rows."""
+    """(coefs as a column, exponents, betas, inverse-gamma table, pole mask) of one block of rows."""
     block = rows[start : start + _ROW_BLOCK]
     beta = np.array([b for _, _, b in block])
     inv_g = np.zeros((len(block), max_terms))
@@ -359,16 +358,19 @@ def _row_block(rows, start: int, upsilon: float, max_terms: int):
             inv_g[j] = _ml_inv_gammas(upsilon, b, max_terms)
         except PoleError:  # _ml_eval raises it for every node that reaches the row
             pole[j] = True
-    return [c for c, _, _ in block], [e for _, e, _ in block], beta, inv_g, pole
+    return np.array([[c] for c, _, _ in block]), [e for _, e, _ in block], beta, inv_g, pole
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _sum_rows_grid(blocks: dict, rows, ts: np.ndarray, z: np.ndarray, upsilon: float, ctl: SeriesControl):
     """:func:`_sum_rows` at every node, node for node the same double.
 
-    Each node keeps the scalar stop rule and ``dd_add`` runs elementwise.  The
-    Mittag-Leffler values are evaluated for a block of rows at a time, over the
-    nodes still active at the block's start.  ``blocks`` memoises
+    Each node keeps the scalar stop rule and ``dd_add`` runs elementwise.  A
+    block of rows is evaluated at once over the nodes still active at its
+    start: Mittag-Leffler values, powers, terms and the running sums row by
+    row.  One ``argmax`` then finds each node's first stop or failure (a
+    failure first: the scalar loop raises before its stop test), and the
+    nodes that had one leave with the sum at that row.  ``blocks`` memoises
     :func:`_row_block` across calls.  Returns the values and a mask of the
     nodes for which ``_sum_rows`` raises (their values are meaningless).
     """
@@ -381,28 +383,26 @@ def _sum_rows_grid(blocks: dict, rows, ts: np.ndarray, z: np.ndarray, upsilon: f
         if start not in blocks:
             blocks[start] = _row_block(rows, start, upsilon, ctl.max_terms)
         coefs, exps, beta, inv_g, pole = blocks[start]
-        m = pos.size
+        n_rows, m = len(exps), pos.size
         ml, ml_bad = _ml_eval_pairs(
-            upsilon, inv_g, beta, np.repeat(np.arange(len(coefs)), m), np.tile(z[pos], len(coefs)), ctl
+            upsilon, inv_g, beta, np.repeat(np.arange(n_rows), m), np.tile(z[pos], n_rows), ctl
         )
-        ml = ml.reshape(len(coefs), m)
-        bad = ml_bad.reshape(len(coefs), m) | pole[:, None]
-        col = np.arange(m)  # each active node's column in ml
-        for j, (coef, e) in enumerate(zip(coefs, exps)):
-            powers, pow_bad = _powers(ts[pos].tolist(), e)
-            term = coef * powers * ml[j, col]
-            hi, lo = dd_add(hi, lo, term)
-            done = np.abs(term) <= ctl.rel_tol * np.abs(hi)
-            fail = bad[j, col] if pow_bad is None else bad[j, col] | pow_bad
-            if fail.any():
-                failed[pos[fail]] = True
-                done |= fail
-            if done.any():
-                out[pos[done]] = hi[done] + lo[done]
-                keep = ~done
-                pos, hi, lo, col = pos[keep], hi[keep], lo[keep], col[keep]
-                if not pos.size:
-                    return out, failed
+        powers = _powers(ts[pos].tolist(), exps)
+        terms = coefs * powers * ml.reshape(n_rows, m)
+        bad = ml_bad.reshape(n_rows, m) | pole[:, None] | np.isnan(powers)
+        his, los = np.empty((n_rows, m)), np.empty((n_rows, m))
+        for j in range(n_rows):
+            hi, lo = dd_add(hi, lo, terms[j])
+            his[j], los[j] = hi, lo
+        event = (np.abs(terms) <= ctl.rel_tol * np.abs(his)) | bad
+        ended = event.any(axis=0)
+        if ended.any():
+            at = event.argmax(axis=0)[ended], np.flatnonzero(ended)  # each node's first event
+            out[pos[ended]] = his[at] + los[at]
+            failed[pos[ended]] = bad[at]
+            pos, hi, lo = pos[~ended], hi[~ended], lo[~ended]
+            if not pos.size:
+                return out, failed
     out[pos] = hi + lo
     return out, failed
 

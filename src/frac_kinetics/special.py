@@ -14,7 +14,8 @@ numerically trustworthy region (no asymptotic continuation is attempted):
 * ``STRUVE_SERIES_CAP`` — Struve / k-Struve argument, ``|x| <= 20``.
 
 The Struve powers (x/2)**(2r + exp0) start from one CPython ``**`` and are
-multiplied by (x/2)**2 once per term; a power or sum that overflows raises.
+multiplied by (x/2)**2 once per term; a term whose coefficient underflowed is
+formed in log space, and a power or sum that overflows raises.
 ``_k_struve_grid`` evaluates the k-Struve series at every node of a grid in
 one numpy pass with the same arithmetic, so each entry is the double
 ``k_struve`` returns for that node; ``_ml_eval_pairs`` does the same for the
@@ -30,6 +31,7 @@ makes the exponential identity E_1(z) = e^z hold to a few ulp across
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -318,12 +320,14 @@ def _k_struve_coeffs(nu: float, c: float, k: float, max_terms: int) -> tuple[flo
     return tuple(out)
 
 
-def _power_series(coeffs: tuple[float, ...], half_x: float, exp0: float, ctl: SeriesControl) -> float:
-    """Sum coeffs[r] * half_x**(2r + exp0), compensated, with early exit; raises where it overflows."""
+def _power_series(nu: float, c: float, k: float, half_x: float, ctl: SeriesControl) -> float:
+    """Sum the k-Struve coefficients times half_x**(2r + nu/k + 1), compensated, with early exit;
+    redone by :func:`_log_power_series` if the last coefficient is below the normal range."""
+    coeffs = _k_struve_coeffs(nu, c, k, ctl.max_terms)
     try:
-        power = half_x**exp0
+        power = half_x ** (nu / k + 1.0)
     except OverflowError:
-        raise OverflowError(_STRUVE_OVERFLOW) from None
+        power = math.inf
     h2 = half_x * half_x
     sum_hi, sum_lo = 0.0, 0.0
     for coef in coeffs:
@@ -332,10 +336,34 @@ def _power_series(coeffs: tuple[float, ...], half_x: float, exp0: float, ctl: Se
         if abs(term) <= ctl.rel_tol * abs(sum_hi):
             break
         power *= h2
-    total = sum_hi + sum_lo
+    total = sum_hi + sum_lo if abs(coef) >= sys.float_info.min else _log_power_series(nu, c, k, half_x, ctl)
     if not math.isfinite(total):
         raise OverflowError(_STRUVE_OVERFLOW)
     return total
+
+
+def _log_power_series(nu: float, c: float, k: float, half_x: float, ctl: SeriesControl) -> float:
+    """:func:`_power_series` with each term whose coefficient is below the normal range formed,
+    power included, by :func:`_log_coef`: a large order whose coefficient underflows or whose
+    power overflows gives its value (0.0 or a subnormal below that range); inf on overflow."""
+    exp0 = nu / k + 1.0
+    try:
+        power = half_x**exp0
+    except OverflowError:
+        power = math.inf  # a normal coefficient times it overflows the sum
+    h2, sign = half_x * half_x, 1.0 if half_x >= 0.0 else (-1.0) ** exp0  # x < 0 only for integer orders
+    sum_hi, sum_lo = 0.0, 0.0
+    try:
+        for r, coef in enumerate(_k_struve_coeffs(nu, c, k, ctl.max_terms)):
+            tiny = abs(coef) < sys.float_info.min
+            term = sign * _log_coef(r, c, nu, k, 1.0, abs(half_x), 2 * r + exp0) if tiny else coef * power
+            sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
+            if abs(term) <= ctl.rel_tol * abs(sum_hi):
+                break
+            power *= h2
+    except OverflowError:
+        return math.inf
+    return sum_hi + sum_lo
 
 
 def struve_h(p: float, x: float, ctl: SeriesControl | None = None) -> float:
@@ -363,7 +391,7 @@ def struve_h(p: float, x: float, ctl: SeriesControl | None = None) -> float:
             raise DomainError(f"H_p diverges at x = 0 for p < -1 (p = {p!r})")
         # p == -1: the series limit is the r = 0 coefficient, 2/pi
     # k_gamma(x, 1) is exactly math.gamma(x): H_p is S^1_{p,1}
-    return _power_series(_k_struve_coeffs(p, 1.0, 1.0, ctl.max_terms), x / 2.0, p + 1.0, ctl)
+    return _power_series(p, 1.0, 1.0, x / 2.0, ctl)
 
 
 def k_struve(params: KStruveParams, x: float, ctl: SeriesControl | None = None) -> float:
@@ -390,30 +418,33 @@ def k_struve(params: KStruveParams, x: float, ctl: SeriesControl | None = None) 
             raise DomainError(
                 f"k-Struve diverges at x = 0 for nu/k < -1 (nu = {params.nu!r}, k = {params.k!r})"
             )
-    coeffs = _k_struve_coeffs(params.nu, params.c, params.k, ctl.max_terms)
-    return _power_series(coeffs, x / 2.0, params.nu / params.k + 1.0, ctl)
+    return _power_series(params.nu, params.c, params.k, x / 2.0, ctl)
 
 
 # --------------------------------------------------------------------------
 # k-Struve over a grid
 
-def _power_series_grid(coeffs: tuple[float, ...], half_x: np.ndarray, exp0: float, ctl: SeriesControl) -> np.ndarray:
+def _power_series_grid(nu: float, c: float, k: float, half_x: np.ndarray, ctl: SeriesControl) -> np.ndarray:
     """:func:`_power_series` at every entry of ``half_x``, node for node the same double.
 
     Each node keeps its own stop rule, so a node leaves the active set after
     exactly the terms the scalar loop would take, and ``dd_add`` runs the same
     error-free sums elementwise.  The power recurrence starts from CPython's
     float ``**`` (libm ``pow``): ``np.power`` differs from it in the last bit
-    on a few per cent of non-integer exponents.  Any overflow raises.
+    on a few per cent of non-integer exponents.  Nodes go to :func:`_log_power_series`
+    as in the scalar loop; any other overflow raises.
     """
+    coeffs = _k_struve_coeffs(nu, c, k, ctl.max_terms)
+    exp0 = nu / k + 1.0
     out = np.empty(half_x.size)
+    last = np.empty(half_x.size)  # each node's last coefficient
     pos = np.arange(half_x.size)
     hi = np.zeros(half_x.size)
     lo = np.zeros(half_x.size)
     try:
         power = np.fromiter((h**exp0 for h in half_x.tolist()), float, half_x.size)
     except OverflowError:
-        raise OverflowError(_STRUVE_OVERFLOW) from None
+        return np.array([_power_series(nu, c, k, h, ctl) for h in half_x.tolist()])
     h2 = half_x * half_x
     for coef in coeffs:
         term = coef * power
@@ -421,12 +452,16 @@ def _power_series_grid(coeffs: tuple[float, ...], half_x: np.ndarray, exp0: floa
         done = np.abs(term) <= ctl.rel_tol * np.abs(hi)
         if done.any():
             out[pos[done]] = hi[done] + lo[done]
+            last[pos[done]] = coef
             keep = ~done
             pos, power, h2, hi, lo = pos[keep], power[keep], h2[keep], hi[keep], lo[keep]
             if not pos.size:
                 break
         power *= h2
     out[pos] = hi + lo
+    last[pos] = coef
+    for i in np.flatnonzero(np.abs(last) < sys.float_info.min).tolist():
+        out[i] = _log_power_series(nu, c, k, float(half_x[i]), ctl)
     if not np.isfinite(out).all():
         raise OverflowError(_STRUVE_OVERFLOW)
     return out
@@ -449,9 +484,8 @@ def _k_struve_grid(params: KStruveParams, xs: np.ndarray, ctl: SeriesControl | N
         # the scalar path owns the argument checks: it raises for the first
         # bad node with the same type and message
         k_struve(params, float(xs[np.argmax(bad)]), ctl)
-    coeffs = _k_struve_coeffs(params.nu, params.c, params.k, ctl.max_terms)
     out = np.zeros(xs.size)
     summed = np.flatnonzero(xs) if ratio > -1.0 else np.arange(xs.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        out[summed] = _power_series_grid(coeffs, xs[summed] / 2.0, ratio + 1.0, ctl)
+        out[summed] = _power_series_grid(params.nu, params.c, params.k, xs[summed] / 2.0, ctl)
     return out

@@ -1,6 +1,14 @@
+import os
+import stat
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import frac_kinetics
 from frac_kinetics import (
     KineticProblem,
     KStruveParams,
@@ -242,6 +250,100 @@ def test_sweep_bad_list(tmp_path, capsys):
     )
     assert code == 2
     assert "--k-list" in err
+
+
+# ---------------------------------------------------------------- sweep output targets
+
+_SWEEP = ("sweep", "--upsilon-list", "0.5,1", "--points", "21")
+
+
+def _fresh_csv(tmp_path, capsys, *extra):
+    """The bytes a sweep writes into a path that did not exist."""
+    path = tmp_path / "fresh.csv"
+    assert not path.exists()
+    code, _, err = _run(capsys, *_SWEEP, *extra, "--out", str(path))
+    assert code == 0, err
+    return path.read_bytes()
+
+
+def test_sweep_into_dev_null(capsys):
+    # a character device cannot be truncated; the sweep must not try
+    code, out, err = _run(capsys, *_SWEEP, "--out", os.devnull)
+    assert code == 0, err
+    assert out.startswith("21 rows, 3 columns")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX FIFOs")
+def test_sweep_into_a_fifo_sends_the_file_bytes(tmp_path, capsys):
+    want = _fresh_csv(tmp_path, capsys)
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        code, _, err = _run(capsys, *_SWEEP, "--out", str(fifo))
+    finally:
+        reader.join(timeout=30)
+        if reader.is_alive():  # the sweep never opened the FIFO: release the reader
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert code == 0, err
+    assert got == [want]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_sweep_to_dev_stdout_through_a_pipe(tmp_path, capsys):
+    want = _fresh_csv(tmp_path, capsys)
+    src = str(Path(frac_kinetics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "frac_kinetics", *_SWEEP, "--out", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the CSV is written and closed before the summary line is printed
+    assert proc.stdout[: len(want)] == want
+    assert proc.stdout[len(want):].startswith(b"21 rows, 3 columns")
+
+
+def test_sweep_over_a_longer_older_file_writes_the_fresh_bytes(tmp_path, capsys):
+    want = _fresh_csv(tmp_path, capsys, "--points", "3")
+    path = tmp_path / "old.csv"
+    code, _, err = _run(capsys, *_SWEEP, "--points", "101", "--out", str(path))
+    assert code == 0, err
+    assert path.stat().st_size > len(want)
+    code, _, err = _run(capsys, *_SWEEP, "--points", "3", "--out", str(path))
+    assert code == 0, err
+    assert path.read_bytes() == want
+
+
+def test_sweep_writes_through_a_symlink(tmp_path, capsys):
+    want = _fresh_csv(tmp_path, capsys)
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"older data\n" * 1000)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    code, _, err = _run(capsys, *_SWEEP, "--out", str(link))
+    assert code == 0, err
+    assert link.is_symlink()
+    assert target.read_bytes() == want
+
+
+def test_sweep_creates_its_file_with_the_mode_open_gives(tmp_path, capsys):
+    mask = 0o027
+    old = os.umask(mask)
+    try:
+        code, _, err = _run(capsys, *_SWEEP, "--out", str(tmp_path / "new.csv"))
+        with open(tmp_path / "ref.csv", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert code == 0, err
+    mode = stat.S_IMODE((tmp_path / "new.csv").stat().st_mode)
+    assert mode == 0o666 & ~mask
+    assert mode == stat.S_IMODE((tmp_path / "ref.csv").stat().st_mode)
 
 
 # ---------------------------------------------------------------- verify

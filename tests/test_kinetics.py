@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from frac_kinetics import (
     solve_thm3,
     volterra_solve,
 )
+from frac_kinetics import kinetics
+from frac_kinetics._compensated import dd_add
 
 
 def _thm1(n0=1.0, upsilon=1.0, d=1.0, l=1.0, c=1.0, k=1.0):
@@ -460,6 +463,71 @@ def test_solve_table_fails_like_the_scalar_row_sum():
     assert "gamma pole" in msg
     _same_failure(_thm1(), np.array([0.0, 0.5, np.inf]))
     _same_failure(_thm2(), np.array([0.5, 1.0]), reading="bogus")
+
+
+def _stop_row(p, t, ctl=SeriesControl()):
+    """The row at which the scalar row sum of p stops at node t > 0."""
+    z = kinetics._ml_argument(p.rate, p.upsilon, t)
+    hi = lo = 0.0
+    for r, (coef, e, beta) in enumerate(kinetics._problem_rows(p, "consistent", ctl.max_terms)):
+        term = coef * t**e * kinetics._ml_eval(p.upsilon, beta, z, ctl)
+        hi, lo = dd_add(hi, lo, term)
+        if abs(term) <= ctl.rel_tol * abs(hi):
+            return r
+    return None
+
+
+def _overflow_at(monkeypatch, p, t, row):
+    """Make E_{upsilon, beta_row}(z(t)) overflow, in the array pass and in the scalar replay."""
+    beta = kinetics._problem_rows(p, "consistent", SeriesControl().max_terms)[row][2]
+    z = kinetics._ml_argument(p.rate, p.upsilon, t)
+    msg = f"Mittag-Leffler series term overflow at n = 3 (z = {z!r})"
+    pairs, scalar = kinetics._ml_eval_pairs, kinetics._ml_eval
+
+    def flagged_pairs(alpha, inv_g, betas, rows, zs, ctl):
+        values, overflow = pairs(alpha, inv_g, betas, rows, zs, ctl)
+        return values, overflow | ((betas[rows] == beta) & (zs == z))
+
+    def raising_scalar(alpha, b, zz, ctl):
+        if b == beta and zz == z:
+            raise OverflowError(msg)
+        return scalar(alpha, b, zz, ctl)
+
+    monkeypatch.setattr(kinetics, "_ml_eval_pairs", flagged_pairs)
+    monkeypatch.setattr(kinetics, "_ml_eval", raising_scalar)
+    return msg
+
+
+# node 5 (t = 0.5) stops at row 6, inside the first block of eight rows
+_PRECEDENCE_GRID = np.linspace(0.0, 1.0, 11)
+
+
+@pytest.mark.parametrize("ups", [0.5, 2.0])
+def test_solve_table_ignores_a_failure_past_the_stop_row_in_its_block(monkeypatch, ups):
+    p = _thm1(upsilon=ups, l=0.7, c=1.3, k=2.0)
+    grid, i = _PRECEDENCE_GRID, 5
+    stop = _stop_row(p, grid[i])
+    assert stop == 6 and stop // kinetics._ROW_BLOCK == (stop + 1) // kinetics._ROW_BLOCK
+    want = solve_table(p, grid).n
+    _overflow_at(monkeypatch, p, grid[i], stop + 1)
+    assert np.array_equal(solve_table(p, grid).n, want)
+
+
+@pytest.mark.parametrize("ups", [0.5, 2.0])
+@pytest.mark.parametrize("before", [0, 1])
+def test_solve_table_fails_at_or_before_the_stop_row_with_the_scalar_error(monkeypatch, ups, before):
+    # the scalar loop raises before its stop test, so a failure in the stop
+    # row itself takes precedence over the stop
+    p = _thm1(upsilon=ups, l=0.7, c=1.3, k=2.0)
+    grid, i = _PRECEDENCE_GRID, 5
+    stop = _stop_row(p, grid[i])
+    assert stop == 6
+    msg = _overflow_at(monkeypatch, p, grid[i], stop - before)
+    with pytest.raises(OverflowError) as exc:
+        solve_table(p, grid)
+    assert str(exc.value) == f"grid index {i} (t = {float(grid[i])!r}): {msg}"
+    with pytest.raises(OverflowError, match="^" + re.escape(str(exc.value)) + "$"):
+        _scalar_table(p, grid)
 
 
 # ---------------------------------------------------------------- rows past the double range

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -532,3 +533,80 @@ def test_k_struve_power_overflow_raises_the_same_error_on_a_grid(nu, xs):
         _k_struve_grid(p, np.array(xs))
     assert type(grid.value) is type(scalar.value)
     assert str(grid.value) == str(scalar.value)
+
+
+# ---------------------------------------------------------------- large orders
+
+
+def _k_struve_reference(nu, c, k, x):
+    """(value, sum of |term|) of the exact k-Struve series, as 40-digit mpmath numbers."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        nu, c, k, h = mp.mpf(nu), mp.mpf(c), mp.mpf(k), mp.mpf(x) / 2
+        total = mag = mp.mpf(0)
+        for r in range(400):
+            a = r + nu / k + mp.mpf(1.5)  # Gamma_k(rk + nu + 3k/2) = k**(a - 1) Gamma(a)
+            term = (-c) ** r / (k ** (a - 1) * mp.gamma(a) * mp.gamma(r + 1.5)) * h ** (2 * r + nu / k + 1)
+            total += term
+            mag += abs(term)
+            if r > 3 and abs(term) < mp.mpf(10) ** -38 * mag:
+                break
+        return total, mag
+
+
+def _check_large_order(got, want, scale):
+    """Within 1e-12 of scale where the value is a normal double, 0.0 or subnormal below that."""
+    assert abs(want) <= sys.float_info.max
+    if abs(want) >= sys.float_info.min:
+        assert abs(got - want) <= 1e-12 * scale, (got, want)
+    else:
+        assert abs(got) < sys.float_info.min, (got, want)
+
+
+def test_large_order_struve_regressions():
+    # H_200(20): the coefficient 1/(Gamma(201.5) Gamma(1.5)) underflowed to 0.0
+    # before the power 10**201 could multiply it, so the sum was 0.0
+    want, _ = _k_struve_reference(200.0, 1.0, 1.0, 20.0)
+    assert abs(want) > 7e-176
+    for got in (struve_h(200.0, 20.0), k_struve(KStruveParams(200.0, 1.0, 1.0), 20.0)):
+        _check_large_order(got, want, abs(want))
+    # H_400(20) = 7.5e-470: the first power 10**401 overflowed and raised
+    for got in (struve_h(400.0, 20.0), k_struve(KStruveParams(400.0, 1.0, 1.0), 20.0)):
+        assert abs(got) < sys.float_info.min
+    # both at once, and a value that fits: 1.36e-39
+    want, _ = _k_struve_reference(35.0, -1.0, 0.1, 20.0)
+    _check_large_order(k_struve(KStruveParams(35.0, -1.0, 0.1), 20.0), want, abs(want))
+
+
+def test_large_order_struve_raises_only_above_the_double_range():
+    # nu/k = 600: the value is 1.07e399
+    want, _ = _k_struve_reference(6.0, -1.0, 0.01, 20.0)
+    assert abs(want) > sys.float_info.max
+    with pytest.raises(OverflowError, match="double range"):
+        k_struve(KStruveParams(6.0, -1.0, 0.01), 20.0)
+    with pytest.raises(OverflowError, match="double range"):
+        _k_struve_grid(KStruveParams(6.0, -1.0, 0.01), np.array([1.0, 20.0]))
+
+
+@pytest.mark.parametrize("family", ["struve_h", "c < 0", "c > 0"])
+def test_large_order_struve_against_mpmath(family):
+    # nu/k in [100, 450] and x in (0, 20]: coefficients from the first few on
+    # underflow, and the first power overflows from nu/k ~ 307 at x = 20.
+    # struve_h and c < 0 are held to 1e-12 relative; for c > 0 an alternating
+    # sum loses digits to cancellation in any double arithmetic (up to 6e-11
+    # relative here at k = 0.25), so its scale is the sum of |term|, as in
+    # the recurrence bound above
+    rng = np.random.default_rng({"struve_h": 11, "c < 0": 12, "c > 0": 13}[family])
+    for _ in range(60):
+        k = 1.0 if family == "struve_h" else float(rng.choice([0.25, 0.5, 1.0, 2.0, 3.0]))
+        c = {"struve_h": 1.0, "c < 0": -rng.uniform(0.2, 3.0), "c > 0": rng.uniform(0.2, 3.0)}[family]
+        nu = float(k * rng.uniform(100.0, 450.0))
+        x = float(rng.choice([20.0, 20.0 - rng.uniform(0.0, 19.0)]))
+        want, mag = _k_struve_reference(nu, c, k, x)
+        params = KStruveParams(nu, float(c), k)
+        got = struve_h(nu, x) if family == "struve_h" else k_struve(params, x)
+        _check_large_order(got, want, mag if family == "c > 0" else abs(want))
+        # the grid twin takes the same terms node for node
+        xs = np.array([x / 7.0, x / 2.0, x])
+        assert np.array_equal(_k_struve_grid(params, xs), _scalar_k_struve(params, xs)), (nu, c, k, x)
