@@ -6,7 +6,8 @@ Diaz-Pariguan k-gamma function
     Gamma_k(x) = k**(x/k - 1) * Gamma(x/k),        k > 0,
 
 which satisfies the deformed recurrence ``Gamma_k(x + k) = x * Gamma_k(x)``
-and reduces to Euler's gamma at k = 1.
+and reduces to Euler's gamma at k = 1.  Where ``k**(x/k - 1)`` falls below the
+normal double range (small k, large x/k) the product is taken in log space.
 
 ``gamma`` delegates to CPython's ``math.gamma`` (a Lanczos-class rational
 approximation, accurate to a few ulp; verified against a 30-digit reference
@@ -17,6 +18,7 @@ arguments work through the reflection path built into ``math.gamma``.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError, PoleError
 
@@ -26,6 +28,11 @@ __all__ = ["k_gamma", "gamma"]
 def _check_pole(x_over_k: float, x: float) -> None:
     if x_over_k <= 0.0 and x_over_k == math.floor(x_over_k):
         raise PoleError(f"x = {x!r} lies on a gamma pole (x/k a non-positive integer)")
+
+
+def _gamma_sign(x: float) -> float:
+    """Sign of Gamma(x) off its poles: negative on (-1, 0), (-3, -2), ..."""
+    return -1.0 if x < 0.0 and math.floor(x) % 2 == 1 else 1.0
 
 
 def gamma(x: float) -> float:
@@ -61,6 +68,11 @@ def k_gamma(x: float, k: float) -> float:
     xk = x / k
     _check_pole(xk, x)
     try:
-        return k ** (xk - 1.0) * math.gamma(xk)
+        power = k ** (xk - 1.0)
+        if power < sys.float_info.min:
+            # a power below the normal range has lost bits (or all of them)
+            # that Gamma(x/k) may scale back up: take the product in log space
+            return _gamma_sign(xk) * math.exp((xk - 1.0) * math.log(k) + math.lgamma(xk))
+        return power * math.gamma(xk)
     except OverflowError:
         raise OverflowError(f"k_gamma({x!r}, {k!r}) exceeds the double range") from None

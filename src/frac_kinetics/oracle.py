@@ -4,12 +4,16 @@ Three legs, none of which shares series code with :mod:`.kinetics`:
 
 * a product-trapezoidal quadrature for the Riemann-Liouville integral
   (exact for piecewise-linear integrands against the weakly singular kernel
-  ``(t - s)**(upsilon - 1)``, second-order for smooth ones);
+  ``(t - s)**(upsilon - 1)``, second-order for smooth ones); its interior
+  sums form only the lower triangle of products, by blocks of rows, with no
+  product of the origin value to add and take away again;
 * a marching solver for the underlying Volterra equation of the second kind,
   obtained by moving the diagonal quadrature weight to the left-hand side;
   it marches by the recursive halving of Hairer, Lubich & Schlichte (SIAM J.
   Sci. Stat. Comput. 6(3), 1985) with exact direct sums in place of their
   FFT, so the history sums hold the O(n**2) products of a node-by-node march;
+  its 16-node leaves are solved by one straight-line function; the march
+  groups its sums differently from the quadrature, which checks it;
   its k-Struve forcing is tabulated once per grid, in one array pass, and the
   table is kept for the residual check on the same problem and grid;
 * Laplace-domain checks: the closed-form image of the THM1 solution (the
@@ -126,6 +130,10 @@ def _node_values(f, grid: QuadratureGrid) -> np.ndarray:
     return vals
 
 
+# Rows per block of ``rl_integral``'s interior sums.
+_RL_BLOCK = 512
+
+
 def rl_integral(f, upsilon: float, grid: QuadratureGrid) -> np.ndarray:
     """Tabulate the Riemann-Liouville integral (I^upsilon f)(t_i) on the grid.
 
@@ -139,15 +147,20 @@ def rl_integral(f, upsilon: float, grid: QuadratureGrid) -> np.ndarray:
     n = grid.n
     c, a0, dker = _weight_parts(n, upsilon)
     cu = c * grid.h**upsilon
-    # interior convolution sum_{j=1..i-1} dker[j-1] * vals[i-j]; the kernel is
-    # padded with a zero at lag 0, and the lag-i overshoot (which would touch
-    # vals[0], handled separately by a0) is subtracted again.
-    w = np.concatenate(([0.0], dker))
-    conv = np.convolve(vals, w)[: n + 1]
-    overshoot = np.concatenate((w, [0.0]))[: n + 1] * vals[0]
+    # interior sums S_i = sum_{j=1..i-1} dker[i-j-1] * vals[j] (vals[0] takes
+    # the origin weight a0), by blocks of rows [s, e): the nodes before the
+    # block in one 'valid' convolution, the block's own triangle in one short
+    # full one, so only the lower triangle of products is formed
+    S = np.zeros(n + 1)
+    for s in range(1, n + 1, _RL_BLOCK):
+        e = min(s + _RL_BLOCK, n + 1)
+        if s > 1:
+            S[s:e] = np.convolve(vals[1:s], dker[: e - 2], "valid")
+        if e - s > 1:
+            S[s + 1 : e] += np.convolve(vals[s : e - 1], dker[: e - s - 1])[: e - s - 1]
     out = np.empty(n + 1)
     out[0] = 0.0
-    out[1:] = cu * (a0 * vals[0] + vals[1:] + conv[1:] - overshoot[1:])
+    out[1:] = cu * (a0 * vals[0] + vals[1:] + S[1:])
     return out
 
 
@@ -169,42 +182,96 @@ def _forcing_values(p: KineticProblem, forcing, grid: QuadratureGrid, ctl: Serie
         vals = np.ones(grid.n + 1)
     else:
         lam, sigma = _scale(p, forcing)
-        vals = _k_struve_grid(p.struve, np.array([lam * t**sigma for t in grid.nodes.tolist()]), ctl)
+        # t**1.0 == t, and both products round correctly, so the numpy
+        # product is the per-node expression
+        xs = lam * grid.nodes if sigma == 1.0 else np.array([lam * t**sigma for t in grid.nodes.tolist()])
+        vals = _k_struve_grid(p.struve, xs, ctl)
     vals.setflags(write=False)
     return vals
 
 
 # Nodes per leaf of the halving march in ``volterra_solve``, solved by
 # forward substitution in Python floats; of 8, 16, 32 and 64, 16 was fastest
-# at n = 1,024 to 8,192.
+# at n = 1,024 to 8,192.  ``_leaf16`` is written out for this size.
 _MARCH_LEAF = 16
 
 
-def _march(N, hist, dker, rhs, lam_cu: float, denom: float, lo: int, hi: int) -> None:
+def _leaf16(h, b, d, lam_cu: float, denom: float) -> list[float]:
+    """Forward substitution over one 16-node leaf of the march, written out.
+
+    ``h`` holds the leaf's history sums, ``b`` its right-hand sides and ``d``
+    the interior kernel at lags 1..15.  Node i is
+    ``(b_i - lam_cu * (h_i + d[i-1] * n_0 + ... + d[0] * n_{i-1})) / denom``:
+    Python adds left to right, so each history sum is accumulated oldest node
+    first, as a loop over the leaf's nodes would.  A shorter leaf passes
+    zero-padded ``h`` and ``b`` and keeps the leading values, which the padding
+    cannot reach.
+    """
+    h0, h1, h2, h3, h4, h5, h6, h7, h8, h9, h10, h11, h12, h13, h14, h15 = h
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = b
+    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12, d13, d14 = d
+    n0 = (b0 - lam_cu * h0) / denom
+    n1 = (b1 - lam_cu * (h1 + d0 * n0)) / denom
+    n2 = (b2 - lam_cu * (h2 + d1 * n0 + d0 * n1)) / denom
+    n3 = (b3 - lam_cu * (h3 + d2 * n0 + d1 * n1 + d0 * n2)) / denom
+    n4 = (b4 - lam_cu * (h4 + d3 * n0 + d2 * n1 + d1 * n2 + d0 * n3)) / denom
+    n5 = (b5 - lam_cu * (h5 + d4 * n0 + d3 * n1 + d2 * n2 + d1 * n3 + d0 * n4)) / denom
+    n6 = (b6 - lam_cu * (h6 + d5 * n0 + d4 * n1 + d3 * n2 + d2 * n3 + d1 * n4 + d0 * n5)) / denom
+    n7 = (b7 - lam_cu * (
+        h7 + d6 * n0 + d5 * n1 + d4 * n2 + d3 * n3 + d2 * n4 + d1 * n5 + d0 * n6)) / denom
+    n8 = (b8 - lam_cu * (
+        h8 + d7 * n0 + d6 * n1 + d5 * n2 + d4 * n3 + d3 * n4 + d2 * n5 + d1 * n6 + d0 * n7)) / denom
+    n9 = (b9 - lam_cu * (
+        h9 + d8 * n0 + d7 * n1 + d6 * n2 + d5 * n3 + d4 * n4 + d3 * n5 + d2 * n6 + d1 * n7
+        + d0 * n8)) / denom
+    n10 = (b10 - lam_cu * (
+        h10 + d9 * n0 + d8 * n1 + d7 * n2 + d6 * n3 + d5 * n4 + d4 * n5 + d3 * n6 + d2 * n7
+        + d1 * n8 + d0 * n9)) / denom
+    n11 = (b11 - lam_cu * (
+        h11 + d10 * n0 + d9 * n1 + d8 * n2 + d7 * n3 + d6 * n4 + d5 * n5 + d4 * n6 + d3 * n7
+        + d2 * n8 + d1 * n9 + d0 * n10)) / denom
+    n12 = (b12 - lam_cu * (
+        h12 + d11 * n0 + d10 * n1 + d9 * n2 + d8 * n3 + d7 * n4 + d6 * n5 + d5 * n6 + d4 * n7
+        + d3 * n8 + d2 * n9 + d1 * n10 + d0 * n11)) / denom
+    n13 = (b13 - lam_cu * (
+        h13 + d12 * n0 + d11 * n1 + d10 * n2 + d9 * n3 + d8 * n4 + d7 * n5 + d6 * n6 + d5 * n7
+        + d4 * n8 + d3 * n9 + d2 * n10 + d1 * n11 + d0 * n12)) / denom
+    n14 = (b14 - lam_cu * (
+        h14 + d13 * n0 + d12 * n1 + d11 * n2 + d10 * n3 + d9 * n4 + d8 * n5 + d7 * n6 + d6 * n7
+        + d5 * n8 + d4 * n9 + d3 * n10 + d2 * n11 + d1 * n12 + d0 * n13)) / denom
+    n15 = (b15 - lam_cu * (
+        h15 + d14 * n0 + d13 * n1 + d12 * n2 + d11 * n3 + d10 * n4 + d9 * n5 + d8 * n6 + d7 * n7
+        + d6 * n8 + d5 * n9 + d4 * n10 + d3 * n11 + d2 * n12 + d1 * n13 + d0 * n14)) / denom
+    return [n0, n1, n2, n3, n4, n5, n6, n7, n8, n9, n10, n11, n12, n13, n14, n15]
+
+
+
+def _march(N, hist, dker, d, rhs, lam_cu: float, denom: float, lo: int, hi: int) -> None:
     """Solve nodes lo..hi-1 into N, given in hist[i] the history sum over nodes before lo.
 
     Each history sum is accumulated oldest node first (older blocks, then
-    the leaf's own nodes in order), the node order of the convolution in
-    ``rl_integral``, which ``residual`` checks it with.
+    the leaf's own nodes in order).  ``d`` is ``dker[:15]`` and ``rhs`` the
+    right-hand sides, both as Python lists for :func:`_leaf16`.
 
     Module level, not a closure: a nested function that calls itself forms a
     reference cycle on every call, which keeps its tables alive until the
     cyclic garbage collector runs.
     """
-    if hi - lo <= _MARCH_LEAF:
-        d = dker[: hi - lo - 1].tolist()
-        vals: list[float] = []
-        for i, (acc, b) in enumerate(zip(hist[lo:hi].tolist(), rhs[lo:hi].tolist())):
-            for j, v in enumerate(vals):
-                acc += d[i - j - 1] * v
-            vals.append((b - lam_cu * acc) / denom)
-        N[lo:hi] = vals
+    m = hi - lo
+    if m <= _MARCH_LEAF:
+        h = hist[lo:hi].tolist()
+        b = rhs[lo:hi]
+        if m < _MARCH_LEAF:
+            pad = [0.0] * (_MARCH_LEAF - m)
+            h += pad
+            b += pad
+        N[lo:hi] = _leaf16(h, b, d, lam_cu, denom)[:m]
         return
     mid = (lo + hi) // 2
-    _march(N, hist, dker, rhs, lam_cu, denom, lo, mid)
+    _march(N, hist, dker, d, rhs, lam_cu, denom, lo, mid)
     # lags 1 .. hi-1-lo from the nodes lo..mid-1 to the nodes mid..hi-1
-    hist[mid:hi] += np.convolve(N[lo:mid], dker[: hi - lo - 1], "valid")
-    _march(N, hist, dker, rhs, lam_cu, denom, mid, hi)
+    hist[mid:hi] += np.convolve(N[lo:mid], dker[: m - 1], "valid")
+    _march(N, hist, dker, d, rhs, lam_cu, denom, mid, hi)
 
 
 def volterra_solve(
@@ -232,12 +299,14 @@ def volterra_solve(
         raise SingularStepError(
             f"1 + rate**u * w_ii = {denom!r} <= 0; marching step is singular"
         )
-    rhs = p.n0 * F
+    rhs = (p.n0 * F).tolist()
     N = np.empty(n + 1)
     N[0] = rhs[0]
     hist = np.empty(n + 1)
     hist[1:] = a0 * N[0]
-    _march(N, hist, dker, rhs, lam * cu, denom, 1, n + 1)
+    d = dker[: _MARCH_LEAF - 1].tolist()
+    d += [0.0] * (_MARCH_LEAF - 1 - len(d))  # n < 16: lags the one leaf never reaches
+    _march(N, hist, dker, d, rhs, lam * cu, denom, 1, n + 1)
     return SolutionTable(grid.nodes, N)
 
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from ._compensated import _SPLITTER, dd_add, dd_div_double, dd_mul_double
 from .errors import DomainError, PoleError, RangeError
-from .kgamma import k_gamma
+from .kgamma import _gamma_sign, k_gamma
 
 __all__ = [
     "SeriesControl",
@@ -268,11 +268,6 @@ def mittag_leffler(alpha: float, z: float, ctl: SeriesControl | None = None) -> 
 # Struve
 
 
-def _gamma_sign(x: float) -> float:
-    """Sign of Gamma(x) off its poles: negative on (-1, 0), (-3, -2), ..."""
-    return -1.0 if x < 0.0 and math.floor(x) % 2 == 1 else 1.0
-
-
 def _log_coef(
     r: int, c: float, nu: float, k: float,
     n0: float = 1.0, base: float = 1.0, e: float = 0.0, g: float = 0.0,
@@ -315,37 +310,43 @@ def _k_struve_coeffs(nu: float, c: float, k: float, max_terms: int) -> tuple[flo
             denom = k_gamma(r * k + nu + 1.5 * k, k) * math.gamma(r + 1.5)
         except OverflowError:
             denom = math.inf
-        # past the double range the quotient would be a silent 0.0
-        out.append((-c) ** r / denom if math.isfinite(denom) else _log_coef(r, c, nu, k))
+        # past the double range the quotient would be a silent 0.0, and below
+        # its normal part (Gamma_k underflows for small k) inf or a division by zero
+        out.append((-c) ** r / denom if sys.float_info.min <= denom < math.inf else _log_coef(r, c, nu, k))
     return tuple(out)
 
 
 def _power_series(nu: float, c: float, k: float, half_x: float, ctl: SeriesControl) -> float:
     """Sum the k-Struve coefficients times half_x**(2r + nu/k + 1), compensated, with early exit;
-    redone by :func:`_log_power_series` if the last coefficient is below the normal range."""
+    left to :func:`_log_power_series` if the first power of a nonzero half_x is below the normal
+    range, and redone there if the last coefficient is."""
     coeffs = _k_struve_coeffs(nu, c, k, ctl.max_terms)
     try:
         power = half_x ** (nu / k + 1.0)
     except OverflowError:
         power = math.inf
-    h2 = half_x * half_x
-    sum_hi, sum_lo = 0.0, 0.0
-    for coef in coeffs:
-        term = coef * power
-        sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
-        if abs(term) <= ctl.rel_tol * abs(sum_hi):
-            break
-        power *= h2
-    total = sum_hi + sum_lo if abs(coef) >= sys.float_info.min else _log_power_series(nu, c, k, half_x, ctl)
+    if half_x and abs(power) < sys.float_info.min:
+        total = _log_power_series(nu, c, k, half_x, ctl)
+    else:
+        h2 = half_x * half_x
+        sum_hi, sum_lo = 0.0, 0.0
+        for coef in coeffs:
+            term = coef * power
+            sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
+            if abs(term) <= ctl.rel_tol * abs(sum_hi):
+                break
+            power *= h2
+        total = sum_hi + sum_lo if abs(coef) >= sys.float_info.min else _log_power_series(nu, c, k, half_x, ctl)
     if not math.isfinite(total):
         raise OverflowError(_STRUVE_OVERFLOW)
     return total
 
 
 def _log_power_series(nu: float, c: float, k: float, half_x: float, ctl: SeriesControl) -> float:
-    """:func:`_power_series` with each term whose coefficient is below the normal range formed,
-    power included, by :func:`_log_coef`: a large order whose coefficient underflows or whose
-    power overflows gives its value (0.0 or a subnormal below that range); inf on overflow."""
+    """:func:`_power_series` with each term whose coefficient or power is below the normal range
+    formed, power included, by :func:`_log_coef`: a large order whose coefficient underflows or
+    whose power overflows gives its value (0.0 or a subnormal below that range), and a huge
+    coefficient keeps the digits of a power that underflows; inf on overflow."""
     exp0 = nu / k + 1.0
     try:
         power = half_x**exp0
@@ -355,7 +356,7 @@ def _log_power_series(nu: float, c: float, k: float, half_x: float, ctl: SeriesC
     sum_hi, sum_lo = 0.0, 0.0
     try:
         for r, coef in enumerate(_k_struve_coeffs(nu, c, k, ctl.max_terms)):
-            tiny = abs(coef) < sys.float_info.min
+            tiny = abs(coef) < sys.float_info.min or abs(power) < sys.float_info.min
             term = sign * _log_coef(r, c, nu, k, 1.0, abs(half_x), 2 * r + exp0) if tiny else coef * power
             sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
             if abs(term) <= ctl.rel_tol * abs(sum_hi):
@@ -445,6 +446,7 @@ def _power_series_grid(nu: float, c: float, k: float, half_x: np.ndarray, ctl: S
         power = np.fromiter((h**exp0 for h in half_x.tolist()), float, half_x.size)
     except OverflowError:
         return np.array([_power_series(nu, c, k, h, ctl) for h in half_x.tolist()])
+    tiny = (np.abs(power) < sys.float_info.min) & (half_x != 0.0)  # first power below the normal range
     h2 = half_x * half_x
     for coef in coeffs:
         term = coef * power
@@ -460,7 +462,7 @@ def _power_series_grid(nu: float, c: float, k: float, half_x: np.ndarray, ctl: S
         power *= h2
     out[pos] = hi + lo
     last[pos] = coef
-    for i in np.flatnonzero(np.abs(last) < sys.float_info.min).tolist():
+    for i in np.flatnonzero(tiny | (np.abs(last) < sys.float_info.min)).tolist():
         out[i] = _log_power_series(nu, c, k, float(half_x[i]), ctl)
     if not np.isfinite(out).all():
         raise OverflowError(_STRUVE_OVERFLOW)

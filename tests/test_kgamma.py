@@ -97,6 +97,18 @@ def test_k_gamma_pole_errors():
         k_gamma(-6.0, 1.5)  # x/k = -4
 
 
+@pytest.mark.parametrize("x,k", [(0.7, 0.005), (0.69, 0.005), (0.32, 0.002), (0.3, 0.0018)])
+def test_k_gamma_where_the_power_leaves_the_normal_range(x, k):
+    # k**(x/k - 1) is subnormal (first two) or 0.0 (last two) while
+    # Gamma(x/k) is near 1e240 to 1e300, so the plain product kept few digits
+    # or none.  Rounding x/k alone moves the value by up to ~2e-13 here.
+    with mp.workdps(40):
+        xk = mp.mpf(x) / mp.mpf(k)
+        want = mp.mpf(k) ** (xk - 1) * mp.gamma(xk)
+    assert float(want) > 1e-200
+    assert abs(k_gamma(x, k) - want) <= 1e-12 * want
+
+
 def test_k_must_be_positive():
     with pytest.raises(DomainError):
         k_gamma(1.0, 0.0)

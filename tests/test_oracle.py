@@ -117,6 +117,39 @@ def test_power_rule_reduced_order_for_sqrt(ups, lo, hi):
         assert lo <= math.log2(a / b) <= hi
 
 
+def _rl_reference(vals, ups, g):
+    """The quadrature on the same node values and weights, each sum exact (40 digits)."""
+    import mpmath as mp
+
+    c, a0, dker = oracle._weight_parts(g.n, ups)
+    cu = c * g.h**ups
+    with mp.workdps(40):
+        v = [mp.mpf(x) for x in vals.tolist()]
+        d = [mp.mpf(x) for x in dker.tolist()]
+        out = [mp.mpf(0)]
+        for i in range(1, g.n + 1):
+            interior = mp.fdot(d[i - 2 :: -1], v[1:i]) if i > 1 else 0
+            out.append(mp.mpf(cu) * (mp.mpf(float(a0[i - 1])) * v[0] + v[i] + interior))
+    return out
+
+
+@pytest.mark.parametrize("n,ups", [(511, 0.1), (512, 0.5), (513, 1.5), (1025, 2.5)])
+def test_rl_integral_against_exact_sums_on_an_origin_spike(n, ups):
+    # f(0) = 1e6 carries the origin weight a0; the interior sums skip vals[0]
+    # instead of adding its lag-i product and subtracting it again, which
+    # cost 13-22 u here.  The sizes straddle one and two row blocks.
+    import mpmath as mp
+
+    g = QuadratureGrid(n=n, t_max=1.0)
+    vals = np.cos(3.0 * g.nodes)
+    vals[0] = 1e6
+    got = rl_integral(vals, ups, g)
+    want = _rl_reference(vals, ups, g)
+    assert got[0] == 0.0
+    worst = max(abs(mp.mpf(float(x)) - w) / abs(w) for x, w in zip(got[1:], want[1:]))
+    assert worst <= 8 * 2.0**-53, float(worst)
+
+
 def test_semigroup_property():
     # I^a (I^b f) == I^(a+b) f up to quadrature error; tabulated inner
     # integrals are fed straight back in as node values
@@ -226,6 +259,46 @@ def test_halving_march_defect_within_twice_the_node_by_node_march(variant, forci
             continue
         got = volterra_solve(p, forcing, g)
         assert _relative_defect(p, got, g) <= max(2.0 * _relative_defect(p, want, g), 64 * 2.0**-52)
+
+
+def _loop_leaf_march(N, hist, dker, rhs, lam_cu, denom, lo, hi):
+    """Reference: the halving march with each leaf solved by a loop over its nodes."""
+    if hi - lo <= oracle._MARCH_LEAF:
+        d = dker[: hi - lo - 1].tolist()
+        vals = []
+        for i, (acc, b) in enumerate(zip(hist[lo:hi].tolist(), rhs[lo:hi].tolist())):
+            for j, v in enumerate(vals):
+                acc += d[i - j - 1] * v
+            vals.append((b - lam_cu * acc) / denom)
+        N[lo:hi] = vals
+        return
+    mid = (lo + hi) // 2
+    _loop_leaf_march(N, hist, dker, rhs, lam_cu, denom, lo, mid)
+    hist[mid:hi] += np.convolve(N[lo:mid], dker[: hi - lo - 1], "valid")
+    _loop_leaf_march(N, hist, dker, rhs, lam_cu, denom, mid, hi)
+
+
+@pytest.mark.parametrize("n", [8, 9, 15, 16, 17, 31, 33, 100, 1000, 4096, 5000])
+@pytest.mark.parametrize("ups,lam_cu", [(0.1, 400.0), (0.5, 1.0), (1.0, 1e-3), (2.5, 37.0)])
+def test_straight_line_leaves_are_the_node_loop_bit_for_bit(monkeypatch, n, ups, lam_cu):
+    # random right-hand sides over 1e-5 .. 1e5 of either sign; the rate is
+    # chosen so that rate**u * c_u * h**u comes out near lam_cu
+    rng = np.random.default_rng(n)
+    F = rng.choice([-1.0, 1.0], n + 1) * 10.0 ** rng.uniform(-5.0, 5.0, n + 1)
+    monkeypatch.setattr(oracle, "_forcing_values", lambda *args: F)
+    g = QuadratureGrid(n=n, t_max=1.0)
+    p = _problem(upsilon=ups, d=(lam_cu * math.gamma(ups + 2.0)) ** (1.0 / ups) / g.h)
+    c, a0, dker = oracle._weight_parts(n, p.upsilon)
+    cu = c * g.h**p.upsilon
+    lam = p.rate**p.upsilon
+    assert lam * cu == pytest.approx(lam_cu, rel=1e-9)
+    want = np.empty(n + 1)
+    want[0] = p.n0 * F[0]
+    hist = np.empty(n + 1)
+    hist[1:] = a0 * want[0]
+    _loop_leaf_march(want, hist, dker, p.n0 * F, lam * cu, 1.0 + lam * cu, 1, n + 1)
+    got = volterra_solve(p, Forcing.CONSTANT, g).n
+    assert got.tobytes() == want.tobytes()
 
 
 def test_halving_march_leaves_no_garbage_cycles():

@@ -587,6 +587,14 @@ def test_large_order_struve_raises_only_above_the_double_range():
         k_struve(KStruveParams(6.0, -1.0, 0.01), 20.0)
     with pytest.raises(OverflowError, match="double range"):
         _k_struve_grid(KStruveParams(6.0, -1.0, 0.01), np.array([1.0, 20.0]))
+    # nu/k = 1000 at k = 0.0005: Gamma_k(nu + 3k/2) itself underflows to 0.0,
+    # which must give the coefficient's OverflowError, not a division by zero
+    want, _ = _k_struve_reference(0.5, 1.0, 0.0005, 2.0)
+    assert abs(want) > sys.float_info.max
+    with pytest.raises(OverflowError, match="double range"):
+        k_struve(KStruveParams(0.5, 1.0, 0.0005), 2.0)
+    with pytest.raises(OverflowError, match="double range"):
+        _k_struve_grid(KStruveParams(0.5, 1.0, 0.0005), np.array([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("family", ["struve_h", "c < 0", "c > 0"])
@@ -609,4 +617,36 @@ def test_large_order_struve_against_mpmath(family):
         _check_large_order(got, want, mag if family == "c > 0" else abs(want))
         # the grid twin takes the same terms node for node
         xs = np.array([x / 7.0, x / 2.0, x])
+        assert np.array_equal(_k_struve_grid(params, xs), _scalar_k_struve(params, xs)), (nu, c, k, x)
+
+
+def test_subnormal_first_power_keeps_its_digits():
+    # k = 0.01: (x/2)**251 = 6.2e-315 is subnormal while the coefficient is
+    # 2.2e7, so the product kept only the power's few significant bits
+    # (2.0e-10 relative at x = 0.112, 1.1e-8 at 0.110)
+    for x in (0.112, 0.110):
+        want, _ = _k_struve_reference(2.5, 1.0, 0.01, x)
+        _check_large_order(k_struve(KStruveParams(2.5, 1.0, 0.01), x), want, abs(want))
+    # k = 0.002: (0.045)**251 underflows to 0.0 against a coefficient near
+    # 1e183, and the sum was 0.0 for a value of 2.5e-156
+    want, _ = _k_struve_reference(0.5, 1.0, 0.002, 0.09)
+    assert abs(want) > 2e-156
+    _check_large_order(k_struve(KStruveParams(0.5, 1.0, 0.002), 0.09), want, abs(want))
+
+
+def test_subnormal_first_power_against_mpmath():
+    # first powers from 1e-345 (underflowed to 0.0) to 1e-300 (subnormal
+    # from 2.2e-308 down), against coefficients up to ~1e200
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        k = float(rng.choice([0.002, 0.005, 0.01, 0.02]))
+        ratio = rng.uniform(120.0, 300.0)
+        nu = float(k * ratio)
+        c = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0))
+        x = float(2.0 * 10.0 ** (rng.uniform(-345.0, -300.0) / (ratio + 1.0)))
+        want, _ = _k_struve_reference(nu, c, k, x)
+        params = KStruveParams(nu, c, k)
+        _check_large_order(k_struve(params, x), want, abs(want))
+        # the grid twin routes the same nodes, next to nodes that sum directly
+        xs = np.array([x, 1.01 * x, 4.0 * x, 8.0 * x])
         assert np.array_equal(_k_struve_grid(params, xs), _scalar_k_struve(params, xs)), (nu, c, k, x)
