@@ -18,11 +18,10 @@ uses ``2r + l + 1``, which drops the ``1/k``.  The two coincide at k = 1.
 
 Series evaluation reuses the compensated Mittag-Leffler core of
 :mod:`frac_kinetics.special`, and per-problem coefficient rows are cached.
-``solve_table`` sums the rows at every node of a grid in one array pass: the
-Mittag-Leffler values of a block of rows come from one elementwise pass over
-the (row, node) pairs still active, each node keeps the scalar stop rule, and
-the double-double sums run elementwise, so every entry is the double the
-scalar solver returns for that node.
+``solve_table`` sums the rows at every node of a grid on the series kernel
+``special._lane_sums``, one lane per node; the Mittag-Leffler values of a
+block of rows come from one kernel pass over their (row, node) pairs.  So
+every entry is the double the scalar solver returns for that node.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,10 +42,12 @@ from .special import (
     ML_SERIES_CAP,
     KStruveParams,
     SeriesControl,
+    _lane_sums,
     _log_coef,
     _ml_eval,
     _ml_eval_pairs,
     _ml_inv_gammas,
+    _powers,
     mittag_leffler,
 )
 
@@ -306,45 +307,13 @@ def _at_node(g: np.ndarray, i: int):
         raise type(exc)(f"grid index {i} (t = {float(g[i])!r}): {exc}") from exc
 
 
-def _node_argument(p: KineticProblem, t: float) -> float:
-    """The checks and the Mittag-Leffler argument of the scalar solvers at a node t > 0."""
-    return _ml_argument(p.rate, p.upsilon, _check_t(p, t))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _ml_arguments(p: KineticProblem, ts: np.ndarray) -> np.ndarray:
-    """:func:`_node_argument` at each node, up to the first node it rejects.
-
-    The result has one entry per node before that one (``ts.size`` if none).
-    """
-    try:
-        z = -(p.rate**p.upsilon) * np.fromiter((t**p.upsilon for t in ts.tolist()), float, ts.size)
-        if np.isfinite(ts).all() and not (np.abs(z) > ML_SERIES_CAP).any():
-            return z
-    except OverflowError:
-        pass
-    zs = []
-    for t in ts.tolist():
-        try:
-            zs.append(_node_argument(p, t))
-        except (DomainError, OverflowError):
-            break
-    return np.array(zs)
-
-
-def _powers(xs: list[float], exps: list[float]) -> np.ndarray:
-    """``x**e`` at every (exponent, node) pair with CPython's float ``**`` (``np.power``
-    differs in the last bit), NaN where it raises (x**e is never NaN for x > 0)."""
-    try:
-        return np.fromiter((x**e for e in exps for x in xs), float, len(exps) * len(xs)).reshape(len(exps), len(xs))
-    except ArithmeticError:
-        pass
-    vals = np.full((len(exps), len(xs)), np.nan)
-    for j, e in enumerate(exps):
-        for i, x in enumerate(xs):
-            with suppress(ArithmeticError):
-                vals[j, i] = x**e
-    return vals
+    """:func:`_ml_argument` at each node t > 0, up to the first node that it or
+    :func:`_check_t` rejects: one entry per node before that one (``ts.size`` if none)."""
+    z = -_powers([p.rate], [p.upsilon])[0, 0] * _powers(ts.tolist(), [p.upsilon])[0]
+    ok = np.abs(z) <= ML_SERIES_CAP  # False at NaN: a power that raises, or t = inf at rate 0
+    return z if ok.all() else z[: ok.argmin()]
 
 
 def _row_block(rows, start: int, upsilon: float, max_terms: int):
@@ -361,50 +330,36 @@ def _row_block(rows, start: int, upsilon: float, max_terms: int):
     return np.array([[c] for c, _, _ in block]), [e for _, e, _ in block], beta, inv_g, pole
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _sum_rows_grid(blocks: dict, rows, ts: np.ndarray, z: np.ndarray, upsilon: float, ctl: SeriesControl):
     """:func:`_sum_rows` at every node, node for node the same double.
 
-    Each node keeps the scalar stop rule and ``dd_add`` runs elementwise.  A
-    block of rows is evaluated at once over the nodes still active at its
-    start: Mittag-Leffler values, powers, terms and the running sums row by
-    row.  One ``argmax`` then finds each node's first stop or failure (a
-    failure first: the scalar loop raises before its stop test), and the
-    nodes that had one leave with the sum at that row.  ``blocks`` memoises
-    :func:`_row_block` across calls.  Returns the values and a mask of the
-    nodes for which ``_sum_rows`` raises (their values are meaningless).
+    The nodes are lanes of :func:`_lane_sums`, one row per step; a block of
+    rows is evaluated at once over the nodes active at its start.  ``blocks``
+    memoises :func:`_row_block` across calls.  Returns the values and a mask
+    of the nodes for which ``_sum_rows`` raises (their values are meaningless).
     """
-    out = np.empty(ts.size)
-    failed = np.zeros(ts.size, dtype=bool)
-    pos = np.arange(ts.size)
-    hi = np.zeros(ts.size)
-    lo = np.zeros(ts.size)
-    for start in range(0, len(rows), _ROW_BLOCK):
-        if start not in blocks:
-            blocks[start] = _row_block(rows, start, upsilon, ctl.max_terms)
-        coefs, exps, beta, inv_g, pole = blocks[start]
-        n_rows, m = len(exps), pos.size
-        ml, ml_bad = _ml_eval_pairs(
-            upsilon, inv_g, beta, np.repeat(np.arange(n_rows), m), np.tile(z[pos], n_rows), ctl
-        )
-        powers = _powers(ts[pos].tolist(), exps)
-        terms = coefs * powers * ml.reshape(n_rows, m)
-        bad = ml_bad.reshape(n_rows, m) | pole[:, None] | np.isnan(powers)
-        his, los = np.empty((n_rows, m)), np.empty((n_rows, m))
-        for j in range(n_rows):
-            hi, lo = dd_add(hi, lo, terms[j])
-            his[j], los[j] = hi, lo
-        event = (np.abs(terms) <= ctl.rel_tol * np.abs(his)) | bad
-        ended = event.any(axis=0)
-        if ended.any():
-            at = event.argmax(axis=0)[ended], np.flatnonzero(ended)  # each node's first event
-            out[pos[ended]] = his[at] + los[at]
-            failed[pos[ended]] = bad[at]
-            pos, hi, lo = pos[~ended], hi[~ended], lo[~ended]
-            if not pos.size:
-                return out, failed
-    out[pos] = hi + lo
-    return out, failed
+    state = [np.arange(ts.size), None]  # each lane's node, and its column in the current block
+    block = []
+
+    def step(r, hi):
+        pos, col = state
+        j = r % _ROW_BLOCK
+        if not j:
+            if r not in blocks:
+                blocks[r] = _row_block(rows, r, upsilon, ctl.max_terms)
+            coefs, exps, beta, inv_g, pole = blocks[r]
+            n_rows, m = len(exps), pos.size
+            ml, ml_bad = _ml_eval_pairs(
+                upsilon, inv_g, beta, np.repeat(np.arange(n_rows), m), np.tile(z[pos], n_rows), ctl
+            )
+            powers = _powers(ts[pos].tolist(), exps)
+            terms = coefs * powers * ml.reshape(n_rows, m)
+            block[:] = terms, ml_bad.reshape(n_rows, m) | pole[:, None] | np.isnan(powers)
+            state[1] = col = np.arange(m)
+        terms, bad = block
+        return terms[j][col], 0.0, bad[j][col]
+
+    return _lane_sums(step, state, len(rows), ctl.rel_tol)[::2]
 
 
 def solve_table(
@@ -456,5 +411,5 @@ def solve_table(
             values[first + start : first + start + vals.size] = vals
     if z.size < ts.size:
         with _at_node(g, first + z.size):
-            _node_argument(p, float(ts[z.size]))
+            _ml_argument(p.rate, p.upsilon, _check_t(p, float(ts[z.size])))
     return SolutionTable(g, values)

@@ -41,7 +41,7 @@ import numpy as np
 from ._compensated import dd_add
 from .errors import DomainError, RangeError, SingularStepError
 from .kinetics import KineticProblem, SolutionTable, Variant, _problem_rows
-from .special import SeriesControl, _k_struve_grid
+from .special import SeriesControl, _k_struve_grid, _powers
 
 __all__ = [
     "QuadratureGrid",
@@ -184,7 +184,7 @@ def _forcing_values(p: KineticProblem, forcing, grid: QuadratureGrid, ctl: Serie
         lam, sigma = _scale(p, forcing)
         # t**1.0 == t, and both products round correctly, so the numpy
         # product is the per-node expression
-        xs = lam * grid.nodes if sigma == 1.0 else np.array([lam * t**sigma for t in grid.nodes.tolist()])
+        xs = lam * grid.nodes if sigma == 1.0 else lam * _powers(grid.nodes.tolist(), [sigma])[0]
         vals = _k_struve_grid(p.struve, xs, ctl)
     vals.setflags(write=False)
     return vals

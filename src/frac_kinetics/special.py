@@ -14,12 +14,12 @@ numerically trustworthy region (no asymptotic continuation is attempted):
 * ``STRUVE_SERIES_CAP`` — Struve / k-Struve argument, ``|x| <= 20``.
 
 The Struve powers (x/2)**(2r + exp0) start from one CPython ``**`` and are
-multiplied by (x/2)**2 once per term; a term whose coefficient underflowed is
-formed in log space, and a power or sum that overflows raises.
-``_k_struve_grid`` evaluates the k-Struve series at every node of a grid in
-one numpy pass with the same arithmetic, so each entry is the double
-``k_struve`` returns for that node; ``_ml_eval_pairs`` does the same for the
-Mittag-Leffler series over (beta, z) pairs.
+multiplied by (x/2)**2 once per term; a term whose coefficient is outside the
+normal double range is formed in log space, and a power or sum that overflows
+raises.  The array paths share one kernel, ``_lane_sums``, which sums one
+series per lane with the scalar loop's stop rule, double-double sums and
+failures: ``_k_struve_grid`` has a lane per node, ``_ml_eval_pairs`` one per
+(beta, z) pair, so each entry is the double its scalar twin returns.
 
 For positive integer ``alpha`` the Mittag-Leffler term ratio collapses to the
 exact rational ``z / ((alpha*n + beta) ... (alpha*n + beta + alpha - 1))``,
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -97,6 +98,59 @@ class KStruveParams:
             raise DomainError(
                 f"nu must exceed -(3/2)k (got nu = {self.nu!r} with k = {self.k!r})"
             )
+
+
+# --------------------------------------------------------------------------
+# The lane-parallel series kernel
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _lane_sums(step, state: list, n_terms: int, rel_tol: float):
+    """Sum one series per lane, lane for lane the double of its scalar loop.
+
+    ``state`` holds the caller's per-lane arrays, ``np.arange`` over the lanes
+    first.  ``step(n, hi)`` gives term n of the active lanes (hi, lo parts;
+    ``hi`` is their sums) and the mask of lanes whose term n fails, or None.
+    A lane stops on a failing term (before its stop test, as the scalar loops
+    raise there) or on a term at most ``rel_tol`` times its sum, and leaves
+    ``state``, which ends with the lanes that took all ``n_terms`` terms.
+    Returns the values, the terms used and the failure mask.
+    """
+    size = state[0].size
+    out, used, failed = np.empty(size), np.full(size, n_terms), np.zeros(size, dtype=bool)
+    hi, lo = np.zeros(size), np.zeros(size)
+    for n in range(n_terms):
+        if not hi.size:
+            break
+        term, term_lo, bad = step(n, hi)
+        hi, lo = dd_add(hi, lo, term, term_lo)
+        done = np.abs(term) <= rel_tol * np.abs(hi)
+        if bad is not None and np.count_nonzero(bad):  # count_nonzero: a fraction of .any()'s call cost
+            failed[state[0][bad]] = True
+            done |= bad
+        if np.count_nonzero(done):
+            idx = state[0][done]
+            out[idx], used[idx] = hi[done] + lo[done], n + 1
+            keep = ~done
+            hi, lo = hi[keep], lo[keep]
+            state[:] = [a[keep] for a in state]
+    out[state[0]] = hi + lo
+    return out, used, failed
+
+
+def _powers(xs: list[float], exps: list[float]) -> np.ndarray:
+    """``x**e`` at every (exponent, node) pair with CPython's float ``**`` (``np.power``
+    differs in the last bit), NaN where it raises (x**e is never NaN for x > 0)."""
+    try:
+        return np.fromiter((x**e for e in exps for x in xs), float, len(exps) * len(xs)).reshape(len(exps), len(xs))
+    except ArithmeticError:
+        pass
+    vals = np.full((len(exps), len(xs)), np.nan)
+    for j, e in enumerate(exps):
+        for i, x in enumerate(xs):
+            with suppress(ArithmeticError):
+                vals[j, i] = x**e
+    return vals
 
 
 # --------------------------------------------------------------------------
@@ -184,54 +238,37 @@ def _ml_eval_pairs(
     """:func:`_ml_eval` at every pair i, E_{alpha, beta[row[i]]}(z[i]), pair for pair the same double.
 
     ``inv_g[r]`` is the ``_ml_inv_gammas(alpha, beta[r], ctl.max_terms)``
-    table of row r, gathered by each pair's row index.  Each pair keeps its
-    own stop rule and leaves the active set after exactly the terms the
-    scalar loop would take; ``dd_add`` and the double-double term recurrence
-    run elementwise.  Returns the values and a mask of the pairs for which
-    ``_ml_eval`` raises ``OverflowError`` (their values are meaningless).
+    table of row r, gathered by each pair's row index.  The pairs are lanes
+    of :func:`_lane_sums`.  Returns the values and a mask of the pairs for
+    which ``_ml_eval`` raises ``OverflowError`` (their values are meaningless).
     """
-    out = np.empty(z.size)
-    overflow = np.zeros(z.size, dtype=bool)
-    pos = np.arange(z.size)
-    hi = np.zeros(z.size)
-    lo = np.zeros(z.size)
     n_int = round(alpha)
-    integer = alpha == n_int and n_int >= 1
-    if integer:
-        b = beta[row]
-        t_hi, t_lo = inv_g[row, 0], np.zeros(z.size)
-    else:
-        zn = np.ones(z.size)
-    for n in range(ctl.max_terms):
-        if integer:
-            hi, lo = dd_add(hi, lo, t_hi, t_lo)
-            done = np.abs(t_hi) <= ctl.rel_tol * np.abs(hi)
-        else:
-            term = zn * inv_g[row, n]
-            hi, lo = dd_add(hi, lo, term)
-            done = np.abs(term) <= ctl.rel_tol * np.abs(hi)
-            zn = zn * z
-            inf = np.isinf(zn) & ~done
-            if inf.any():
-                overflow[pos[inf]] = True
-                done |= inf
-        if done.any():
-            out[pos[done]] = hi[done] + lo[done]
-            keep = ~done
-            pos, row, z, hi, lo = pos[keep], row[keep], z[keep], hi[keep], lo[keep]
-            if integer:
-                b, t_hi, t_lo = b[keep], t_hi[keep], t_lo[keep]
-            else:
-                zn = zn[keep]
-            if not pos.size:
-                return out, overflow
-        if integer:
-            t_hi, t_lo = dd_mul_double(t_hi, t_lo, z)
-            for j in range(n_int):
-                if not t_hi.any() and hi.all():  # _ml_eval's exit, once it holds for every pair
-                    break
-                t_hi, t_lo = dd_div_double(t_hi, t_lo, alpha * n + b + j)
-    out[pos] = hi + lo
+    if alpha == n_int and n_int >= 1:
+        state = [np.arange(z.size), z, beta[row], inv_g[row, 0], np.zeros(z.size)]
+
+        def step(n, hi):
+            _, z, b, t_hi, t_lo = state
+            if n:
+                t_hi, t_lo = dd_mul_double(t_hi, t_lo, z)
+                for j in range(n_int):
+                    if not np.count_nonzero(t_hi) and np.count_nonzero(hi) == hi.size:  # _ml_eval's exit, all pairs
+                        break
+                    t_hi, t_lo = dd_div_double(t_hi, t_lo, alpha * (n - 1) + b + j)
+                state[3:] = t_hi, t_lo
+            return t_hi, t_lo, None
+
+        return _lane_sums(step, state, ctl.max_terms, ctl.rel_tol)[::2]
+    state = [np.arange(z.size), row, z, np.ones(z.size)]
+
+    def step(n, hi):
+        _, row, z, zn = state
+        bad = np.isinf(zn)  # _ml_eval raises as z**n overflows, after term n - 1
+        term = zn * inv_g[row, n]
+        zn *= z
+        return term, 0.0, bad
+
+    out, _, overflow = _lane_sums(step, state, ctl.max_terms, ctl.rel_tol)
+    overflow[state[0][np.isinf(state[3])]] = True  # z**max_terms, after the last term
     return out, overflow
 
 
@@ -311,15 +348,20 @@ def _k_struve_coeffs(nu: float, c: float, k: float, max_terms: int) -> tuple[flo
         except OverflowError:
             denom = math.inf
         # past the double range the quotient would be a silent 0.0, and below
-        # its normal part (Gamma_k underflows for small k) inf or a division by zero
-        out.append((-c) ** r / denom if sys.float_info.min <= denom < math.inf else _log_coef(r, c, nu, k))
+        # its normal part (Gamma_k underflows for small k) inf or a division by
+        # zero; a coefficient above that range is inf (so is a quotient that
+        # overflows), and _log_power_series forms its term with the power
+        try:
+            out.append((-c) ** r / denom if sys.float_info.min <= denom < math.inf else _log_coef(r, c, nu, k))
+        except OverflowError:
+            out.append(math.inf)
     return tuple(out)
 
 
 def _power_series(nu: float, c: float, k: float, half_x: float, ctl: SeriesControl) -> float:
     """Sum the k-Struve coefficients times half_x**(2r + nu/k + 1), compensated, with early exit;
     left to :func:`_log_power_series` if the first power of a nonzero half_x is below the normal
-    range, and redone there if the last coefficient is."""
+    range, and redone there if the last coefficient is or an infinite one made the sum overflow."""
     coeffs = _k_struve_coeffs(nu, c, k, ctl.max_terms)
     try:
         power = half_x ** (nu / k + 1.0)
@@ -336,17 +378,20 @@ def _power_series(nu: float, c: float, k: float, half_x: float, ctl: SeriesContr
             if abs(term) <= ctl.rel_tol * abs(sum_hi):
                 break
             power *= h2
-        total = sum_hi + sum_lo if abs(coef) >= sys.float_info.min else _log_power_series(nu, c, k, half_x, ctl)
+        total = sum_hi + sum_lo
+        if abs(coef) < sys.float_info.min or not (math.isfinite(total) or all(map(math.isfinite, coeffs))):
+            total = _log_power_series(nu, c, k, half_x, ctl)
     if not math.isfinite(total):
         raise OverflowError(_STRUVE_OVERFLOW)
     return total
 
 
 def _log_power_series(nu: float, c: float, k: float, half_x: float, ctl: SeriesControl) -> float:
-    """:func:`_power_series` with each term whose coefficient or power is below the normal range
-    formed, power included, by :func:`_log_coef`: a large order whose coefficient underflows or
-    whose power overflows gives its value (0.0 or a subnormal below that range), and a huge
-    coefficient keeps the digits of a power that underflows; inf on overflow."""
+    """:func:`_power_series` with each term whose coefficient is inf or whose coefficient or power
+    is below the normal range formed, power included, by :func:`_log_coef`: a large order whose
+    coefficient underflows or whose power overflows gives its value (0.0 or a subnormal below
+    that range), and a huge coefficient keeps the digits of a power that underflows; inf on
+    overflow."""
     exp0 = nu / k + 1.0
     try:
         power = half_x**exp0
@@ -356,7 +401,7 @@ def _log_power_series(nu: float, c: float, k: float, half_x: float, ctl: SeriesC
     sum_hi, sum_lo = 0.0, 0.0
     try:
         for r, coef in enumerate(_k_struve_coeffs(nu, c, k, ctl.max_terms)):
-            tiny = abs(coef) < sys.float_info.min or abs(power) < sys.float_info.min
+            tiny = not sys.float_info.min <= abs(coef) < math.inf or abs(power) < sys.float_info.min
             term = sign * _log_coef(r, c, nu, k, 1.0, abs(half_x), 2 * r + exp0) if tiny else coef * power
             sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
             if abs(term) <= ctl.rel_tol * abs(sum_hi):
@@ -425,55 +470,13 @@ def k_struve(params: KStruveParams, x: float, ctl: SeriesControl | None = None) 
 # --------------------------------------------------------------------------
 # k-Struve over a grid
 
-def _power_series_grid(nu: float, c: float, k: float, half_x: np.ndarray, ctl: SeriesControl) -> np.ndarray:
-    """:func:`_power_series` at every entry of ``half_x``, node for node the same double.
-
-    Each node keeps its own stop rule, so a node leaves the active set after
-    exactly the terms the scalar loop would take, and ``dd_add`` runs the same
-    error-free sums elementwise.  The power recurrence starts from CPython's
-    float ``**`` (libm ``pow``): ``np.power`` differs from it in the last bit
-    on a few per cent of non-integer exponents.  Nodes go to :func:`_log_power_series`
-    as in the scalar loop; any other overflow raises.
-    """
-    coeffs = _k_struve_coeffs(nu, c, k, ctl.max_terms)
-    exp0 = nu / k + 1.0
-    out = np.empty(half_x.size)
-    last = np.empty(half_x.size)  # each node's last coefficient
-    pos = np.arange(half_x.size)
-    hi = np.zeros(half_x.size)
-    lo = np.zeros(half_x.size)
-    try:
-        power = np.fromiter((h**exp0 for h in half_x.tolist()), float, half_x.size)
-    except OverflowError:
-        return np.array([_power_series(nu, c, k, h, ctl) for h in half_x.tolist()])
-    tiny = (np.abs(power) < sys.float_info.min) & (half_x != 0.0)  # first power below the normal range
-    h2 = half_x * half_x
-    for coef in coeffs:
-        term = coef * power
-        hi, lo = dd_add(hi, lo, term)
-        done = np.abs(term) <= ctl.rel_tol * np.abs(hi)
-        if done.any():
-            out[pos[done]] = hi[done] + lo[done]
-            last[pos[done]] = coef
-            keep = ~done
-            pos, power, h2, hi, lo = pos[keep], power[keep], h2[keep], hi[keep], lo[keep]
-            if not pos.size:
-                break
-        power *= h2
-    out[pos] = hi + lo
-    last[pos] = coef
-    for i in np.flatnonzero(tiny | (np.abs(last) < sys.float_info.min)).tolist():
-        out[i] = _log_power_series(nu, c, k, float(half_x[i]), ctl)
-    if not np.isfinite(out).all():
-        raise OverflowError(_STRUVE_OVERFLOW)
-    return out
-
-
 def _k_struve_grid(params: KStruveParams, xs: np.ndarray, ctl: SeriesControl | None = None) -> np.ndarray:
     """``[k_struve(params, x, ctl) for x in xs]`` as an array, in one array pass.
 
     Same coefficient table, stop rule, double-double accumulation and errors
-    as the scalar path, so every entry is the exact double it returns.
+    as the scalar path, so every entry is the exact double it returns: the
+    nodes are lanes of :func:`_lane_sums`, a first power is NaN where the
+    scalar loop's is inf, and nodes go to :func:`_log_power_series` as there.
     """
     if ctl is None:
         ctl = _DEFAULT_CTL
@@ -488,6 +491,25 @@ def _k_struve_grid(params: KStruveParams, xs: np.ndarray, ctl: SeriesControl | N
         k_struve(params, float(xs[np.argmax(bad)]), ctl)
     out = np.zeros(xs.size)
     summed = np.flatnonzero(xs) if ratio > -1.0 else np.arange(xs.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[summed] = _power_series_grid(params.nu, params.c, params.k, xs[summed] / 2.0, ctl)
+    half_x = xs[summed] / 2.0
+    coeffs = _k_struve_coeffs(params.nu, params.c, params.k, ctl.max_terms)
+    power = _powers(half_x.tolist(), [ratio + 1.0])[0]
+    tiny = (np.abs(power) < sys.float_info.min) & (half_x != 0.0)  # first power below the normal range
+    state = [np.arange(half_x.size), power, half_x * half_x]
+
+    def step(n, hi):
+        _, power, h2 = state
+        term = coeffs[n] * power
+        power *= h2
+        return term, 0.0, None
+
+    sums, used, _ = _lane_sums(step, state, ctl.max_terms, ctl.rel_tol)
+    reroute = tiny | (np.abs(np.array(coeffs)[used - 1]) < sys.float_info.min)
+    if not all(map(math.isfinite, coeffs)):  # an infinite coefficient overflows the sums it reaches
+        reroute |= ~np.isfinite(sums)
+    for i in np.flatnonzero(reroute).tolist():
+        sums[i] = _log_power_series(params.nu, params.c, params.k, float(half_x[i]), ctl)
+    if not np.isfinite(sums).all():
+        raise OverflowError(_STRUVE_OVERFLOW)
+    out[summed] = sums
     return out

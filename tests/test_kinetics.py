@@ -465,6 +465,62 @@ def test_solve_table_fails_like_the_scalar_row_sum():
     _same_failure(_thm2(), np.array([0.5, 1.0]), reading="bogus")
 
 
+def test_solve_table_raises_for_a_power_that_overflows_after_the_last_term():
+    # z**182 overflows at t = 0.95 just after the 182nd and last Mittag-Leffler
+    # term of row 0; the scalar loop raises there, and so must the array pass
+    p = _thm1(upsilon=0.1, d=1e17)
+    msg = _same_failure(p, np.array([0.5, 0.95]), SeriesControl(max_terms=182))
+    assert msg == (
+        "grid index 1 (t = 0.95): Mittag-Leffler series term overflow at n = 182 (z = -49.86230610603668)"
+    )
+
+
+def test_row_sum_at_one_lane_is_the_scalar_loop(monkeypatch):
+    # a one-node table: value by repr, the same error, and the kernel's
+    # term count is the number of rows the scalar row sum adds
+    cases = [
+        (make(upsilon=ups, l=0.7, c=1.3, k=2.0), reading, t, ctl)
+        for make, reading in _VARIANTS
+        for ups in (0.1, 0.5, 1.0, 2.0)
+        for t in (1e-6, 0.3, 1.5)
+        for ctl in (None, SeriesControl(max_terms=30, rel_tol=1e-10))
+    ]
+    cases += [
+        (_thm1(d=1e-3), "consistent", 2e4, SeriesControl(max_terms=120)),  # (t/2)**e overflows
+        (_thm2(upsilon=0.1, d=1e-17), "consistent", 5e33, SeriesControl(max_terms=200)),  # z**n overflows
+        (_thm2(upsilon=0.5, l=-4.0, k=4.0), "printed", 0.5, None),  # gamma pole
+        (_thm1(upsilon=0.1, d=1e17), "consistent", 0.95, SeriesControl(max_terms=182)),
+    ]
+    failures = 0
+    for p, reading, t, ctl in cases:
+        added = []
+        with monkeypatch.context() as m:
+            m.setattr(kinetics, "dd_add", lambda *args: added.append(1) or dd_add(*args))
+            try:
+                want = repr(float(_scalar_table(p, np.array([t]), ctl, reading)[0]))
+            except (DomainError, OverflowError) as exc:
+                want = (type(exc), str(exc))
+        used, real = [], kinetics._lane_sums
+
+        def recording(step, state, n_terms, rel_tol):
+            out = real(step, state, n_terms, rel_tol)
+            used.append(out[1].tolist())
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(kinetics, "_lane_sums", recording)
+            try:
+                got = repr(float(solve_table(p, np.array([t]), ctl, reading=reading).n[0]))
+            except (DomainError, OverflowError) as exc:
+                got = (type(exc), str(exc))
+        assert got == want, (p, reading, t, ctl)
+        if isinstance(want, tuple):
+            failures += 1
+        else:
+            assert used == [[len(added)]], (p, reading, t, ctl)
+    assert failures == 4
+
+
 def _stop_row(p, t, ctl=SeriesControl()):
     """The row at which the scalar row sum of p stops at node t > 0."""
     z = kinetics._ml_argument(p.rate, p.upsilon, t)

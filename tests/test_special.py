@@ -597,6 +597,39 @@ def test_large_order_struve_raises_only_above_the_double_range():
         _k_struve_grid(KStruveParams(0.5, 1.0, 0.0005), np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize(
+    "nu,c,k,xs,x_over",
+    [
+        # nu/k = 750 or 1000: every coefficient is above the double range
+        # (4.2e733 for row 0 of the first), and the first power below it
+        (0.5, 1.0, 0.0005, [0.01, 0.3, 0.37, 0.45], 1.0),
+        (0.5, -2.0, 0.0005, [0.01, 0.3, 0.37, 0.45], 1.0),
+        (0.3, 1.5, 0.0004, [0.01, 0.3, 0.37, 0.45], 0.6),
+        # coefficients past the double range from row 23 on, reached by the
+        # sum at x = 0.1665 with a normal first power (1.0e-271)
+        (0.25, -500.0, 0.001, [0.05, 0.1, 0.1665], 2.0),
+        # coefficients past the double range from row 2 on, met by normal
+        # powers (1e-261 at row 2 and x = 2e-6) in a sum of a few terms
+        (38.5 * 1.35e-9, -0.8, 1.35e-9, [1e-6, 2e-6, 4e-6], 0.1),
+    ],
+)
+def test_coefficients_above_the_double_range_against_mpmath(nu, c, k, xs, x_over):
+    # (x/2)**(2r + nu/k + 1) brings the terms back into the double range or
+    # below it: a value within it, or 0.0 where mpmath gives 1.98e-1570
+    params = KStruveParams(nu, c, k)
+    for x in xs:
+        want, mag = _k_struve_reference(nu, c, k, x)
+        _check_large_order(k_struve(params, x), want, mag)
+    assert np.array_equal(_k_struve_grid(params, np.array(xs)), _scalar_k_struve(params, xs))
+    if (nu, c, k) == (0.5, 1.0, 0.0005):
+        assert k_struve(params, 0.01) == 0.0
+    # a value above the double range still raises
+    with pytest.raises(OverflowError, match="double range"):
+        k_struve(params, x_over)
+    with pytest.raises(OverflowError, match="double range"):
+        _k_struve_grid(params, np.array([xs[-1], x_over]))
+
+
 @pytest.mark.parametrize("family", ["struve_h", "c < 0", "c > 0"])
 def test_large_order_struve_against_mpmath(family):
     # nu/k in [100, 450] and x in (0, 20]: coefficients from the first few on
@@ -650,3 +683,87 @@ def test_subnormal_first_power_against_mpmath():
         # the grid twin routes the same nodes, next to nodes that sum directly
         xs = np.array([x, 1.01 * x, 4.0 * x, 8.0 * x])
         assert np.array_equal(_k_struve_grid(params, xs), _scalar_k_struve(params, xs)), (nu, c, k, x)
+
+
+# ---------------------------------------------------------------- the lane kernel at one lane
+
+
+def _line_runs(func, marker, call):
+    """(``_outcome(call)``, runs of the line of ``func`` that holds ``marker``): a scalar loop's term count."""
+    import inspect
+
+    code = func.__code__
+    source = inspect.getsource(func).splitlines()
+    target = code.co_firstlineno + next(i for i, line in enumerate(source) if marker in line)
+    runs = 0
+
+    def local(frame, event, arg):
+        nonlocal runs
+        runs += event == "line" and frame.f_lineno == target
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        return _outcome(call), runs
+    finally:
+        sys.settrace(None)
+
+
+def _kernel_runs(monkeypatch, module, call):
+    """(what ``call()`` returns, or its error as in ``_outcome``; the ``terms_used`` arrays of the
+    kernel calls made through ``module``)."""
+    from frac_kinetics import special
+
+    real, used = special._lane_sums, []
+
+    def recording(step, state, n_terms, rel_tol):
+        out = real(step, state, n_terms, rel_tol)
+        used.append(out[1].tolist())
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "_lane_sums", recording)
+        try:
+            return call(), used
+        except Exception as e:  # noqa: BLE001 - any error type must match
+            return (type(e), str(e)), used
+
+
+def test_ml_pairs_at_one_lane_are_the_scalar_loop(monkeypatch):
+    # value by repr, the same overflow, and the kernel's term count is the
+    # number of terms the scalar loop sums
+    from frac_kinetics import special
+
+    cases = [(a, b, z, ctl) for a, b, z in _ml_draws(29)[::3] for ctl in (SeriesControl(), SeriesControl(90, 1e-10))]
+    cases += [(0.3, 1.0, 50.0, SeriesControl(max_terms=200)), (0.1, 1.0, -49.86230610603668, SeriesControl(182))]
+    overflows = 0
+    for alpha, beta, z, ctl in cases:
+        inv_g = np.array([special._ml_inv_gammas(alpha, beta, ctl.max_terms)])
+        want, terms = _line_runs(special._ml_eval, "# sum += t", lambda: special._ml_eval(alpha, beta, z, ctl))
+        (values, overflow), used = _kernel_runs(
+            monkeypatch, special,
+            lambda: special._ml_eval_pairs(alpha, inv_g, np.array([beta]), np.array([0]), np.array([z]), ctl),
+        )
+        if isinstance(want, tuple):
+            overflows += 1
+            assert want[0] is OverflowError and overflow.tolist() == [True], (alpha, beta, z)
+            continue
+        assert (repr(float(values[0])), overflow.tolist(), used) == (want, [False], [[terms]]), (alpha, beta, z)
+    assert overflows == 2
+
+
+def test_k_struve_grid_at_one_lane_is_the_scalar_loop(monkeypatch):
+    from frac_kinetics import special
+
+    rng = np.random.default_rng(31)
+    cases = [(float(rng.uniform(-1.4, 3.0)) * k, float(rng.uniform(-3.0, 3.0)), k, float(rng.uniform(0.0, 20.0)))
+             for k in (0.5, 1.0, 2.0) for _ in range(30)]
+    cases += [(3.1, 1.0, 0.01, 20.0), (3.0, 1.0, 0.01, 20.0), (0.5, 1.0, 0.0005, 0.01), (0.5, 1.0, 0.0005, 2.0),
+              (1.0, 1.0, 0.005, 1e-3), (200.0, 1.0, 1.0, 20.0)]
+    for nu, c, k, x in cases:
+        p = KStruveParams(nu, c, k)
+        want, terms = _line_runs(special._power_series, "sum_hi, sum_lo = dd_add(", lambda: k_struve(p, x))
+        got, used = _kernel_runs(monkeypatch, special, lambda: _k_struve_grid(p, np.array([x])))
+        assert (got if isinstance(got, tuple) else repr(float(got[0]))) == want, (nu, c, k, x)
+        if not isinstance(want, tuple) and terms:  # a tiny first power skips the scalar loop
+            assert used == [[terms]], (nu, c, k, x)
