@@ -170,6 +170,7 @@ def _scale(p: KineticProblem, forcing):
 
 
 @lru_cache(maxsize=1)
+@np.errstate(over="ignore")  # lam * t**sigma overflows to inf, as a Python float product does
 def _forcing_values(p: KineticProblem, forcing, grid: QuadratureGrid, ctl: SeriesControl | None) -> np.ndarray:
     """Read-only forcing table at the grid nodes.
 
@@ -183,9 +184,11 @@ def _forcing_values(p: KineticProblem, forcing, grid: QuadratureGrid, ctl: Serie
     else:
         lam, sigma = _scale(p, forcing)
         # t**1.0 == t, and both products round correctly, so the numpy
-        # product is the per-node expression
-        xs = lam * grid.nodes if sigma == 1.0 else lam * _powers(grid.nodes.tolist(), [sigma])[0]
-        vals = _k_struve_grid(p.struve, xs, ctl)
+        # product is the per-node expression lam * t**sigma
+        powers = grid.nodes if sigma == 1.0 else _powers(grid.nodes.tolist(), [sigma])[0]
+        if np.isnan(powers).any():  # the first t**sigma that raises, raised again
+            float(grid.nodes[np.argmax(np.isnan(powers))]) ** sigma
+        vals = _k_struve_grid(p.struve, lam * powers, ctl)
     vals.setflags(write=False)
     return vals
 

@@ -344,15 +344,17 @@ def _k_struve_coeffs(nu: float, c: float, k: float, max_terms: int) -> tuple[flo
     out = []
     for r in range(max_terms):
         try:
-            denom = k_gamma(r * k + nu + 1.5 * k, k) * math.gamma(r + 1.5)
+            kg = k_gamma(r * k + nu + 1.5 * k, k)
+            denom = kg * math.gamma(r + 1.5)
         except OverflowError:
-            denom = math.inf
-        # past the double range the quotient would be a silent 0.0, and below
-        # its normal part (Gamma_k underflows for small k) inf or a division by
-        # zero; a coefficient above that range is inf (so is a quotient that
-        # overflows), and _log_power_series forms its term with the power
+            kg = denom = math.inf
+        # past the double range the quotient would be a silent 0.0; below its
+        # normal part, inf, a division by zero or the few digits of a subnormal
+        # Gamma_k (small k); above it the coefficient is inf (so is a quotient
+        # that overflows), and _log_power_series forms its term with the power
+        normal = sys.float_info.min <= min(kg, denom) and denom < math.inf
         try:
-            out.append((-c) ** r / denom if sys.float_info.min <= denom < math.inf else _log_coef(r, c, nu, k))
+            out.append((-c) ** r / denom if normal else _log_coef(r, c, nu, k))
         except OverflowError:
             out.append(math.inf)
     return tuple(out)
@@ -360,27 +362,25 @@ def _k_struve_coeffs(nu: float, c: float, k: float, max_terms: int) -> tuple[flo
 
 def _power_series(nu: float, c: float, k: float, half_x: float, ctl: SeriesControl) -> float:
     """Sum the k-Struve coefficients times half_x**(2r + nu/k + 1), compensated, with early exit;
-    left to :func:`_log_power_series` if the first power of a nonzero half_x is below the normal
-    range, and redone there if the last coefficient is or an infinite one made the sum overflow."""
+    redone by :func:`_log_power_series` if the first power of a nonzero half_x or the last
+    coefficient is below the normal range, or the sum is not finite."""
     coeffs = _k_struve_coeffs(nu, c, k, ctl.max_terms)
     try:
         power = half_x ** (nu / k + 1.0)
     except OverflowError:
         power = math.inf
-    if half_x and abs(power) < sys.float_info.min:
+    tiny = half_x and abs(power) < sys.float_info.min
+    h2 = half_x * half_x
+    sum_hi, sum_lo = 0.0, 0.0
+    for coef in coeffs:
+        term = coef * power
+        sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
+        if abs(term) <= ctl.rel_tol * abs(sum_hi):
+            break
+        power *= h2
+    total = sum_hi + sum_lo
+    if tiny or abs(coef) < sys.float_info.min or not math.isfinite(total):
         total = _log_power_series(nu, c, k, half_x, ctl)
-    else:
-        h2 = half_x * half_x
-        sum_hi, sum_lo = 0.0, 0.0
-        for coef in coeffs:
-            term = coef * power
-            sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
-            if abs(term) <= ctl.rel_tol * abs(sum_hi):
-                break
-            power *= h2
-        total = sum_hi + sum_lo
-        if abs(coef) < sys.float_info.min or not (math.isfinite(total) or all(map(math.isfinite, coeffs))):
-            total = _log_power_series(nu, c, k, half_x, ctl)
     if not math.isfinite(total):
         raise OverflowError(_STRUVE_OVERFLOW)
     return total
@@ -391,25 +391,24 @@ def _log_power_series(nu: float, c: float, k: float, half_x: float, ctl: SeriesC
     is below the normal range formed, power included, by :func:`_log_coef`: a large order whose
     coefficient underflows or whose power overflows gives its value (0.0 or a subnormal below
     that range), and a huge coefficient keeps the digits of a power that underflows; inf on
-    overflow."""
+    overflow, and where the sum does not stop over an infinite coefficient."""
     exp0 = nu / k + 1.0
-    try:
-        power = half_x**exp0
-    except OverflowError:
-        power = math.inf  # a normal coefficient times it overflows the sum
+    power = _powers([half_x], [exp0]).item()  # NaN on overflow: a normal coefficient times it ends the value
     h2, sign = half_x * half_x, 1.0 if half_x >= 0.0 else (-1.0) ** exp0  # x < 0 only for integer orders
     sum_hi, sum_lo = 0.0, 0.0
+    coeffs = _k_struve_coeffs(nu, c, k, ctl.max_terms)
     try:
-        for r, coef in enumerate(_k_struve_coeffs(nu, c, k, ctl.max_terms)):
+        for r, coef in enumerate(coeffs):
             tiny = not sys.float_info.min <= abs(coef) < math.inf or abs(power) < sys.float_info.min
             term = sign * _log_coef(r, c, nu, k, 1.0, abs(half_x), 2 * r + exp0) if tiny else coef * power
             sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
             if abs(term) <= ctl.rel_tol * abs(sum_hi):
-                break
+                return sum_hi + sum_lo
             power *= h2
     except OverflowError:
         return math.inf
-    return sum_hi + sum_lo
+    # a sum over a coefficient above the double range that does not stop is no value
+    return math.inf if math.inf in coeffs else sum_hi + sum_lo
 
 
 def struve_h(p: float, x: float, ctl: SeriesControl | None = None) -> float:
@@ -489,9 +488,7 @@ def _k_struve_grid(params: KStruveParams, xs: np.ndarray, ctl: SeriesControl | N
         # the scalar path owns the argument checks: it raises for the first
         # bad node with the same type and message
         k_struve(params, float(xs[np.argmax(bad)]), ctl)
-    out = np.zeros(xs.size)
-    summed = np.flatnonzero(xs) if ratio > -1.0 else np.arange(xs.size)
-    half_x = xs[summed] / 2.0
+    half_x = xs / 2.0  # a node x = 0 sums to 0.0 where the scalar path returns it
     coeffs = _k_struve_coeffs(params.nu, params.c, params.k, ctl.max_terms)
     power = _powers(half_x.tolist(), [ratio + 1.0])[0]
     tiny = (np.abs(power) < sys.float_info.min) & (half_x != 0.0)  # first power below the normal range
@@ -504,12 +501,9 @@ def _k_struve_grid(params: KStruveParams, xs: np.ndarray, ctl: SeriesControl | N
         return term, 0.0, None
 
     sums, used, _ = _lane_sums(step, state, ctl.max_terms, ctl.rel_tol)
-    reroute = tiny | (np.abs(np.array(coeffs)[used - 1]) < sys.float_info.min)
-    if not all(map(math.isfinite, coeffs)):  # an infinite coefficient overflows the sums it reaches
-        reroute |= ~np.isfinite(sums)
+    reroute = tiny | ~np.isfinite(sums) | (np.abs(np.array(coeffs)[used - 1]) < sys.float_info.min)
     for i in np.flatnonzero(reroute).tolist():
         sums[i] = _log_power_series(params.nu, params.c, params.k, float(half_x[i]), ctl)
     if not np.isfinite(sums).all():
         raise OverflowError(_STRUVE_OVERFLOW)
-    out[summed] = sums
-    return out
+    return sums

@@ -327,6 +327,18 @@ def test_forcing_table_is_the_per_node_expression(ups, l, c, k, d):
     assert np.array_equal(oracle._forcing_values(p, Forcing.STRUVE_DT, g, None), want_dt)
 
 
+def test_forcing_power_overflow_raises_as_the_per_node_product():
+    # t**sigma leaves the double range at t = 1.25e9 (lam = 1e-20**40 is 0.0):
+    # the table raises the OverflowError of that node's Python float power
+    p = _problem(variant=Variant.THM2, upsilon=40.0, d=1e-20)
+    g = QuadratureGrid(n=8, t_max=1e10)
+    with pytest.raises(OverflowError) as want:
+        float(g.nodes[1]) ** 40.0
+    with pytest.raises(OverflowError) as got:
+        oracle._forcing_values(p, Forcing.STRUVE_DT, g, None)
+    assert str(got.value) == str(want.value)
+
+
 def test_forcing_table_is_read_only():
     g = QuadratureGrid(n=64, t_max=1.0)
     for forcing in Forcing:

@@ -608,6 +608,15 @@ def test_large_order_struve_raises_only_above_the_double_range():
         # coefficients past the double range from row 23 on, reached by the
         # sum at x = 0.1665 with a normal first power (1.0e-271)
         (0.25, -500.0, 0.001, [0.05, 0.1, 0.1665], 2.0),
+        # at x = 1.0 the 50-term sum stops short, at 7.33e248, of a value of
+        # 3.43e322 (above the double range): a sum over a coefficient past the
+        # range that does not stop raises rather than return that partial sum
+        (0.25, -500.0, 0.001, [0.05], 1.0),
+        # coefficients past the double range at rows 6-8; Gamma_k(rk + nu +
+        # 3k/2) is subnormal from row 2 on (about 3 digits left at row 15)
+        # while its product with Gamma(r + 3/2) stays normal, and a quotient
+        # of those few digits put the value at x = 1.76 1.6e-7 off
+        (0.11039369777854577, -0.9097258095658689, 0.0005, [1.7628480786615368], 2.0),
         # coefficients past the double range from row 2 on, met by normal
         # powers (1e-261 at row 2 and x = 2e-6) in a sum of a few terms
         (38.5 * 1.35e-9, -0.8, 1.35e-9, [1e-6, 2e-6, 4e-6], 0.1),
