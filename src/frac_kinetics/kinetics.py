@@ -37,11 +37,11 @@ import numpy as np
 
 from ._compensated import dd_add
 from .errors import DomainError, PoleError, RangeError
-from .kgamma import k_gamma
 from .special import (
     ML_SERIES_CAP,
     KStruveParams,
     SeriesControl,
+    _k_struve_coeffs,
     _lane_sums,
     _log_coef,
     _ml_eval,
@@ -167,11 +167,12 @@ def _rows(
     """Rows (coef, t_exponent, ml_beta) of the solution series.
 
     Term r is  coef * t**(sigma*e_r) * E_{upsilon, sigma*e_r + 1}(z)
-    with coef absorbing (lam / 2)**e_r * Gamma(sigma*e_r + 1) and
-    z = -rate**upsilon * t**upsilon.
+    with coef = n0 * a_r * (lam / 2)**e_r * Gamma(sigma*e_r + 1), a_r from
+    ``special._k_struve_coeffs``, and z = -rate**upsilon * t**upsilon.
     """
+    coeffs = _k_struve_coeffs(l, c, k, max_terms)
     rows = []
-    for r in range(max_terms):
+    for r, a in enumerate(coeffs):
         e = _exponent(r, l, k, reading)
         g = sigma * e
         if g + 1.0 <= 0.0 and g + 1.0 == math.floor(g + 1.0):
@@ -182,14 +183,13 @@ def _rows(
                 f"exponent e_r = {e!r} (l/k < -1 under the consistent reading)"
             )
         try:
-            denom = k_gamma(r * k + l + 1.5 * k, k) * math.gamma(r + 1.5)
-            head, power = n0 * (-c) ** r / denom, (lam / 2.0) ** e
-            steps = (denom, head, power, head * power, head * power * math.gamma(g + 1.0))
+            head, power = n0 * a, (lam / 2.0) ** e
+            steps = (a, head, power, head * power, head * power * math.gamma(g + 1.0))
         except OverflowError:
             steps = (math.inf,)
         coef = steps[-1]
-        # a factor or partial product that overflowed (an infinite denominator
-        # would otherwise give a silent 0.0) or passed through zero or a
+        # a factor or partial product that overflowed (an infinite coefficient
+        # would otherwise give inf or NaN) or passed through zero or a
         # subnormal is redone in log space, unless the row is exactly zero
         if not all(map(math.isfinite, steps)) or (
             min(map(abs, steps)) < sys.float_info.min and not ((r and c == 0.0) or lam == 0.0)

@@ -13,13 +13,15 @@ numerically trustworthy region (no asymptotic continuation is attempted):
 * ``ML_SERIES_CAP`` — Mittag-Leffler argument, ``|z| <= 50``;
 * ``STRUVE_SERIES_CAP`` — Struve / k-Struve argument, ``|x| <= 20``.
 
-The Struve powers (x/2)**(2r + exp0) start from one CPython ``**`` and are
-multiplied by (x/2)**2 once per term; a term whose coefficient is outside the
-normal double range is formed in log space, and a power or sum that overflows
+The k-Struve coefficients come from one table, ``_k_struve_coeffs``, and
+the Struve powers (x/2)**(2r + nu/k + 1) from one CPython ``**`` times
+(x/2)**2 per term.  A term is coefficient times power where both are normal
+doubles and is formed in log space otherwise; a power or sum that overflows
 raises.  The array paths share one kernel, ``_lane_sums``, which sums one
-series per lane with the scalar loop's stop rule, double-double sums and
-failures: ``_k_struve_grid`` has a lane per node, ``_ml_eval_pairs`` one per
-(beta, z) pair, so each entry is the double its scalar twin returns.
+series per lane with the scalar loop's stop rule and double-double sums:
+``_k_struve_grid`` has a lane per node and hands a node whose term takes the
+log form to the scalar loop, ``_ml_eval_pairs`` one lane per (beta, z) pair,
+so each entry is the double its scalar twin returns.
 
 For positive integer ``alpha`` the Mittag-Leffler term ratio collapses to the
 exact rational ``z / ((alpha*n + beta) ... (alpha*n + beta + alpha - 1))``,
@@ -34,13 +36,14 @@ import math
 import sys
 from contextlib import suppress
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from ._compensated import _SPLITTER, dd_add, dd_div_double, dd_mul_double
 from .errors import DomainError, PoleError, RangeError
-from .kgamma import _gamma_sign, k_gamma
+from .kgamma import _gamma_sign
 
 __all__ = [
     "SeriesControl",
@@ -108,13 +111,13 @@ class KStruveParams:
 def _lane_sums(step, state: list, n_terms: int, rel_tol: float):
     """Sum one series per lane, lane for lane the double of its scalar loop.
 
-    ``state`` holds the caller's per-lane arrays, ``np.arange`` over the lanes
-    first.  ``step(n, hi)`` gives term n of the active lanes (hi, lo parts;
-    ``hi`` is their sums) and the mask of lanes whose term n fails, or None.
-    A lane stops on a failing term (before its stop test, as the scalar loops
-    raise there) or on a term at most ``rel_tol`` times its sum, and leaves
-    ``state``, which ends with the lanes that took all ``n_terms`` terms.
-    Returns the values, the terms used and the failure mask.
+    ``state`` holds the caller's per-lane arrays, ``np.arange`` over the lanes first.
+    ``step(n, hi)`` gives term n of the active lanes (hi, lo parts; ``hi`` is their sums)
+    and the mask of lanes whose term n the kernel cannot take (the scalar loop raises
+    there, or forms it another way), or None.  A lane stops on such a term (before its
+    stop test) or on a term at most ``rel_tol`` times its sum, and leaves ``state``, which
+    ends with the lanes that took all ``n_terms`` terms.  Returns the values, the terms
+    used and the mask of lanes that stopped on such a term.
     """
     size = state[0].size
     out, used, failed = np.empty(size), np.full(size, n_terms), np.zeros(size, dtype=bool)
@@ -341,18 +344,29 @@ def _log_coef(
 
 @lru_cache(maxsize=256)
 def _k_struve_coeffs(nu: float, c: float, k: float, max_terms: int) -> tuple[float, ...]:
+    """(-c)**r / (Gamma_k(rk + nu + 3k/2) Gamma(r + 3/2)) for r < max_terms, Gamma_k as k**(x - 1) Gamma(x).
+
+    x = r + a, a = nu/k + 3/2 taken once and exactly rounded (> 0 where nu/k rounds to -3/2).
+    Where the k-power, Gamma_k or the denominator leaves the normal double range the coefficient
+    comes from :func:`_log_coef`: 0.0 or subnormal below the range, inf above it (as is a quotient
+    that overflows).
+    """
+    exact = Fraction(nu) / Fraction(k) + Fraction(3, 2)
+    a = float(exact)
+    a_lo, log_k = float(exact - Fraction(a)), math.log(k)
     out = []
     for r in range(max_terms):
+        x = r + a
+        # x + d is r + nu/k + 3/2, and d moves Gamma_k by (ln k + digamma(x)) d to first order (sums
+        # lost up to 39 u * sum |term| to it); digamma(x) ~ ln(x + 1) - 1/(2(x + 1)) - 1/x within 3e-2
+        d = math.fsum((r, a, -x)) + a_lo
         try:
-            kg = k_gamma(r * k + nu + 1.5 * k, k)
+            power = k ** (x - 1.0)
+            kg = power * math.gamma(x) * (1.0 + d * (log_k + math.log(x + 1.0) - 0.5 / (x + 1.0) - 1.0 / x))
             denom = kg * math.gamma(r + 1.5)
         except OverflowError:
-            kg = denom = math.inf
-        # past the double range the quotient would be a silent 0.0; below its
-        # normal part, inf, a division by zero or the few digits of a subnormal
-        # Gamma_k (small k); above it the coefficient is inf (so is a quotient
-        # that overflows), and _log_power_series forms its term with the power
-        normal = sys.float_info.min <= min(kg, denom) and denom < math.inf
+            power = kg = denom = math.inf
+        normal = sys.float_info.min <= min(power, kg, denom) and denom < math.inf
         try:
             out.append((-c) ** r / denom if normal else _log_coef(r, c, nu, k))
         except OverflowError:
@@ -361,54 +375,40 @@ def _k_struve_coeffs(nu: float, c: float, k: float, max_terms: int) -> tuple[flo
 
 
 def _power_series(nu: float, c: float, k: float, half_x: float, ctl: SeriesControl) -> float:
-    """Sum the k-Struve coefficients times half_x**(2r + nu/k + 1), compensated, with early exit;
-    redone by :func:`_log_power_series` if the first power of a nonzero half_x or the last
-    coefficient is below the normal range, or the sum is not finite."""
+    """Sum the k-Struve coefficients times half_x**(2r + nu/k + 1), compensated, with early exit.
+
+    A term whose coefficient or power is not a normal double is formed, power included, by
+    :func:`_log_coef`: it keeps its digits, and is 0.0 or subnormal only below the double range.
+    Raises ``OverflowError`` where a power or the sum overflows, or the sum does not stop over an
+    infinite coefficient.
+    """
     coeffs = _k_struve_coeffs(nu, c, k, ctl.max_terms)
+    exp0, tiny = nu / k + 1.0, sys.float_info.min
     try:
-        power = half_x ** (nu / k + 1.0)
+        power = half_x**exp0
     except OverflowError:
-        power = math.inf
-    tiny = half_x and abs(power) < sys.float_info.min
-    h2 = half_x * half_x
+        power = math.nan  # as in _powers: a normal coefficient times it ends the value
+    h2, sign = half_x * half_x, 1.0 if half_x >= 0.0 else (-1.0) ** exp0  # x < 0 only for integer orders
     sum_hi, sum_lo = 0.0, 0.0
-    for coef in coeffs:
-        term = coef * power
-        sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
-        if abs(term) <= ctl.rel_tol * abs(sum_hi):
-            break
-        power *= h2
+    try:
+        for r, coef in enumerate(coeffs):
+            if tiny <= abs(coef) < math.inf and not abs(power) < tiny:
+                term = coef * power
+            else:
+                term = sign * _log_coef(r, c, nu, k, 1.0, abs(half_x), 2 * r + exp0)  # log form
+            sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
+            if abs(term) <= ctl.rel_tol * abs(sum_hi):
+                break
+            power *= h2
+        else:
+            if math.inf in coeffs:
+                raise OverflowError
+    except OverflowError:
+        raise OverflowError(_STRUVE_OVERFLOW) from None
     total = sum_hi + sum_lo
-    if tiny or abs(coef) < sys.float_info.min or not math.isfinite(total):
-        total = _log_power_series(nu, c, k, half_x, ctl)
     if not math.isfinite(total):
         raise OverflowError(_STRUVE_OVERFLOW)
     return total
-
-
-def _log_power_series(nu: float, c: float, k: float, half_x: float, ctl: SeriesControl) -> float:
-    """:func:`_power_series` with each term whose coefficient is inf or whose coefficient or power
-    is below the normal range formed, power included, by :func:`_log_coef`: a large order whose
-    coefficient underflows or whose power overflows gives its value (0.0 or a subnormal below
-    that range), and a huge coefficient keeps the digits of a power that underflows; inf on
-    overflow, and where the sum does not stop over an infinite coefficient."""
-    exp0 = nu / k + 1.0
-    power = _powers([half_x], [exp0]).item()  # NaN on overflow: a normal coefficient times it ends the value
-    h2, sign = half_x * half_x, 1.0 if half_x >= 0.0 else (-1.0) ** exp0  # x < 0 only for integer orders
-    sum_hi, sum_lo = 0.0, 0.0
-    coeffs = _k_struve_coeffs(nu, c, k, ctl.max_terms)
-    try:
-        for r, coef in enumerate(coeffs):
-            tiny = not sys.float_info.min <= abs(coef) < math.inf or abs(power) < sys.float_info.min
-            term = sign * _log_coef(r, c, nu, k, 1.0, abs(half_x), 2 * r + exp0) if tiny else coef * power
-            sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
-            if abs(term) <= ctl.rel_tol * abs(sum_hi):
-                return sum_hi + sum_lo
-            power *= h2
-    except OverflowError:
-        return math.inf
-    # a sum over a coefficient above the double range that does not stop is no value
-    return math.inf if math.inf in coeffs else sum_hi + sum_lo
 
 
 def struve_h(p: float, x: float, ctl: SeriesControl | None = None) -> float:
@@ -435,7 +435,7 @@ def struve_h(p: float, x: float, ctl: SeriesControl | None = None) -> float:
         if p < -1.0:
             raise DomainError(f"H_p diverges at x = 0 for p < -1 (p = {p!r})")
         # p == -1: the series limit is the r = 0 coefficient, 2/pi
-    # k_gamma(x, 1) is exactly math.gamma(x): H_p is S^1_{p,1}
+    # at k = 1 the k-power is 1.0 and Gamma_k is Gamma: H_p is S^1_{p,1}
     return _power_series(p, 1.0, 1.0, x / 2.0, ctl)
 
 
@@ -472,10 +472,10 @@ def k_struve(params: KStruveParams, x: float, ctl: SeriesControl | None = None) 
 def _k_struve_grid(params: KStruveParams, xs: np.ndarray, ctl: SeriesControl | None = None) -> np.ndarray:
     """``[k_struve(params, x, ctl) for x in xs]`` as an array, in one array pass.
 
-    Same coefficient table, stop rule, double-double accumulation and errors
-    as the scalar path, so every entry is the exact double it returns: the
-    nodes are lanes of :func:`_lane_sums`, a first power is NaN where the
-    scalar loop's is inf, and nodes go to :func:`_log_power_series` as there.
+    The nodes are lanes of :func:`_lane_sums` on the scalar loop's coefficient
+    table, powers, term rule and stop rule, so every entry is the exact double
+    it returns: a lane whose term takes the log form ends there, and its node
+    is summed by the scalar loop :func:`_power_series`.
     """
     if ctl is None:
         ctl = _DEFAULT_CTL
@@ -490,20 +490,18 @@ def _k_struve_grid(params: KStruveParams, xs: np.ndarray, ctl: SeriesControl | N
         k_struve(params, float(xs[np.argmax(bad)]), ctl)
     half_x = xs / 2.0  # a node x = 0 sums to 0.0 where the scalar path returns it
     coeffs = _k_struve_coeffs(params.nu, params.c, params.k, ctl.max_terms)
-    power = _powers(half_x.tolist(), [ratio + 1.0])[0]
-    tiny = (np.abs(power) < sys.float_info.min) & (half_x != 0.0)  # first power below the normal range
-    state = [np.arange(half_x.size), power, half_x * half_x]
+    state = [np.arange(half_x.size), _powers(half_x.tolist(), [ratio + 1.0])[0], half_x * half_x]
 
     def step(n, hi):
         _, power, h2 = state
+        log_form = (np.abs(power) < sys.float_info.min) | (not sys.float_info.min <= abs(coeffs[n]) < math.inf)
         term = coeffs[n] * power
         power *= h2
-        return term, 0.0, None
+        return term, 0.0, log_form
 
-    sums, used, _ = _lane_sums(step, state, ctl.max_terms, ctl.rel_tol)
-    reroute = tiny | ~np.isfinite(sums) | (np.abs(np.array(coeffs)[used - 1]) < sys.float_info.min)
-    for i in np.flatnonzero(reroute).tolist():
-        sums[i] = _log_power_series(params.nu, params.c, params.k, float(half_x[i]), ctl)
+    sums, _, log_form = _lane_sums(step, state, ctl.max_terms, ctl.rel_tol)
+    for i in np.flatnonzero(log_form).tolist():
+        sums[i] = _power_series(params.nu, params.c, params.k, float(half_x[i]), ctl)
     if not np.isfinite(sums).all():
         raise OverflowError(_STRUVE_OVERFLOW)
     return sums

@@ -631,6 +631,27 @@ def test_rows_whose_direct_product_underflows_are_not_silent_zeros():
         assert abs(rows[r][0] - want) <= 1e-12 * abs(want)
 
 
+def test_rows_with_a_subnormal_k_gamma_against_mpmath():
+    # k = 0.0005: Gamma_k(rk + l + 3k/2) is subnormal from row 2 on and below
+    # the double range at row 19; its quotient raised a bare ZeroDivisionError
+    # there, and the few digits it kept put rows 15-18 up to 5.5e-2 off
+    import mpmath as mp
+
+    from frac_kinetics.kinetics import _rows
+
+    n0, lam, sigma, l, c, k = 1.0, 1.0, 0.1, 0.11039369777854577, -0.9097258095658689, 0.0005
+    rows = _rows(n0, lam, sigma, l, c, k, "consistent", 20)
+    with mp.workdps(40):
+        for r, (coef, _, _) in enumerate(rows):
+            a = r + mp.mpf(l) / k + mp.mpf(1.5)
+            e = 2 * r + mp.mpf(l) / k + 1
+            want = (
+                n0 * (-c) ** r * (mp.mpf(lam) / 2) ** e * mp.gamma(sigma * e + 1)
+                / (mp.mpf(k) ** (a - 1) * mp.gamma(a) * mp.gamma(r + mp.mpf(1.5)))
+            )
+            assert abs(coef - want) <= 1e-12 * abs(want), r
+
+
 def test_rows_that_are_exactly_zero_stay_zero():
     from frac_kinetics.kinetics import _rows
 

@@ -515,6 +515,24 @@ def test_k_struve_power_recurrence_rounding_bound():
         assert abs(struve_h(p, x, ctl) - want) <= 32 * u * mag, (p, x)
 
 
+def test_k_struve_exact_series_rounding_bound():
+    # against the exact series, not the table's own doubles, so coefficient
+    # error shows: with c < 0 every term is positive and no cancellation hides
+    # it (worst seen 12.2 u here, 10.6-17.0 u over nine other seeds; forming
+    # Gamma_k through k_gamma(rk + nu + 3k/2, k), which recomputes nu/k per
+    # row, reached 38.1 u here and 33.9-60.6 u over those seeds)
+    ctl = SeriesControl(max_terms=200, rel_tol=1e-17)
+    u = 2.0**-53
+    rng = np.random.default_rng(2072)
+    for _ in range(600):
+        k = float(rng.uniform(0.5, 3.0))
+        nu = float(rng.uniform(-1.4, 3.0)) * k
+        c = float(rng.uniform(-2.0, -0.2))
+        x = float(rng.uniform(17.0, 20.0))
+        want, mag = _k_struve_reference(nu, c, k, x)
+        assert abs(k_struve(KStruveParams(nu, c, k), x, ctl) - want) <= 32 * u * mag, (nu, c, k, x)
+
+
 @pytest.mark.parametrize(
     "nu,xs",
     [
@@ -719,23 +737,24 @@ def _line_runs(func, marker, call):
 
 
 def _kernel_runs(monkeypatch, module, call):
-    """(what ``call()`` returns, or its error as in ``_outcome``; the ``terms_used`` arrays of the
-    kernel calls made through ``module``)."""
+    """(what ``call()`` returns, or its error as in ``_outcome``; the ``terms_used`` arrays and the
+    masks of lanes stopped on a term the kernel cannot take, of the kernel calls made through ``module``)."""
     from frac_kinetics import special
 
-    real, used = special._lane_sums, []
+    real, used, stopped = special._lane_sums, [], []
 
     def recording(step, state, n_terms, rel_tol):
         out = real(step, state, n_terms, rel_tol)
         used.append(out[1].tolist())
+        stopped.append(out[2].tolist())
         return out
 
     with monkeypatch.context() as m:
         m.setattr(module, "_lane_sums", recording)
         try:
-            return call(), used
+            return call(), used, stopped
         except Exception as e:  # noqa: BLE001 - any error type must match
-            return (type(e), str(e)), used
+            return (type(e), str(e)), used, stopped
 
 
 def test_ml_pairs_at_one_lane_are_the_scalar_loop(monkeypatch):
@@ -749,7 +768,7 @@ def test_ml_pairs_at_one_lane_are_the_scalar_loop(monkeypatch):
     for alpha, beta, z, ctl in cases:
         inv_g = np.array([special._ml_inv_gammas(alpha, beta, ctl.max_terms)])
         want, terms = _line_runs(special._ml_eval, "# sum += t", lambda: special._ml_eval(alpha, beta, z, ctl))
-        (values, overflow), used = _kernel_runs(
+        (values, overflow), used, _ = _kernel_runs(
             monkeypatch, special,
             lambda: special._ml_eval_pairs(alpha, inv_g, np.array([beta]), np.array([0]), np.array([z]), ctl),
         )
@@ -769,10 +788,20 @@ def test_k_struve_grid_at_one_lane_is_the_scalar_loop(monkeypatch):
              for k in (0.5, 1.0, 2.0) for _ in range(30)]
     cases += [(3.1, 1.0, 0.01, 20.0), (3.0, 1.0, 0.01, 20.0), (0.5, 1.0, 0.0005, 0.01), (0.5, 1.0, 0.0005, 2.0),
               (1.0, 1.0, 0.005, 1e-3), (200.0, 1.0, 1.0, 20.0)]
+    handed = 0
     for nu, c, k, x in cases:
         p = KStruveParams(nu, c, k)
         want, terms = _line_runs(special._power_series, "sum_hi, sum_lo = dd_add(", lambda: k_struve(p, x))
-        got, used = _kernel_runs(monkeypatch, special, lambda: _k_struve_grid(p, np.array([x])))
+        _, log_terms = _line_runs(special._power_series, "# log form", lambda: k_struve(p, x))
+        got, used, log_form = _kernel_runs(monkeypatch, special, lambda: _k_struve_grid(p, np.array([x])))
         assert (got if isinstance(got, tuple) else repr(float(got[0]))) == want, (nu, c, k, x)
-        if not isinstance(want, tuple) and terms:  # a tiny first power skips the scalar loop
+        # the kernel ends a lane on a log-form term, and hands its node to the
+        # scalar loop, exactly where that loop forms a term in log space (for
+        # (200, 1, 1, 20) at term 1 of the 14 it sums); any other lane takes
+        # the scalar loop's terms
+        assert log_form == [[log_terms > 0]], (nu, c, k, x)
+        if log_terms:
+            handed += 1
+        else:
             assert used == [[terms]], (nu, c, k, x)
+    assert handed == 4
