@@ -28,6 +28,7 @@ byte-identical files, also over an older file at the same path.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import stat
 import sys
@@ -77,6 +78,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.k_values or not self.upsilon_values:
             raise DomainError("parameter lists must be non-empty")
+        if not math.isfinite(self.t_max):
+            raise DomainError(f"t_max must be a positive finite real, got {self.t_max!r}")
         if not (0.0 <= self.t_min < self.t_max):
             raise DomainError(
                 f"need t_max > t_min >= 0, got t_min = {self.t_min!r}, t_max = {self.t_max!r}"

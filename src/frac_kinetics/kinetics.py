@@ -19,9 +19,10 @@ uses ``2r + l + 1``, which drops the ``1/k``.  The two coincide at k = 1.
 Series evaluation reuses the compensated Mittag-Leffler core of
 :mod:`frac_kinetics.special`, and per-problem coefficient rows are cached.
 ``solve_table`` sums the rows at every node of a grid on the series kernel
-``special._lane_sums``, one lane per node; the Mittag-Leffler values of a
-block of rows come from one kernel pass over their (row, node) pairs.  So
-every entry is the double the scalar solver returns for that node.
+``special._lane_sums``, one lane per node; the Mittag-Leffler values of
+each node's rows, up to an estimate of the row its sum stops at, come from
+one kernel pass over those (row, node) pairs.  So every entry is the double
+the scalar solver returns for that node.
 """
 
 from __future__ import annotations
@@ -292,9 +293,6 @@ def solve_constant(p: KineticProblem, t: float, ctl: SeriesControl | None = None
     return p.n0 * mittag_leffler(p.upsilon, _ml_argument(p.d, p.upsilon, t), ctl)
 
 
-# Rows whose Mittag-Leffler values are evaluated in one pass over the active
-# nodes; of 4, 8, 16, 32 and 64, 8 was fastest on 101- and 4,097-node grids.
-_ROW_BLOCK = 8
 _GRID_CHUNK = 512  # nodes per pass; bounds the (row, node) pair arrays (peak memory)
 
 
@@ -316,50 +314,72 @@ def _ml_arguments(p: KineticProblem, ts: np.ndarray) -> np.ndarray:
     return z if ok.all() else z[: ok.argmin()]
 
 
-def _row_block(rows, start: int, upsilon: float, max_terms: int):
-    """(coefs as a column, exponents, betas, inverse-gamma table, pole mask) of one block of rows."""
-    block = rows[start : start + _ROW_BLOCK]
-    beta = np.array([b for _, _, b in block])
-    inv_g = np.zeros((len(block), max_terms))
-    pole = np.zeros(len(block), dtype=bool)
-    for j, b in enumerate(beta.tolist()):
-        try:
-            inv_g[j] = _ml_inv_gammas(upsilon, b, max_terms)
-        except PoleError:  # _ml_eval raises it for every node that reaches the row
-            pole[j] = True
-    return np.array([[c] for c, _, _ in block]), [e for _, e, _ in block], beta, inv_g, pole
+@lru_cache(maxsize=128)
+def _row_columns(rows):
+    """(coefs, exponents, betas, log sizes) of the rows as arrays.
+
+    Log size r is ln(|coef_r| / |Gamma(beta_r)|): ln of term r at z = 0 (where
+    E_{upsilon,beta} is 1/Gamma(beta)) less g_r ln t, -inf where the row is 0.
+    """
+    sizes = [math.log(abs(coef)) - math.lgamma(beta) if coef else -math.inf for coef, _, beta in rows]
+    cols = tuple(np.array(col) for col in (*zip(*rows), sizes))
+    for col in cols:
+        col.setflags(write=False)  # shared by every caller through the cache
+    return cols
 
 
-def _sum_rows_grid(blocks: dict, rows, ts: np.ndarray, z: np.ndarray, upsilon: float, ctl: SeriesControl):
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _sum_rows_grid(rows, ts: np.ndarray, z: np.ndarray, upsilon: float, ctl: SeriesControl):
     """:func:`_sum_rows` at every node, node for node the same double.
 
-    The nodes are lanes of :func:`_lane_sums`, one row per step; a block of
-    rows is evaluated at once over the nodes active at its start.  ``blocks``
-    memoises :func:`_row_block` across calls.  Returns the values and a mask
-    of the nodes for which ``_sum_rows`` raises (their values are meaningless).
+    The nodes are lanes of :func:`_lane_sums`, one row per step.  Each node's
+    (row, node) pairs are evaluated in one pass, up to an estimate of its last
+    row: the row after the first whose z = 0 size is at most ``rel_tol`` times
+    row 0's.  When a node reaches a row past its range, the active nodes' ranges
+    are estimated again from their partial sums and extended where that reaches
+    further, in one more pass; so the estimate decides speed only.
+    Returns the values and a mask of the nodes for which ``_sum_rows`` raises
+    (their values are meaningless).
     """
-    state = [np.arange(ts.size), None]  # each lane's node, and its column in the current block
-    block = []
+    coef, g, beta, log_size = _row_columns(rows)
+    n_rows, log_tol, span = len(rows), math.log(ctl.rel_tol), np.arange(len(rows))[:, None]
+    sizes = log_size[:, None] + np.multiply.outer(g, np.log(ts))  # ln of each (row, node) term at z = 0
+    terms, bad = np.empty((n_rows, ts.size)), np.empty((n_rows, ts.size), dtype=bool)
+    last, inv_g, pole = np.full(ts.size, -1), [], np.zeros(n_rows, dtype=bool)
+
+    def extend(nodes, first, floor):
+        """Evaluate each node's rows up to the row after the first row >= first of size <= floor, if further."""
+        small = sizes[first:, nodes] <= floor
+        reach = np.minimum(np.where(small.any(0), first + small.argmax(0) + 1, n_rows), n_rows - 1)
+        old = last.copy()
+        last[nodes] = np.maximum(last[nodes], reach)
+        for j in range(len(inv_g), last.max() + 1):
+            try:
+                inv_g.append(_ml_inv_gammas(upsilon, rows[j][2], ctl.max_terms))
+            except PoleError:  # _ml_eval raises it for every node that reaches the row
+                inv_g.append((0.0,) * ctl.max_terms)
+                pole[j] = True
+        top = span[: len(inv_g)]
+        r, i = np.nonzero((top > old) & (top <= last))
+        ml, ml_bad = _ml_eval_pairs(upsilon, np.array(inv_g), beta, r, z[i], ctl)
+        xs, es = ts[i].tolist(), g[r].tolist()
+        try:
+            powers = np.fromiter(map(pow, xs, es), float, r.size)
+        except ArithmeticError:  # NaN where t**e raises, as _powers gives
+            powers = np.array([_powers([x], [e])[0, 0] for x, e in zip(xs, es)])
+        terms[r, i] = coef[r] * powers * ml
+        bad[r, i] = ml_bad | pole[r] | np.isnan(powers)
+
+    extend(np.arange(ts.size), min(1, n_rows - 1), sizes[0] + log_tol)
+    state = [np.arange(ts.size)]
 
     def step(r, hi):
-        pos, col = state
-        j = r % _ROW_BLOCK
-        if not j:
-            if r not in blocks:
-                blocks[r] = _row_block(rows, r, upsilon, ctl.max_terms)
-            coefs, exps, beta, inv_g, pole = blocks[r]
-            n_rows, m = len(exps), pos.size
-            ml, ml_bad = _ml_eval_pairs(
-                upsilon, inv_g, beta, np.repeat(np.arange(n_rows), m), np.tile(z[pos], n_rows), ctl
-            )
-            powers = _powers(ts[pos].tolist(), exps)
-            terms = coefs * powers * ml.reshape(n_rows, m)
-            block[:] = terms, ml_bad.reshape(n_rows, m) | pole[:, None] | np.isnan(powers)
-            state[1] = col = np.arange(m)
-        terms, bad = block
-        return terms[j][col], 0.0, bad[j][col]
+        pos = state[0]
+        if np.count_nonzero(last[pos] < r):
+            extend(pos, r, np.log(np.abs(hi)) + log_tol)
+        return terms[r][pos], 0.0, bad[r][pos]
 
-    return _lane_sums(step, state, len(rows), ctl.rel_tol)[::2]
+    return _lane_sums(step, state, n_rows, ctl.rel_tol)[::2]
 
 
 def solve_table(
@@ -399,10 +419,9 @@ def solve_table(
     if z.size:
         with _at_node(g, first):
             rows = _problem_rows(p, reading, ctl.max_terms)
-        blocks: dict = {}
         for start in range(0, z.size, _GRID_CHUNK):
             part = slice(start, min(start + _GRID_CHUNK, z.size))
-            vals, failed = _sum_rows_grid(blocks, rows, ts[part], z[part], p.upsilon, ctl)
+            vals, failed = _sum_rows_grid(rows, ts[part], z[part], p.upsilon, ctl)
             if failed.any():
                 i = start + int(np.argmax(failed))
                 with _at_node(g, first + i):

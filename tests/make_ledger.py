@@ -1,4 +1,4 @@
-"""Compute the k-Struve accuracy ledger, ``ledger.json``, next to this file.
+"""Compute the accuracy ledger, ``ledger.json``, next to this file.
 
 Run from the repository root (needs mpmath and the package on the path; takes
 a few minutes):
@@ -10,7 +10,7 @@ error of the program that wrote the ledger, or the error it raised (type and
 message).  ``test_ledger.py`` holds every later version of the program to
 those errors, or to a family floor where that is larger.
 
-Two families:
+Three families:
 
 * ``sums``: ``k_struve`` and ``struve_h`` at default control.  The value and
   the term-magnitude sum come from the exact series, summed by its term ratio
@@ -25,6 +25,15 @@ Two families:
   ``kinetics._rows(n0, lam, sigma, l, c, k, reading, max_terms)``, as closed
   products of gamma functions.  The error is relative; the floor is 1e-12.
   Inputs: the problems of the ``sweep`` benchmark pool and named repros.
+* ``ml``: ``mittag_leffler2(alpha, beta, z)`` at default control.  The value
+  and the term-magnitude sum come from sum z**n / Gamma(alpha n + beta), with
+  precision raised as for ``sums``; the error is absolute, and the floor is
+  32 u * sum |term| plus how far the program's formula (its arguments
+  alpha n + beta rounded, the terms its stop rule takes) is from the value.
+  Inputs: the known-wrong repros E_0.5(-5), E_0.5(-8), E_1(-20) and
+  E_0.5(-2); the (alpha, beta, z) pairs of five rows of each ``sweep`` pool
+  problem at t = 1/2 and 1; and seeded wide draws with alpha in [0.1, 2] and
+  z in [-50, 1].  Only cases whose largest term is at most 1e150 are kept.
 
 Recorded errors are rounded up to three significant digits.  A value that
 was wrong when the ledger was written stays in it as a recorded row (for
@@ -108,6 +117,20 @@ def _design(nu, c, k, x, dps):
         return total, allow
 
 
+def _to_40_digits(series, *args):
+    """(value, sum |term|, dps) of ``series(*args, dps)``, at a precision raised until the
+    cancellation it meets leaves 40 digits and 20 more digits confirm them."""
+    dps = DPS + 10
+    while True:
+        value, mag = series(*args, dps)
+        lost = int(mp.log10(mag / abs(value))) + 1 if value else 0
+        if dps >= DPS + 10 + lost:
+            check, _ = series(*args, dps + 20)
+            if abs(check - value) <= mp.mpf(10) ** -(DPS + 2) * abs(check):
+                return check, mag, dps
+        dps = max(dps + 20, DPS + 10 + lost)
+
+
 def sum_reference(nu, c, k, x):
     """(value, sum |term|, floor) of the exact series, the value to 40 digits.
 
@@ -116,18 +139,59 @@ def sum_reference(nu, c, k, x):
     rounding of nu/k and the terms it does not take), plus the log-space
     allowance of :func:`_design`.
     """
-    dps = DPS + 10
-    while True:
-        value, mag = _series(nu, c, k, x, dps)
-        lost = int(mp.log10(mag / abs(value))) + 1 if value else 0
-        if dps >= DPS + 10 + lost:
-            check, _ = _series(nu, c, k, x, dps + 20)
-            if abs(check - value) <= mp.mpf(10) ** -(DPS + 2) * abs(check):
-                break
-        dps = max(dps + 20, DPS + 10 + lost)
+    value, mag, dps = _to_40_digits(_series, nu, c, k, x)
     design, allow = _design(nu, c, k, x, dps + 20)
     with mp.workdps(dps + 20):
-        return check, mag, SUM_FLOOR_U * U * mag + abs(design - check) + allow
+        return value, mag, SUM_FLOOR_U * U * mag + abs(design - value) + allow
+
+
+def _ml_series(alpha, beta, z, dps):
+    """(value, sum |term|) of sum z**n / Gamma(alpha n + beta) at ``dps`` digits."""
+    with mp.workdps(dps):
+        alpha, beta, z = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
+        total = mag = mp.mpf(0)
+        eps = mp.mpf(10) ** -(dps + 5)
+        n, power, term = 0, mp.mpf(1), mp.rgamma(beta)
+        while True:
+            total += term
+            mag += abs(term)
+            power *= z
+            following = power * mp.rgamma(alpha * (n + 1) + beta)
+            # Gamma is log-convex, so where alpha n + beta > 0 the term ratio
+            # falls, and below 1/2 it bounds the tail by the last term
+            if alpha * n + beta >= 2 and abs(following) < abs(term) / 2 and abs(term) <= eps * mag:
+                return total, mag
+            n, term = n + 1, following
+
+
+def _ml_design(alpha, beta, z, dps):
+    """The program's Mittag-Leffler sum in exact arithmetic on its doubles: the arguments
+    alpha n + beta (for integer alpha, the divisors of its term recurrence) rounded as it
+    rounds them, summed until a term is at most 1e-14 times the sum or 50 terms are taken."""
+    n_int = round(alpha)
+    integer = alpha == n_int and n_int >= 1
+    with mp.workdps(dps):
+        total, term = mp.mpf(0), mp.rgamma(beta)
+        for n in range(50):
+            if not integer:
+                term = mp.mpf(z) ** n * mp.rgamma(alpha * n + beta)
+            total += term
+            if abs(term) <= mp.mpf(1e-14) * abs(total):
+                break
+            if integer:
+                term *= z
+                for j in range(n_int):
+                    term /= alpha * n + beta + j
+        return total
+
+
+def ml_reference(alpha, beta, z):
+    """(value, sum |term|, floor) of E_{alpha,beta}(z) by its series, the value to 40 digits;
+    the floor is built as for the sums (32 u * sum |term| plus the formula's own error)."""
+    value, mag, dps = _to_40_digits(_ml_series, alpha, beta, z)
+    design = _ml_design(alpha, beta, z, dps + 20)
+    with mp.workdps(dps + 20):
+        return value, mag, SUM_FLOOR_U * U * mag + abs(design - value)
 
 
 def row_reference(n0, lam, sigma, l, c, k, reading, r):
@@ -248,22 +312,27 @@ def sum_cases() -> list[dict]:
     return cases
 
 
-def row_problems() -> list[dict]:
-    """The ``_rows`` inputs of every ``rows`` case."""
+def _sweep_problems():
+    """(pool key, problem) of every cell of the ``sweep`` benchmark pool."""
     sys.path.insert(0, str(HERE.parent / "perfbench"))
     import workloads as wl
 
     from frac_kinetics import KineticProblem, KStruveParams, Variant
 
-    out = []
     slots, fixed = wl.sweep_pool()
     for cell in [c for draws in slots for c in draws] + fixed:
-        p = KineticProblem(
+        yield cell["key"], KineticProblem(
             n0=1.0, upsilon=cell["upsilon"], d=cell["d"], struve=KStruveParams(cell["l"], cell["c"], cell["k"]),
             variant=Variant(cell["variant"]), a=cell["a"],
         )
+
+
+def row_problems() -> list[dict]:
+    """The ``_rows`` inputs of every ``rows`` case."""
+    out = []
+    for key, p in _sweep_problems():
         s = p.struve
-        out.append(dict(args=[p.n0, *p.forcing_scale, s.nu, s.c, s.k, "consistent", 50], tag=cell["key"]))
+        out.append(dict(args=[p.n0, *p.forcing_scale, s.nu, s.c, s.k, "consistent", 50], tag=key))
     # Gamma_k(rk + l + 3k/2) subnormal from row 2 on, below the range at row 19
     for n in (19, 20):
         out.append(dict(
@@ -271,6 +340,52 @@ def row_problems() -> list[dict]:
             tag="subnormal Gamma_k rows",
         ))
     return out
+
+
+ML_PEAK_DIGITS = 150  # ml: cases whose largest term is at most 1e150
+
+
+def _peak_digits(alpha, beta, z):
+    """log10 of the largest |z**n / Gamma(alpha n + beta)| (beta > 0, z != 0), or a value
+    above ``ML_PEAK_DIGITS`` as soon as a term passes it."""
+    best, n = -math.inf, 0
+    while True:
+        v = (n * math.log(abs(z)) - math.lgamma(alpha * n + beta)) / math.log(10.0)
+        if v > ML_PEAK_DIGITS:
+            return v
+        if v < best - 20.0:  # log-convex Gamma: past the peak the terms only fall
+            return best
+        best, n = max(best, v), n + 1
+
+
+def ml_cases() -> list[dict]:
+    """(alpha, beta, z, tag) of every ``ml`` case."""
+    import numpy as np
+
+    from frac_kinetics.kinetics import _ml_argument, _problem_rows
+
+    cases = [dict(alpha=a, beta=1.0, z=z, tag="known wrong") for a, z in ((0.5, -5.0), (0.5, -8.0), (1.0, -20.0),
+                                                                         (0.5, -2.0))]
+    # the pairs a sweep cell sums: alpha = upsilon, beta of a row, z at t = 1/2 and 1
+    betas = set()
+    for key, p in _sweep_problems():
+        rows = _problem_rows(p, "consistent", 50)
+        for r in (0, 1, 3, 8, 16):
+            betas.add(rows[r][2])
+            for t in (0.5, 1.0):
+                z = _ml_argument(p.rate, p.upsilon, t)
+                if _peak_digits(p.upsilon, rows[r][2], z) <= ML_PEAK_DIGITS:
+                    cases.append(dict(alpha=p.upsilon, beta=rows[r][2], z=z, tag=f"{key} row {r}"))
+    # wide draws: alpha in [0.1, 2] (1 or 2 in one draw of five), a beta of those rows, z in
+    # [-50, 1] or -z log-uniform in [0.01, 50]
+    rng, betas = np.random.default_rng(2018), sorted(betas)
+    while sum(c["tag"] == "wide draw" for c in cases) < 500:
+        alpha = float(rng.choice([1.0, 2.0]) if rng.random() < 0.2 else rng.uniform(0.1, 2.0))
+        beta = float(rng.choice(betas))
+        z = float(rng.uniform(-50.0, 1.0) if rng.random() < 0.5 else -(10.0 ** rng.uniform(-2.0, math.log10(50.0))))
+        if _peak_digits(alpha, beta, z) <= ML_PEAK_DIGITS:
+            cases.append(dict(alpha=alpha, beta=beta, z=z, tag="wide draw"))
+    return cases
 
 
 def outcome(call):
@@ -287,6 +402,12 @@ def sum_call(case):
     if case["fn"] == "struve_h":
         return lambda: struve_h(case["nu"], case["x"])
     return lambda: k_struve(KStruveParams(case["nu"], case["c"], case["k"]), case["x"])
+
+
+def ml_call(case):
+    from frac_kinetics import mittag_leffler2
+
+    return lambda: mittag_leffler2(case["alpha"], case["beta"], case["z"])
 
 
 def main() -> None:
@@ -315,12 +436,23 @@ def main() -> None:
         else:
             prob["errs"] = [_up3(row_error(coef, v)) for (coef, _, _), v in zip(got, prob["values"])]
         rows.append(prob)
+    ml = []
+    for case in ml_cases():
+        value, mag, floor = ml_reference(case["alpha"], case["beta"], case["z"])
+        got = outcome(ml_call(case))
+        case.update(value=_text(value), mag=_text(mag), floor=_up3(floor))
+        if isinstance(got, list):
+            case["raises"] = got
+        else:
+            case["err"] = _up3(sum_error(got, case["value"]))
+        ml.append(case)
     with OUT.open("w") as f:  # one case a line, so that a remade ledger diffs case by case
-        for name, family in (("sums", sums), ("rows", rows)):
+        for name, family in (("sums", sums), ("rows", rows), ("ml", ml)):
             f.write(("{" if name == "sums" else ",\n") + json.dumps(name) + ": [\n")
             f.write(",\n".join(json.dumps(case) for case in family) + "\n]")
         f.write("}\n")
-    print(f"wrote {len(sums)} sums and {len(rows)} row problems to {OUT}", file=sys.stderr)
+    print(f"wrote {len(sums)} sums, {len(rows)} row problems and {len(ml)} Mittag-Leffler sums to {OUT}",
+          file=sys.stderr)
 
 
 if __name__ == "__main__":

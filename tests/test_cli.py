@@ -244,6 +244,15 @@ def test_sweep_bad_points(tmp_path, capsys):
     assert "points" in err
 
 
+def test_sweep_infinite_t_max_is_input_error(tmp_path, capsys):
+    # rejected before the grid is formed: np.linspace to inf warns, and the
+    # error must name t_max rather than blame the first cell
+    code, _, err = _run(capsys, "sweep", "--t-max", "inf", "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert "t_max must be a positive finite real, got inf" in err
+    assert "cell" not in err and not (tmp_path / "x.csv").exists()
+
+
 def test_sweep_bad_list(tmp_path, capsys):
     code, _, err = _run(
         capsys, "sweep", "--k-list", "1,zap", "--out", str(tmp_path / "x.csv")

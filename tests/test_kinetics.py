@@ -554,7 +554,7 @@ def _overflow_at(monkeypatch, p, t, row):
     return msg
 
 
-# node 5 (t = 0.5) stops at row 6, inside the first block of eight rows
+# node 5 (t = 0.5) stops at row 6, and the rows evaluated there reach row 7
 _PRECEDENCE_GRID = np.linspace(0.0, 1.0, 11)
 
 
@@ -563,10 +563,19 @@ def test_solve_table_ignores_a_failure_past_the_stop_row_in_its_block(monkeypatc
     p = _thm1(upsilon=ups, l=0.7, c=1.3, k=2.0)
     grid, i = _PRECEDENCE_GRID, 5
     stop = _stop_row(p, grid[i])
-    assert stop == 6 and stop // kinetics._ROW_BLOCK == (stop + 1) // kinetics._ROW_BLOCK
+    assert stop == 6
     want = solve_table(p, grid).n
     _overflow_at(monkeypatch, p, grid[i], stop + 1)
+    flagged, failures = kinetics._ml_eval_pairs, []
+
+    def recording(*args):
+        values, overflow = flagged(*args)
+        failures.append(np.count_nonzero(overflow))
+        return values, overflow
+
+    monkeypatch.setattr(kinetics, "_ml_eval_pairs", recording)
     assert np.array_equal(solve_table(p, grid).n, want)
+    assert sum(failures) == 1  # the failing pair was evaluated, and its failure ignored
 
 
 @pytest.mark.parametrize("ups", [0.5, 2.0])
@@ -584,6 +593,42 @@ def test_solve_table_fails_at_or_before_the_stop_row_with_the_scalar_error(monke
     assert str(exc.value) == f"grid index {i} (t = {float(grid[i])!r}): {msg}"
     with pytest.raises(OverflowError, match="^" + re.escape(str(exc.value)) + "$"):
         _scalar_table(p, grid)
+
+
+def _pair_counts(monkeypatch):
+    """The number of (row, node) pairs of each ``_ml_eval_pairs`` call, as it is made."""
+    counts, real = [], kinetics._ml_eval_pairs
+
+    def counted(alpha, inv_g, beta, row, z, ctl):
+        counts.append(row.size)
+        return real(alpha, inv_g, beta, row, z, ctl)
+
+    monkeypatch.setattr(kinetics, "_ml_eval_pairs", counted)
+    return counts
+
+
+# each node's rows are evaluated up to an estimate of its last row; here some
+# nodes stop past it: THM1 at t = 1.7 ... 1.9 at row 10 (estimate 9), THM2 at
+# t = 1.85 ... 2.0 at rows 27-30 (estimates 26-29)
+@pytest.mark.parametrize(
+    "p", [_thm1(upsilon=1.5, d=4.4, l=-0.12, c=0.85, k=2.3), _thm2(upsilon=2.0, d=3.4, l=3.0, c=0.3, k=3.25)]
+)
+def test_solve_table_continues_a_node_past_its_estimated_rows(monkeypatch, p):
+    grid = np.linspace(0.0, 2.0, 41)
+    want = [repr(float(v)) for v in _scalar_table(p, grid)]
+    counts = _pair_counts(monkeypatch)
+    assert [repr(float(v)) for v in solve_table(p, grid).n] == want
+    assert len(counts) > 1
+
+
+def test_solve_table_evaluates_few_pairs_past_each_stop_row(monkeypatch):
+    # the CLI's default cell: one Mittag-Leffler pass over at most the rows up
+    # to one past each node's stop row
+    p, grid = _thm1(), np.linspace(0.0, 1.0, 101)
+    bound = sum(_stop_row(p, float(t)) + 2 for t in grid[1:])
+    counts = _pair_counts(monkeypatch)
+    solve_table(p, grid)
+    assert bound == 815 and len(counts) == 1 and counts[0] <= bound
 
 
 # ---------------------------------------------------------------- rows past the double range

@@ -1,10 +1,10 @@
-"""The k-Struve accuracy ledger (``ledger.json``, written by ``make_ledger.py``).
+"""The accuracy ledger (``ledger.json``, written by ``make_ledger.py``).
 
 Every case must stay within the larger of the error the ledger records for it
-and its family's floor: for ``sums`` the floor the ledger records (32 u *
-sum |term| and what the program's formula costs in exact arithmetic, see
-``make_ledger.py``), for ``rows`` 1e-12 relative.  A case recorded as raising must raise the same type and message,
-or give a value within that floor.
+and its family's floor: for ``sums`` and ``ml`` the floor the ledger records
+(32 u * sum |term| and what the program's formula costs in exact arithmetic,
+see ``make_ledger.py``), for ``rows`` 1e-12 relative.  A case recorded as
+raising must raise the same type and message, or give a value within that floor.
 """
 
 import json
@@ -12,23 +12,32 @@ from pathlib import Path
 
 import mpmath as mp
 
-from make_ledger import ROW_FLOOR, outcome, row_error, sum_call, sum_error
+from make_ledger import ROW_FLOOR, ml_call, outcome, row_error, sum_call, sum_error
 
 LEDGER = json.loads((Path(__file__).resolve().parent / "ledger.json").read_text())
 
 
-def test_k_struve_sums_hold_their_ledger_errors():
+def _failures(cases, call, keys):
+    """(inputs, what is wrong) of each absolute-error case that leaves its ledger error."""
     failures = []
-    for case in LEDGER["sums"]:
-        got = outcome(sum_call(case))
+    for case in cases:
+        got = outcome(call(case))
         if isinstance(got, list):
             bad = got != case.get("raises") and f"raises {got}"
         else:
             err, limit = sum_error(got, case["value"]), max(mp.mpf(case["floor"]), mp.mpf(case.get("err", 0)))
             bad = err > limit and f"error {mp.nstr(err, 3)} above {mp.nstr(limit, 3)}"
         if bad:
-            failures.append((case["fn"], case["nu"], case["c"], case["k"], case["x"], bad))
-    assert not failures, failures
+            failures.append(([case[k] for k in keys], bad))
+    return failures
+
+
+def test_k_struve_sums_hold_their_ledger_errors():
+    assert not _failures(LEDGER["sums"], sum_call, ("fn", "nu", "c", "k", "x"))
+
+
+def test_mittag_leffler_sums_hold_their_ledger_errors():
+    assert not _failures(LEDGER["ml"], ml_call, ("alpha", "beta", "z"))
 
 
 def test_solution_rows_hold_their_ledger_errors():
@@ -56,4 +65,7 @@ def test_ledger_covers_the_named_repros():
         assert case in sums
     assert sum(c["tag"] == "wide draw" for c in LEDGER["sums"]) == 1000
     assert any(p["args"][7] == 20 and p["tag"] == "subnormal Gamma_k rows" for p in LEDGER["rows"])
+    ml = {(c["alpha"], c["beta"], c["z"]) for c in LEDGER["ml"]}
+    for case in [(0.5, 1.0, -5.0), (0.5, 1.0, -8.0), (1.0, 1.0, -20.0), (0.5, 1.0, -2.0)]:
+        assert case in ml
 
