@@ -36,10 +36,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._compensated import dd_add
 from .errors import DomainError, PoleError, RangeError
 from .special import (
     ML_SERIES_CAP,
+    _DEFAULT_CTL,
     KStruveParams,
     SeriesControl,
     _k_struve_coeffs,
@@ -227,12 +227,20 @@ def _ml_argument(rate: float, upsilon: float, t: float) -> float:
 
 
 def _sum_rows(rows, t: float, z: float, upsilon: float, ctl: SeriesControl) -> float:
-    """Sum coef * t**e * E_{upsilon,beta}(z) with compensation."""
+    """Sum coef * t**e * E_{upsilon,beta}(z) with compensation, the double-double
+    add written out operation for operation as ``_compensated.dd_add`` forms it."""
+    rel_tol = ctl.rel_tol
     sum_hi, sum_lo = 0.0, 0.0
     for coef, e, beta in rows:
         term = coef * t**e * _ml_eval(upsilon, beta, z, ctl)
-        sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
-        if abs(term) <= ctl.rel_tol * abs(sum_hi):
+        s = sum_hi + term  # sum += term
+        b = s - sum_hi
+        err = (sum_hi - (s - b)) + (term - b)
+        err += sum_lo + 0.0
+        sum_hi = s + err
+        b = sum_hi - s
+        sum_lo = (s - (sum_hi - b)) + (err - b)
+        if abs(term) <= rel_tol * abs(sum_hi):
             break
     return sum_hi + sum_lo
 
@@ -248,7 +256,7 @@ def _zero_t_value(p: KineticProblem) -> float:
 
 def _solve(p: KineticProblem, t: float, ctl: SeriesControl | None, reading: str) -> float:
     if ctl is None:
-        ctl = SeriesControl()
+        ctl = _DEFAULT_CTL
     t = _check_t(p, t)
     if t == 0.0:
         return _zero_t_value(p)
@@ -402,7 +410,7 @@ def solve_table(
     if g[0] < 0.0 or (g.size > 1 and not np.all(np.diff(g) > 0.0)):
         raise DomainError("grid must be strictly increasing with all entries >= 0")
     if ctl is None:
-        ctl = SeriesControl()
+        ctl = _DEFAULT_CTL
     if p.variant is Variant.THM1:
         reading = "consistent"  # THM1 has a single reading and accepts any value here
     else:

@@ -41,7 +41,7 @@ import numpy as np
 from ._compensated import dd_add
 from .errors import DomainError, RangeError, SingularStepError
 from .kinetics import KineticProblem, SolutionTable, Variant, _problem_rows
-from .special import SeriesControl, _k_struve_grid, _powers
+from .special import _DEFAULT_CTL, SeriesControl, _k_struve_grid, _powers
 
 __all__ = [
     "QuadratureGrid",
@@ -343,7 +343,7 @@ def laplace_image(p: KineticProblem, s: float, ctl: SeriesControl | None = None)
     if p.variant is not Variant.THM1:
         raise DomainError(f"laplace_image requires variant THM1, got {p.variant}")
     if ctl is None:
-        ctl = SeriesControl()
+        ctl = _DEFAULT_CTL
     s = float(s)
     if not (math.isfinite(s) and s > 0.0):
         raise DomainError(f"s must be a positive finite real, got {s!r}")

@@ -27,7 +27,9 @@ For positive integer ``alpha`` the Mittag-Leffler term ratio collapses to the
 exact rational ``z / ((alpha*n + beta) ... (alpha*n + beta + alpha - 1))``,
 so terms themselves are generated in double-double arithmetic.  That is what
 makes the exponential identity E_1(z) = e^z hold to a few ulp across
-``|z| <= 10`` despite summand magnitudes up to ~2.8e3.
+``|z| <= 10`` despite summand magnitudes up to ~2.8e3.  ``_ml_eval`` has one
+loop per kind of ``alpha``; otherwise it and ``_ml_eval_pairs`` test z**n for
+overflow only where |z| > 1 and max_terms ln|z| >= 700 (``_zn_may_overflow``).
 """
 
 from __future__ import annotations
@@ -183,19 +185,41 @@ def _ml_inv_gammas(alpha: float, beta: float, max_terms: int) -> tuple[float, ..
     return tuple(out)
 
 
+def _zn_may_overflow(top: float, max_terms: int) -> bool:
+    """Whether z**n can overflow for some n <= max_terms at |z| <= top; if not, |z|**n < e**700 for every n."""
+    return top > 1.0 and max_terms * math.log(top) >= 700.0
+
+
 def _ml_eval(alpha: float, beta: float, z: float, ctl: SeriesControl) -> float:
-    """Core series for E_{alpha,beta}(z); shared by every public caller, double-double steps inlined."""
+    """Core series for E_{alpha,beta}(z); shared by every public caller, double-double steps inlined;
+    one loop per kind of ``alpha`` (the exact term recurrence for positive integers), z**n tested for
+    overflow only where :func:`_zn_may_overflow` says that some power can overflow."""
     inv_g = _ml_inv_gammas(alpha, beta, ctl.max_terms)
     rel_tol = ctl.rel_tol
     n_int = round(alpha)
-    integer = alpha == n_int and n_int >= 1
+    sum_hi, sum_lo = 0.0, 0.0
+    if not (alpha == n_int and n_int >= 1):
+        check, zn = _zn_may_overflow(abs(z), ctl.max_terms), 1.0
+        for n, g in enumerate(inv_g):
+            t = zn * g
+            s = sum_hi + t  # sum += t
+            b = s - sum_hi
+            e = (sum_hi - (s - b)) + (t - b)
+            e += sum_lo + 0.0
+            sum_hi = s + e
+            b = sum_hi - s
+            sum_lo = (s - (sum_hi - b)) + (e - b)
+            if abs(t) <= rel_tol * abs(sum_hi):
+                break
+            zn *= z
+            if check and math.isinf(zn):
+                raise OverflowError(f"Mittag-Leffler series term overflow at n = {n + 1} (z = {z!r})")
+        return sum_hi + sum_lo
     c = _SPLITTER * z
     zh = c - (c - z)
     zl = z - zh
-    sum_hi, sum_lo, t_hi, t_lo, zn = 0.0, 0.0, inv_g[0], 0.0, 1.0
+    t_hi, t_lo = inv_g[0], 0.0
     for n in range(ctl.max_terms):
-        if not integer:
-            t_hi = zn * inv_g[n]
         s = sum_hi + t_hi  # sum += t
         b = s - sum_hi
         e = (sum_hi - (s - b)) + (t_hi - b)
@@ -205,13 +229,6 @@ def _ml_eval(alpha: float, beta: float, z: float, ctl: SeriesControl) -> float:
         sum_lo = (s - (sum_hi - b)) + (e - b)
         if abs(t_hi) <= rel_tol * abs(sum_hi):
             break
-        if not integer:
-            zn *= z
-            if math.isinf(zn):
-                raise OverflowError(
-                    f"Mittag-Leffler series term overflow at n = {n + 1} (z = {z!r})"
-                )
-            continue
         # exact term recurrence: t_{n+1} = t_n * z / prod(alpha*n + beta + j)
         p, c = t_hi * z, _SPLITTER * t_hi
         ah = c - (c - t_hi)
@@ -262,8 +279,7 @@ def _ml_eval_pairs(
 
         return _lane_sums(step, state, ctl.max_terms, ctl.rel_tol)[::2]
     state = [np.arange(z.size), row, z, np.ones(z.size)]
-    top = np.abs(z).max(initial=0.0)
-    may_overflow = top > 1.0 and ctl.max_terms * math.log(top) >= 700.0  # else |z|**n < e**700 for every n
+    may_overflow = _zn_may_overflow(np.abs(z).max(initial=0.0), ctl.max_terms)
 
     def step(n, hi):
         _, row, z, zn = state

@@ -5,6 +5,12 @@ a few minutes):
 
     PYTHONPATH=src python3 tests/make_ledger.py
 
+With ``--errors`` it recomputes only the recorded errors from the stored
+values (a few seconds), keeping every value and floor, so that the ledger
+records the program it ships with:
+
+    PYTHONPATH=src python3 tests/make_ledger.py --errors
+
 Each case holds its inputs, the exact value as 40-digit mpmath text and the
 error of the program that wrote the ledger, or the error it raised (type and
 message).  ``test_ledger.py`` holds every later version of the program to
@@ -446,6 +452,10 @@ def main() -> None:
         else:
             case["err"] = _up3(sum_error(got, case["value"]))
         ml.append(case)
+    _write(sums, rows, ml)
+
+
+def _write(sums, rows, ml) -> None:
     with OUT.open("w") as f:  # one case a line, so that a remade ledger diffs case by case
         for name, family in (("sums", sums), ("rows", rows), ("ml", ml)):
             f.write(("{" if name == "sums" else ",\n") + json.dumps(name) + ": [\n")
@@ -455,5 +465,42 @@ def main() -> None:
           file=sys.stderr)
 
 
+def refresh_errors() -> None:
+    """Recompute only the recorded errors of ``ledger.json``, from its stored values.
+
+    Every value and floor is kept, so each case's limit max(floor, error) can
+    only stay or fall; a case that now raises (or no longer does) records so.
+    Prints how many recorded errors fell, rose and stayed.
+    """
+    from frac_kinetics.kinetics import _rows
+
+    ledger = json.loads(OUT.read_text())
+    moved = {"fell": 0, "rose": 0, "stayed": 0, "recorded where the case raised": 0}
+
+    def record(case, key, got, errors):
+        """Store ``raises``, or the list ``errors()`` under ``key`` (one error for "err"), counting each move."""
+        old = case.pop(key, None)
+        case.pop("raises", None)
+        if isinstance(got, list):
+            case["raises"] = got
+            return
+        new = errors()
+        case[key] = new if key == "errs" else new[0]
+        for now, was in zip(new, [None] * len(new) if old is None else old if key == "errs" else [old]):
+            diff = None if was is None else mp.mpf(now) - mp.mpf(was)
+            moved["recorded where the case raised" if diff is None else
+                  "fell" if diff < 0 else "rose" if diff > 0 else "stayed"] += 1
+
+    for family, call in (("sums", sum_call), ("ml", ml_call)):
+        for case in ledger[family]:
+            got = outcome(call(case))
+            record(case, "err", got, lambda: [_up3(sum_error(got, case["value"]))])
+    for prob in ledger["rows"]:
+        got = outcome(lambda: _rows(*prob["args"]))
+        record(prob, "errs", got, lambda: [_up3(row_error(coef, v)) for (coef, _, _), v in zip(got, prob["values"])])
+    _write(ledger["sums"], ledger["rows"], ledger["ml"])
+    print("recorded errors: " + ", ".join(f"{n} {how}" for how, n in moved.items()), file=sys.stderr)
+
+
 if __name__ == "__main__":
-    main()
+    refresh_errors() if sys.argv[1:] == ["--errors"] else main()

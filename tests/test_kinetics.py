@@ -27,6 +27,7 @@ from frac_kinetics import (
 )
 from frac_kinetics import kinetics
 from frac_kinetics._compensated import dd_add
+from test_special import _line_runs
 
 
 def _thm1(n0=1.0, upsilon=1.0, d=1.0, l=1.0, c=1.0, k=1.0):
@@ -493,13 +494,9 @@ def test_row_sum_at_one_lane_is_the_scalar_loop(monkeypatch):
     ]
     failures = 0
     for p, reading, t, ctl in cases:
-        added = []
-        with monkeypatch.context() as m:
-            m.setattr(kinetics, "dd_add", lambda *args: added.append(1) or dd_add(*args))
-            try:
-                want = repr(float(_scalar_table(p, np.array([t]), ctl, reading)[0]))
-            except (DomainError, OverflowError) as exc:
-                want = (type(exc), str(exc))
+        want, added = _line_runs(
+            kinetics._sum_rows, "# sum += term", lambda: float(_scalar_table(p, np.array([t]), ctl, reading)[0])
+        )
         used, real = [], kinetics._lane_sums
 
         def recording(step, state, n_terms, rel_tol):
@@ -517,7 +514,7 @@ def test_row_sum_at_one_lane_is_the_scalar_loop(monkeypatch):
         if isinstance(want, tuple):
             failures += 1
         else:
-            assert used == [[len(added)]], (p, reading, t, ctl)
+            assert used == [[added]], (p, reading, t, ctl)
     assert failures == 4
 
 

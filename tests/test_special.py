@@ -409,13 +409,32 @@ def test_inlined_ml_eval_is_the_helper_loop(ctl):
         (0.7, 1.2, -50.0, SeriesControl(max_terms=200)),
         (1.0, -2.0, 0.5, SeriesControl()),  # gamma pole
         (2.0, -3.0, 0.5, SeriesControl()),
-    ],
+    ]
+    # 50**n overflows from n = 182, past the bound 700 / ln 50 ~ 178.9 of the overflow test
+    + [(a, 1.0, z, SeriesControl(max_terms=m)) for a in (0.3, 0.7) for z in (-50.0, 50.0) for m in (182, 183)],
 )
 def test_inlined_ml_eval_raises_as_the_helper_loop(alpha, beta, z, ctl):
     from frac_kinetics.special import _ml_eval
 
     want = _outcome(_ml_eval_reference, alpha, beta, z, ctl)
     assert isinstance(want, tuple)
+    assert _outcome(_ml_eval, alpha, beta, z, ctl) == want
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,z,ctl",
+    # z**n is tested for overflow only from max_terms * ln|z| >= 700 (here 179 terms) on
+    [(a, 1.0, z, SeriesControl(max_terms=m)) for a in (0.3, 0.7) for z in (-50.0, 50.0) for m in range(177, 182)]
+    + [(1.5, 1.0, z, SeriesControl(max_terms=m)) for z in (-50.0, 50.0) for m in range(177, 184)]
+    # and never at |z| <= 1, however many terms
+    + [(a, 1.0, s * x, SeriesControl(max_terms=2000))
+       for a in (0.3, 0.7, 1.5) for s in (-1.0, 1.0) for x in (1.0, math.nextafter(1.0, 2.0))],
+)
+def test_inlined_ml_eval_is_the_helper_loop_at_the_overflow_test_bound(alpha, beta, z, ctl):
+    from frac_kinetics.special import _ml_eval
+
+    want = _outcome(_ml_eval_reference, alpha, beta, z, ctl)
+    assert isinstance(want, str)
     assert _outcome(_ml_eval, alpha, beta, z, ctl) == want
 
 
@@ -725,17 +744,17 @@ def test_subnormal_first_power_against_mpmath():
 
 
 def _line_runs(func, marker, call):
-    """(``_outcome(call)``, runs of the line of ``func`` that holds ``marker``): a scalar loop's term count."""
+    """(``_outcome(call)``, runs of the lines of ``func`` that hold ``marker``): a scalar loop's term count."""
     import inspect
 
     code = func.__code__
     source = inspect.getsource(func).splitlines()
-    target = code.co_firstlineno + next(i for i, line in enumerate(source) if marker in line)
+    targets = {code.co_firstlineno + i for i, line in enumerate(source) if marker in line}
     runs = 0
 
     def local(frame, event, arg):
         nonlocal runs
-        runs += event == "line" and frame.f_lineno == target
+        runs += event == "line" and frame.f_lineno in targets
         return local
 
     sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
