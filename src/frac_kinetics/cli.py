@@ -35,8 +35,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from ._lazy_numpy import np
 from .errors import DomainError
 from .kgamma import gamma, k_gamma
 from .kinetics import (

@@ -22,7 +22,8 @@ Series evaluation reuses the compensated Mittag-Leffler core of
 ``special._lane_sums``, one lane per node; the Mittag-Leffler values of
 each node's rows, up to an estimate of the row its sum stops at, come from
 one kernel pass over those (row, node) pairs.  So every entry is the double
-the scalar solver returns for that node.
+the scalar solver returns for that node.  numpy (``_lazy_numpy.np``) loads
+on the first such table, never in the scalar solvers.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from ._lazy_numpy import np
 from .errors import DomainError, PoleError, RangeError
 from .special import (
     ML_SERIES_CAP,
@@ -313,13 +313,13 @@ def _at_node(g: np.ndarray, i: int):
         raise type(exc)(f"grid index {i} (t = {float(g[i])!r}): {exc}") from exc
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _ml_arguments(p: KineticProblem, ts: np.ndarray) -> np.ndarray:
     """:func:`_ml_argument` at each node t > 0, up to the first node that it or
     :func:`_check_t` rejects: one entry per node before that one (``ts.size`` if none)."""
-    z = -_powers([p.rate], [p.upsilon])[0, 0] * _powers(ts.tolist(), [p.upsilon])[0]
-    ok = np.abs(z) <= ML_SERIES_CAP  # False at NaN: a power that raises, or t = inf at rate 0
-    return z if ok.all() else z[: ok.argmin()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = -_powers([p.rate], [p.upsilon])[0, 0] * _powers(ts.tolist(), [p.upsilon])[0]
+        ok = np.abs(z) <= ML_SERIES_CAP  # False at NaN: a power that raises, or t = inf at rate 0
+        return z if ok.all() else z[: ok.argmin()]
 
 
 @lru_cache(maxsize=128)
@@ -336,7 +336,6 @@ def _row_columns(rows):
     return cols
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _sum_rows_grid(rows, ts: np.ndarray, z: np.ndarray, upsilon: float, ctl: SeriesControl):
     """:func:`_sum_rows` at every node, node for node the same double.
 
@@ -349,45 +348,46 @@ def _sum_rows_grid(rows, ts: np.ndarray, z: np.ndarray, upsilon: float, ctl: Ser
     Returns the values and a mask of the nodes for which ``_sum_rows`` raises
     (their values are meaningless).
     """
-    coef, g, beta, log_size = _row_columns(rows)
-    n_rows, log_tol, span = len(rows), math.log(ctl.rel_tol), np.arange(len(rows))[:, None]
-    sizes = log_size[:, None] + np.multiply.outer(g, np.log(ts))  # ln of each (row, node) term at z = 0
-    terms, bad = np.empty((n_rows, ts.size)), np.empty((n_rows, ts.size), dtype=bool)
-    last, inv_g, pole = np.full(ts.size, -1), [], np.zeros(n_rows, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        coef, g, beta, log_size = _row_columns(rows)
+        n_rows, log_tol, span = len(rows), math.log(ctl.rel_tol), np.arange(len(rows))[:, None]
+        sizes = log_size[:, None] + np.multiply.outer(g, np.log(ts))  # ln of each (row, node) term at z = 0
+        terms, bad = np.empty((n_rows, ts.size)), np.empty((n_rows, ts.size), dtype=bool)
+        last, inv_g, pole = np.full(ts.size, -1), [], np.zeros(n_rows, dtype=bool)
 
-    def extend(nodes, first, floor):
-        """Evaluate each node's rows up to the row after the first row >= first of size <= floor, if further."""
-        small = sizes[first:, nodes] <= floor
-        reach = np.minimum(np.where(small.any(0), first + small.argmax(0) + 1, n_rows), n_rows - 1)
-        old = last.copy()
-        last[nodes] = np.maximum(last[nodes], reach)
-        for j in range(len(inv_g), last.max() + 1):
+        def extend(nodes, first, floor):
+            """Evaluate each node's rows up to the row after the first row >= first of size <= floor, if further."""
+            small = sizes[first:, nodes] <= floor
+            reach = np.minimum(np.where(small.any(0), first + small.argmax(0) + 1, n_rows), n_rows - 1)
+            old = last.copy()
+            last[nodes] = np.maximum(last[nodes], reach)
+            for j in range(len(inv_g), last.max() + 1):
+                try:
+                    inv_g.append(_ml_inv_gammas(upsilon, rows[j][2], ctl.max_terms))
+                except (PoleError, OverflowError):  # _ml_eval raises it for every node that reaches the row
+                    inv_g.append((0.0,) * ctl.max_terms)
+                    pole[j] = True
+            top = span[: len(inv_g)]
+            r, i = np.nonzero((top > old) & (top <= last))
+            ml, ml_bad = _ml_eval_pairs(upsilon, np.array(inv_g), beta, r, z[i], ctl)
+            xs, es = ts[i].tolist(), g[r].tolist()
             try:
-                inv_g.append(_ml_inv_gammas(upsilon, rows[j][2], ctl.max_terms))
-            except PoleError:  # _ml_eval raises it for every node that reaches the row
-                inv_g.append((0.0,) * ctl.max_terms)
-                pole[j] = True
-        top = span[: len(inv_g)]
-        r, i = np.nonzero((top > old) & (top <= last))
-        ml, ml_bad = _ml_eval_pairs(upsilon, np.array(inv_g), beta, r, z[i], ctl)
-        xs, es = ts[i].tolist(), g[r].tolist()
-        try:
-            powers = np.fromiter(map(pow, xs, es), float, r.size)
-        except ArithmeticError:  # NaN where t**e raises, as _powers gives
-            powers = np.array([_powers([x], [e])[0, 0] for x, e in zip(xs, es)])
-        terms[r, i] = coef[r] * powers * ml
-        bad[r, i] = ml_bad | pole[r] | np.isnan(powers)
+                powers = np.fromiter(map(pow, xs, es), float, r.size)
+            except ArithmeticError:  # NaN where t**e raises, as _powers gives
+                powers = np.array([_powers([x], [e])[0, 0] for x, e in zip(xs, es)])
+            terms[r, i] = coef[r] * powers * ml
+            bad[r, i] = ml_bad | pole[r] | np.isnan(powers)
 
-    extend(np.arange(ts.size), min(1, n_rows - 1), sizes[0] + log_tol)
-    state = [np.arange(ts.size)]
+        extend(np.arange(ts.size), min(1, n_rows - 1), sizes[0] + log_tol)
+        state = [np.arange(ts.size)]
 
-    def step(r, hi):
-        pos = state[0]
-        if np.count_nonzero(last[pos] < r):
-            extend(pos, r, np.log(np.abs(hi)) + log_tol)
-        return terms[r][pos], 0.0, bad[r][pos]
+        def step(r, hi):
+            pos = state[0]
+            if np.count_nonzero(last[pos] < r):
+                extend(pos, r, np.log(np.abs(hi)) + log_tol)
+            return terms[r][pos], 0.0, bad[r][pos]
 
-    return _lane_sums(step, state, n_rows, ctl.rel_tol)[::2]
+        return _lane_sums(step, state, n_rows, ctl.rel_tol)[::2]
 
 
 def solve_table(

@@ -21,7 +21,8 @@ Three legs, none of which shares series code with :mod:`.kinetics`:
   truncated numerical transform with an explicit tail bound.
 
 The k-Struve forcing S^k_{l,c}(lam * t**sigma) is tabulated from its scale
-(lam, sigma); ``residual`` takes the problem's ``forcing_scale``.
+(lam, sigma); ``residual`` takes the problem's ``forcing_scale``.  numpy
+(``_lazy_numpy.np``) loads on the first array call; ``laplace_image`` makes none.
 
 The quadrature weights come from integrating the hat-function interpolant
 exactly:  with ``c_u = h**u / Gamma(u + 2)`` the node weights at step ``i``
@@ -36,9 +37,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from ._compensated import dd_add
+from ._lazy_numpy import np
 from .errors import DomainError, RangeError, SingularStepError
 from .kinetics import KineticProblem, SolutionTable, Variant, _problem_rows
 from .special import _DEFAULT_CTL, SeriesControl, _k_struve_grid, _powers
@@ -170,7 +170,6 @@ def _scale(p: KineticProblem, forcing):
 
 
 @lru_cache(maxsize=1)
-@np.errstate(over="ignore")  # lam * t**sigma overflows to inf, as a Python float product does
 def _forcing_values(p: KineticProblem, forcing, grid: QuadratureGrid, ctl: SeriesControl | None) -> np.ndarray:
     """Read-only forcing table at the grid nodes.
 
@@ -179,18 +178,19 @@ def _forcing_values(p: KineticProblem, forcing, grid: QuadratureGrid, ctl: Serie
     so ``residual`` reuses the table ``volterra_solve`` just built on the
     same problem and grid.
     """
-    if forcing is Forcing.CONSTANT:
-        vals = np.ones(grid.n + 1)
-    else:
-        lam, sigma = _scale(p, forcing)
-        # t**1.0 == t, and both products round correctly, so the numpy
-        # product is the per-node expression lam * t**sigma
-        powers = grid.nodes if sigma == 1.0 else _powers(grid.nodes.tolist(), [sigma])[0]
-        if np.isnan(powers).any():  # the first t**sigma that raises, raised again
-            float(grid.nodes[np.argmax(np.isnan(powers))]) ** sigma
-        vals = _k_struve_grid(p.struve, lam * powers, ctl)
-    vals.setflags(write=False)
-    return vals
+    with np.errstate(over="ignore"):  # lam * t**sigma overflows to inf, as a Python float product does
+        if forcing is Forcing.CONSTANT:
+            vals = np.ones(grid.n + 1)
+        else:
+            lam, sigma = _scale(p, forcing)
+            # t**1.0 == t, and both products round correctly, so the numpy
+            # product is the per-node expression lam * t**sigma
+            powers = grid.nodes if sigma == 1.0 else _powers(grid.nodes.tolist(), [sigma])[0]
+            if np.isnan(powers).any():  # the first t**sigma that raises, raised again
+                float(grid.nodes[np.argmax(np.isnan(powers))]) ** sigma
+            vals = _k_struve_grid(p.struve, lam * powers, ctl)
+        vals.setflags(write=False)
+        return vals
 
 
 # Nodes per leaf of the halving march in ``volterra_solve``, solved by

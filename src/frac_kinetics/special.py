@@ -30,6 +30,7 @@ makes the exponential identity E_1(z) = e^z hold to a few ulp across
 ``|z| <= 10`` despite summand magnitudes up to ~2.8e3.  ``_ml_eval`` has one
 loop per kind of ``alpha``; otherwise it and ``_ml_eval_pairs`` test z**n for
 overflow only where |z| > 1 and max_terms ln|z| >= 700 (``_zn_may_overflow``).
+numpy (``_lazy_numpy.np``) loads on the first array call; the scalar series never touch it.
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from ._compensated import _SPLITTER, dd_add, dd_div_double, dd_mul_double
+from ._lazy_numpy import np
 from .errors import DomainError, PoleError, RangeError
 from .kgamma import _gamma_sign
 
@@ -109,7 +109,6 @@ class KStruveParams:
 # The lane-parallel series kernel
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _lane_sums(step, state: list, n_terms: int, rel_tol: float):
     """Sum one series per lane, lane for lane the double of its scalar loop.
 
@@ -121,26 +120,27 @@ def _lane_sums(step, state: list, n_terms: int, rel_tol: float):
     ends with the lanes that took all ``n_terms`` terms.  Returns the values, the terms
     used and the mask of lanes that stopped on such a term.
     """
-    size = state[0].size
-    out, used, failed = np.empty(size), np.full(size, n_terms), np.zeros(size, dtype=bool)
-    hi, lo = np.zeros(size), np.zeros(size)
-    for n in range(n_terms):
-        if not hi.size:
-            break
-        term, term_lo, bad = step(n, hi)
-        hi, lo = dd_add(hi, lo, term, term_lo)
-        done = np.abs(term) <= rel_tol * np.abs(hi)
-        if bad is not None and np.count_nonzero(bad):  # count_nonzero: a fraction of .any()'s call cost
-            failed[state[0][bad]] = True
-            done |= bad
-        if np.count_nonzero(done):
-            idx = state[0][done]
-            out[idx], used[idx] = hi[done] + lo[done], n + 1
-            keep = ~done
-            hi, lo = hi[keep], lo[keep]
-            state[:] = [a[keep] for a in state]
-    out[state[0]] = hi + lo
-    return out, used, failed
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = state[0].size
+        out, used, failed = np.empty(size), np.full(size, n_terms), np.zeros(size, dtype=bool)
+        hi, lo = np.zeros(size), np.zeros(size)
+        for n in range(n_terms):
+            if not hi.size:
+                break
+            term, term_lo, bad = step(n, hi)
+            hi, lo = dd_add(hi, lo, term, term_lo)
+            done = np.abs(term) <= rel_tol * np.abs(hi)
+            if bad is not None and np.count_nonzero(bad):  # count_nonzero: a fraction of .any()'s call cost
+                failed[state[0][bad]] = True
+                done |= bad
+            if np.count_nonzero(done):
+                idx = state[0][done]
+                out[idx], used[idx] = hi[done] + lo[done], n + 1
+                keep = ~done
+                hi, lo = hi[keep], lo[keep]
+                state[:] = [a[keep] for a in state]
+        out[state[0]] = hi + lo
+        return out, used, failed
 
 
 def _powers(xs: list[float], exps: list[float]) -> np.ndarray:
@@ -167,8 +167,8 @@ def _ml_inv_gammas(alpha: float, beta: float, max_terms: int) -> tuple[float, ..
     """Cached 1/Gamma(alpha*n + beta) for n < max_terms.
 
     Pole checking happens here, across every index the truncation policy may
-    reach.  Gamma overflow means the true denominator exceeds the double
-    range, so the reciprocal is exactly representable as 0.0.
+    reach.  Gamma overflow means the true denominator exceeds the double range, so the
+    reciprocal is exactly representable as 0.0; Gamma underflow to 0.0 raises ``OverflowError``.
     """
     out = []
     for n in range(max_terms):
@@ -182,6 +182,10 @@ def _ml_inv_gammas(alpha: float, beta: float, max_terms: int) -> tuple[float, ..
             out.append(1.0 / math.gamma(arg))
         except OverflowError:
             out.append(0.0)
+        except ZeroDivisionError:
+            raise OverflowError(
+                f"1/Gamma({arg!r}) at n = {n} exceeds the double range (alpha = {alpha!r}, beta = {beta!r})"
+            ) from None
     return tuple(out)
 
 

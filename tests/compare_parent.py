@@ -10,6 +10,10 @@ prints the counts per family and exits 1 on any difference.
 
 The call list (families in the order printed):
 
+* ``eval``: every ``frac-kinetics eval`` function at fixed and seeded
+  argument sets, run through ``cli.main`` as exit code and printed text (an
+  error that escapes ``main`` compares as that error); it runs first, so in
+  a tree that loads numpy on first use it runs before numpy is loaded;
 * ``ml``: 1,200 seeded ``mittag_leffler2`` draws, and the inputs at the bound
   of the z**n overflow test (|z| = 50 at 177 to 183 terms, |z| = 1 and the
   next double at 2,000 terms);
@@ -28,10 +32,13 @@ This file has no ``test_`` prefix, so pytest does not collect it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -45,6 +52,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _encode(v) -> str:
+    if isinstance(v, (str, int, float)):
+        return repr(v)
     import numpy as np
 
     if isinstance(v, np.ndarray):
@@ -61,6 +70,68 @@ def _outcome(call) -> str:
         return _encode(call())
     except Exception as e:  # noqa: BLE001 - any error type must match
         return f"raises {type(e).__name__}: {e}"
+
+
+# fixed argument sets per eval function: ordinary values, input errors, and
+# Gamma underflowing to -0.0 (ml2 at beta = -180.5 and -300.25; thm2 with the
+# printed reading at l = -100.25, k = 100, upsilon = 2, where row 0's beta is -197.5)
+_THM = ("--n0", "1", "--d", "1", "--c", "1")
+_EVAL_ARGS = {
+    "gamma": [["--x", "2.5"], ["--x", "-0.5"], ["--x", "0"], ["--x", "171.7"]],
+    "kgamma": [["--x", "2.5", "--k", "1.5"], ["--x", "0.3", "--k", "0.5"], ["--x", "-1", "--k", "1"]],
+    "struve": [["--p", "0.5", "--x", "1"], ["--p", "1.5", "--x", "10"], ["--p", "0", "--x", "25"]],
+    "kstruve": [
+        ["--nu", "1", "--c", "1", "--k", "2", "--x", "0"],
+        ["--nu", "0.5", "--c", "1.3", "--k", "2", "--x", "3"],
+        ["--nu", "-1", "--c", "1", "--k", "0.5", "--x", "1"],
+    ],
+    "ml": [["--alpha", "0.5", "--z", "-1"], ["--alpha", "1", "--z", "0"], ["--alpha", "0.3", "--z", "60"]],
+    "ml2": [
+        ["--alpha", "1", "--beta", "2", "--z", "1"],
+        ["--alpha", "0.5", "--beta", "-170.5", "--z", "0.1"],
+        ["--alpha", "0.5", "--beta", "-180.5", "--z", "0.1"],
+        ["--alpha", "0.5", "--beta", "-300.25", "--z", "0.1"],
+        ["--alpha", "0", "--beta", "1", "--z", "1"],
+    ],
+    "thm1": [
+        [*_THM, "--upsilon", "0.5", "--l", "0.5", "--k", "1", "--t", "0.5"],
+        [*_THM, "--upsilon", "1", "--l", "1", "--k", "1", "--t", "2", "--max-terms", "200"],
+        [*_THM, "--upsilon", "0.5", "--l", "0.5", "--k", "1", "--t", "-1"],
+    ],
+    "thm2": [
+        [*_THM, "--upsilon", "0.5", "--l", "0.5", "--k", "2", "--t", "0.5"],
+        [*_THM, "--upsilon", "0.5", "--l", "0.5", "--k", "2", "--t", "0.5", "--exponent-reading", "printed"],
+        [*_THM, "--upsilon", "2", "--l", "-100.25", "--k", "100", "--t", "0.5", "--exponent-reading", "printed"],
+        [*_THM, "--upsilon", "4", "--l", "-1.25", "--k", "1", "--t", "0.5"],
+    ],
+    "thm3": [
+        [*_THM, "--a", "2", "--upsilon", "0.5", "--l", "0.5", "--k", "2", "--t", "0.5"],
+        [*_THM, "--a", "1", "--upsilon", "0.5", "--l", "0.5", "--k", "2", "--t", "0.5"],
+    ],
+}
+
+
+def _eval_calls():
+    from frac_kinetics import cli
+
+    rng = random.Random(4)
+    args = [(name, argv) for name, sets in _EVAL_ARGS.items() for argv in sets]
+    for name, (names, _) in sorted(cli._EVAL.items()):
+        for _ in range(6):  # seeded draws over moderate ranges
+            values = {n: rng.uniform(0.1, 3.0) for n in names}
+            values.update({n: rng.uniform(-1.5, 3.0) for n in ("nu", "l", "p", "beta") if n in names})
+            if "z" in names:
+                values["z"] = rng.uniform(-20.0, 20.0)
+            args.append((name, [a for n in names for a in (f"--{n}", repr(values[n]))]))
+    for i, (name, argv) in enumerate(args):
+
+        def call(argv=["eval", name, *argv]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            return f"exit {code} out {out.getvalue()!r} err {err.getvalue()!r}"
+
+        yield f"eval/{i}/{name}", call
 
 
 def _ml_calls(fk):
@@ -172,6 +243,7 @@ def run_calls(src: Path) -> list[list[str]]:
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         families = {
+            "eval": _eval_calls(),
             "ml": _ml_calls(fk),
             "point": _point_calls(fk, wl),
             "solve": _solve_calls(fk),

@@ -135,6 +135,14 @@ def test_eval_gamma_pole_in_a_row_is_input_error(capsys, args):
     assert err.startswith("error:") and "gamma pole" in err
 
 
+def test_eval_gamma_underflow_is_input_error(capsys):
+    # Gamma(-180.5) underflows to -0.0: exit 2 with a message, not a traceback
+    code, out, err = _run(capsys, "eval", "ml2", "--alpha", "0.5", "--beta", "-180.5", "--z", "0.1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: 1/Gamma(-180.5) at n = 0 exceeds the double range")
+
+
 def test_eval_zero_rate_with_a_divergent_forcing_is_input_error(capsys):
     # d = 0 evaluates the THM2 forcing at S(0), which diverges for l/k < -1
     code, out, err = _run(capsys, "eval", "thm2", "--n0", "1", "--d", "0", "--upsilon", "1",

@@ -721,6 +721,16 @@ def test_gamma_pole_in_a_row_is_a_pole_error(p, reading):
         solve_table(p, np.array([0.5, 1.0]), reading=reading)
 
 
+def test_gamma_underflow_in_a_row_is_an_overflow_error():
+    # printed reading, l = -100.25, k = 100, upsilon = 2: row 0's beta is
+    # upsilon * (l + 1) + 1 = -197.5, where Gamma underflows to -0.0
+    p = _thm2(upsilon=2.0, l=-100.25, k=100.0)
+    with pytest.raises(OverflowError, match=r"^1/Gamma\(-197\.5\) at n = 0 exceeds the double range"):
+        solve_thm2(p, 0.5, reading="printed")
+    with pytest.raises(OverflowError, match=r"^grid index 0 \(t = 0\.25\): 1/Gamma\(-197\.5\) at n = 0 exceeds"):
+        solve_table(p, np.array([0.25, 0.5]), reading="printed")
+
+
 def test_zero_rate_with_a_divergent_forcing_is_a_domain_error():
     # THM2 at d = 0 sums rows of S(0 * t**upsilon); row 0 has e_0 = l/k + 1 = -0.2
     p = _thm2(d=0.0, l=-1.2)

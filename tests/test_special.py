@@ -315,6 +315,17 @@ def test_ml2_pole_detection():
         mittag_leffler2(1.0, -3.0, 0.5)
     # never hits an integer for (0.5, -0.25): stays valid
     assert math.isfinite(mittag_leffler2(0.5, -0.25, 0.5))
+    # (0.5, -170.5) hits -170 at n = 1
+    with pytest.raises(PoleError, match="at n = 1 "):
+        mittag_leffler2(0.5, -170.5, 0.1)
+
+
+@pytest.mark.parametrize("beta", [-180.5, -300.25])
+def test_ml2_gamma_underflow_is_an_overflow_error(beta):
+    # Gamma(beta) underflows to -0.0 at these non-integer arguments, so
+    # 1/Gamma(beta) is beyond the double range; a bare ZeroDivisionError before
+    with pytest.raises(OverflowError, match=rf"^1/Gamma\({beta}\) at n = 0 exceeds the double range"):
+        mittag_leffler2(0.5, beta, 0.1)
 
 
 def test_k_struve_coefficients_past_the_double_range_are_not_silent_zeros():
