@@ -5,8 +5,8 @@ Three legs, none of which shares series code with :mod:`.kinetics`:
 * a product-trapezoidal quadrature for the Riemann-Liouville integral
   (exact for piecewise-linear integrands against the weakly singular kernel
   ``(t - s)**(upsilon - 1)``, second-order for smooth ones); its interior
-  sums form only the lower triangle of products, by blocks of rows, with no
-  product of the origin value to add and take away again;
+  sums go by blocks of rows, each block's triangle kept from a convolution of
+  its whole square, with no product of the origin value to add and take away;
 * a marching solver for the underlying Volterra equation of the second kind,
   obtained by moving the diagonal quadrature weight to the left-hand side;
   it marches by the recursive halving of Hairer, Lubich & Schlichte (SIAM J.
@@ -149,8 +149,8 @@ def rl_integral(f, upsilon: float, grid: QuadratureGrid) -> np.ndarray:
     cu = c * grid.h**upsilon
     # interior sums S_i = sum_{j=1..i-1} dker[i-j-1] * vals[j] (vals[0] takes
     # the origin weight a0), by blocks of rows [s, e): the nodes before the
-    # block in one 'valid' convolution, the block's own triangle in one short
-    # full one, so only the lower triangle of products is formed
+    # block in one 'valid' convolution, the block's own triangle from one short
+    # full one, which forms the block's whole square of products and keeps half
     S = np.zeros(n + 1)
     for s in range(1, n + 1, _RL_BLOCK):
         e = min(s + _RL_BLOCK, n + 1)

@@ -28,8 +28,10 @@ exact rational ``z / ((alpha*n + beta) ... (alpha*n + beta + alpha - 1))``,
 so terms themselves are generated in double-double arithmetic.  That is what
 makes the exponential identity E_1(z) = e^z hold to a few ulp across
 ``|z| <= 10`` despite summand magnitudes up to ~2.8e3.  ``_ml_eval`` has one
-loop per kind of ``alpha``; otherwise it and ``_ml_eval_pairs`` test z**n for
-overflow only where |z| > 1 and max_terms ln|z| >= 700 (``_zn_may_overflow``).
+loop per kind of ``alpha``, neither with an index per term: a ``while`` loop of
+at most ``alpha`` divisions for integers, else a loop over the 1/Gamma table,
+where it and ``_ml_eval_pairs`` test z**n for overflow (and ``_ml_eval`` counts
+terms) only where |z| > 1 and max_terms ln|z| >= 700 (``_zn_may_overflow``).
 numpy (``_lazy_numpy.np``) loads on the first array call; the scalar series never touch it.
 """
 
@@ -168,7 +170,8 @@ def _ml_inv_gammas(alpha: float, beta: float, max_terms: int) -> tuple[float, ..
 
     Pole checking happens here, across every index the truncation policy may
     reach.  Gamma overflow means the true denominator exceeds the double range, so the
-    reciprocal is exactly representable as 0.0; Gamma underflow to 0.0 raises ``OverflowError``.
+    reciprocal is exactly representable as 0.0; Gamma underflow to 0.0, or to a subnormal
+    whose reciprocal is infinite, raises ``OverflowError``.
     """
     out = []
     for n in range(max_terms):
@@ -179,13 +182,16 @@ def _ml_inv_gammas(alpha: float, beta: float, max_terms: int) -> tuple[float, ..
                 f"(alpha = {alpha!r}, beta = {beta!r})"
             )
         try:
-            out.append(1.0 / math.gamma(arg))
+            inv = 1.0 / math.gamma(arg)
         except OverflowError:
-            out.append(0.0)
+            inv = 0.0
         except ZeroDivisionError:
+            inv = math.inf
+        if math.isinf(inv):
             raise OverflowError(
                 f"1/Gamma({arg!r}) at n = {n} exceeds the double range (alpha = {alpha!r}, beta = {beta!r})"
-            ) from None
+            )
+        out.append(inv)
     return tuple(out)
 
 
@@ -196,15 +202,17 @@ def _zn_may_overflow(top: float, max_terms: int) -> bool:
 
 def _ml_eval(alpha: float, beta: float, z: float, ctl: SeriesControl) -> float:
     """Core series for E_{alpha,beta}(z); shared by every public caller, double-double steps inlined;
-    one loop per kind of ``alpha`` (the exact term recurrence for positive integers), z**n tested for
-    overflow only where :func:`_zn_may_overflow` says that some power can overflow."""
+    one loop per kind of ``alpha``: for positive integers the exact term recurrence, whose ``while``
+    loop divides by alpha*n + beta + j, j = 0 .. alpha - 1, until the term is (0, 0) under a nonzero
+    sum; otherwise a loop over the 1/Gamma table that tests z**n for overflow, and counts n, only
+    where :func:`_zn_may_overflow` says that some power can overflow."""
     inv_g = _ml_inv_gammas(alpha, beta, ctl.max_terms)
     rel_tol = ctl.rel_tol
     n_int = round(alpha)
     sum_hi, sum_lo = 0.0, 0.0
     if not (alpha == n_int and n_int >= 1):
-        check, zn = _zn_may_overflow(abs(z), ctl.max_terms), 1.0
-        for n, g in enumerate(inv_g):
+        check, zn, n = _zn_may_overflow(abs(z), ctl.max_terms), 1.0, 0
+        for g in inv_g:
             t = zn * g
             s = sum_hi + t  # sum += t
             b = s - sum_hi
@@ -216,8 +224,10 @@ def _ml_eval(alpha: float, beta: float, z: float, ctl: SeriesControl) -> float:
             if abs(t) <= rel_tol * abs(sum_hi):
                 break
             zn *= z
-            if check and math.isinf(zn):
-                raise OverflowError(f"Mittag-Leffler series term overflow at n = {n + 1} (z = {z!r})")
+            if check:
+                n += 1  # the index of zn: counted only where it can overflow
+                if math.isinf(zn):
+                    raise OverflowError(f"Mittag-Leffler series term overflow at n = {n} (z = {z!r})")
         return sum_hi + sum_lo
     c = _SPLITTER * z
     zh = c - (c - z)
@@ -241,10 +251,9 @@ def _ml_eval(alpha: float, beta: float, z: float, ctl: SeriesControl) -> float:
         t_hi = p + e
         b = t_hi - p
         t_lo = (p - (t_hi - b)) + (e - b)
-        for j in range(n_int):
-            if not t_hi and sum_hi:  # t = (0, 0) ends a nonzero sum whatever the signs of its zeros
-                break
-            d = alpha * n + beta + j  # t /= d
+        j = 0
+        while t_hi or not sum_hi:  # t = (0, 0) ends a nonzero sum whatever the signs of its zeros
+            d = alpha * n + beta + j  # t /= d, formed afresh each time: stepping d by 1.0 rounds differently
             q = t_hi / d
             p, c, cd = q * d, _SPLITTER * q, _SPLITTER * d
             ah, dh = c - (c - q), cd - (cd - d)
@@ -253,6 +262,9 @@ def _ml_eval(alpha: float, beta: float, z: float, ctl: SeriesControl) -> float:
             t_hi = q + e
             b = t_hi - q
             t_lo = (q - (t_hi - b)) + (e - b)
+            j += 1
+            if j == n_int:
+                break
     return sum_hi + sum_lo
 
 

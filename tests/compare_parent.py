@@ -16,7 +16,7 @@ The call list (families in the order printed):
   a tree that loads numpy on first use it runs before numpy is loaded;
 * ``ml``: 1,200 seeded ``mittag_leffler2`` draws, and the inputs at the bound
   of the z**n overflow test (|z| = 50 at 177 to 183 terms, |z| = 1 and the
-  next double at 2,000 terms);
+  next double at 2,000 terms), and two betas where Gamma(beta) is subnormal;
 * ``point``: every call of the ``point`` benchmark pool, all draws;
 * ``solve``: 320 seeded problems, each through its ``solve_thm*`` at four
   nodes, ``solve_constant`` and ``solve_table`` on a 33-node grid;
@@ -72,9 +72,10 @@ def _outcome(call) -> str:
         return f"raises {type(e).__name__}: {e}"
 
 
-# fixed argument sets per eval function: ordinary values, input errors, and
+# fixed argument sets per eval function: ordinary values, input errors,
 # Gamma underflowing to -0.0 (ml2 at beta = -180.5 and -300.25; thm2 with the
 # printed reading at l = -100.25, k = 100, upsilon = 2, where row 0's beta is -197.5)
+# and to a subnormal whose reciprocal is +-inf (ml2 at beta = -177.25 and -176.75)
 _THM = ("--n0", "1", "--d", "1", "--c", "1")
 _EVAL_ARGS = {
     "gamma": [["--x", "2.5"], ["--x", "-0.5"], ["--x", "0"], ["--x", "171.7"]],
@@ -91,6 +92,8 @@ _EVAL_ARGS = {
         ["--alpha", "0.5", "--beta", "-170.5", "--z", "0.1"],
         ["--alpha", "0.5", "--beta", "-180.5", "--z", "0.1"],
         ["--alpha", "0.5", "--beta", "-300.25", "--z", "0.1"],
+        ["--alpha", "0.5", "--beta", "-177.25", "--z", "0.1"],
+        ["--alpha", "0.5", "--beta", "-176.75", "--z", "0.1"],
         ["--alpha", "0", "--beta", "1", "--z", "1"],
     ],
     "thm1": [
@@ -151,6 +154,8 @@ def _ml_calls(fk):
         for z in (1.0, -1.0, math.nextafter(1.0, 2.0), -math.nextafter(1.0, 2.0)):
             ctl = fk.SeriesControl(max_terms=2000)
             yield f"ml/unit/{a}/{z!r}", lambda a=a, z=z, ctl=ctl: fk.mittag_leffler2(a, 1.0, z, ctl)
+    for b in (-177.25, -176.75):  # Gamma(b) is subnormal and 1/Gamma(b) is +-inf
+        yield f"ml/subnormal/{b!r}", lambda b=b: fk.mittag_leffler2(0.5, b, 0.1)
 
 
 def _point_calls(fk, wl):

@@ -136,11 +136,13 @@ def test_eval_gamma_pole_in_a_row_is_input_error(capsys, args):
 
 
 def test_eval_gamma_underflow_is_input_error(capsys):
-    # Gamma(-180.5) underflows to -0.0: exit 2 with a message, not a traceback
-    code, out, err = _run(capsys, "eval", "ml2", "--alpha", "0.5", "--beta", "-180.5", "--z", "0.1")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: 1/Gamma(-180.5) at n = 0 exceeds the double range")
+    # Gamma(-180.5) underflows to -0.0 and Gamma(-177.25) to a subnormal whose
+    # reciprocal is inf: exit 2 with a message, not a traceback or a NaN
+    for beta in ("-180.5", "-177.25"):
+        code, out, err = _run(capsys, "eval", "ml2", "--alpha", "0.5", "--beta", beta, "--z", "0.1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: 1/Gamma({beta}) at n = 0 exceeds the double range")
 
 
 def test_eval_zero_rate_with_a_divergent_forcing_is_input_error(capsys):

@@ -274,6 +274,18 @@ def test_exp_identity_default_control_truncation_floor():
     assert worst <= 1e-9  # documented 50-term truncation floor (~6.1e-11)
 
 
+def test_two_division_loop_against_closed_forms():
+    # alpha = 2 divides each term by (2n + beta)(2n + beta + 1): E_{2,1}(-x^2) = cos x,
+    # E_{2,1}(x^2) = cosh x and E_{2,2}(-x^2) = sin x / x; worst 0.8, 1.9 and 1.0 u
+    u = 2.0**-53
+    for x in np.linspace(0.0, 3.0, 61):
+        x = float(x)
+        assert abs(mittag_leffler2(2.0, 1.0, -x * x) - math.cos(x)) <= 4 * u * math.cosh(x), x
+        assert abs(mittag_leffler2(2.0, 1.0, x * x) - math.cosh(x)) <= 4 * u * math.cosh(x), x
+        sinc, sinhc = (math.sin(x) / x, math.sinh(x) / x) if x else (1.0, 1.0)
+        assert abs(mittag_leffler2(2.0, 2.0, -x * x) - sinc) <= 4 * u * sinhc, x
+
+
 @given(
     alpha=st.floats(min_value=0.1, max_value=3.0, allow_nan=False),
     z=st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
@@ -320,10 +332,11 @@ def test_ml2_pole_detection():
         mittag_leffler2(0.5, -170.5, 0.1)
 
 
-@pytest.mark.parametrize("beta", [-180.5, -300.25])
+@pytest.mark.parametrize("beta", [-180.5, -300.25, -177.25, -176.75])
 def test_ml2_gamma_underflow_is_an_overflow_error(beta):
-    # Gamma(beta) underflows to -0.0 at these non-integer arguments, so
-    # 1/Gamma(beta) is beyond the double range; a bare ZeroDivisionError before
+    # Gamma(beta) underflows to -0.0 at the first two non-integer arguments, so
+    # 1/Gamma(beta) is beyond the double range; a bare ZeroDivisionError before.
+    # At the last two it is subnormal (3.5e-323, -4.6e-322) and 1/Gamma is +-inf: a NaN before
     with pytest.raises(OverflowError, match=rf"^1/Gamma\({beta}\) at n = 0 exceeds the double range"):
         mittag_leffler2(0.5, beta, 0.1)
 
