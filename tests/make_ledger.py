@@ -16,7 +16,7 @@ error of the program that wrote the ledger, or the error it raised (type and
 message).  ``test_ledger.py`` holds every later version of the program to
 those errors, or to a family floor where that is larger.
 
-Three families:
+Four families:
 
 * ``sums``: ``k_struve`` and ``struve_h`` at default control.  The value and
   the term-magnitude sum come from the exact series, summed by its term ratio
@@ -40,6 +40,15 @@ Three families:
   E_0.5(-2); the (alpha, beta, z) pairs of five rows of each ``sweep`` pool
   problem at t = 1/2 and 1; and seeded wide draws with alpha in [0.1, 2] and
   z in [-50, 1].  Only cases whose largest term is at most 1e150 are kept.
+* ``solve``: solutions N(t) at default control.  The values come from the
+  Neumann series of the integral equation, ``neumann`` of
+  ``perfbench/make_refs.py``, which shares no code with the program.  The
+  error is the largest |got - value| over the case's nodes, relative to the
+  largest |value|; the floor is 1e-14.  Inputs: every ``sweep`` benchmark
+  cell that seeds 1-3 pick, through ``solve_table`` at its 101 nodes on
+  [0, 1]; every ``solve_thm1/2/3`` draw of the ``point`` pool and its two
+  solver probes (THM1 at upsilon = 0.5, d = 25, and THM2 at upsilon = 2),
+  each at its one t.
 
 Recorded errors are rounded up to three significant digits.  A value that
 was wrong when the ledger was written stays in it as a recorded row (for
@@ -61,6 +70,7 @@ DPS = 40
 U = 2.0**-53
 SUM_FLOOR_U = 32  # sums: 32 u * sum |term|
 ROW_FLOOR = 1e-12  # rows: relative
+SOLVE_FLOOR = 1e-14  # solve: relative to the largest |N(t)| of the case
 
 
 # --------------------------------------------------------------------------
@@ -231,6 +241,14 @@ def row_error(got: float, value: str):
         return abs(mp.mpf(got) - want) / abs(want) if want else abs(mp.mpf(got))
 
 
+def solve_error(got, values):
+    """max |got - value| over the nodes, relative to the largest |value| (absolute where all are 0)."""
+    with mp.workdps(DPS):
+        want = [mp.mpf(v) for v in values]
+        scale = max(abs(v) for v in want) or 1
+        return max(abs(mp.mpf(g) - v) for g, v in zip(got, want)) / scale
+
+
 def _up3(err) -> str:
     """``err`` rounded up to three significant digits, as text."""
     if not err:
@@ -318,14 +336,19 @@ def sum_cases() -> list[dict]:
     return cases
 
 
+def _perfbench():
+    """The benchmark's ``workloads`` module (pools only; it imports nothing of the program)."""
+    sys.path.insert(0, str(HERE.parent / "perfbench"))
+    import workloads
+
+    return workloads
+
+
 def _sweep_problems():
     """(pool key, problem) of every cell of the ``sweep`` benchmark pool."""
-    sys.path.insert(0, str(HERE.parent / "perfbench"))
-    import workloads as wl
-
     from frac_kinetics import KineticProblem, KStruveParams, Variant
 
-    slots, fixed = wl.sweep_pool()
+    slots, fixed = _perfbench().sweep_pool()
     for cell in [c for draws in slots for c in draws] + fixed:
         yield cell["key"], KineticProblem(
             n0=1.0, upsilon=cell["upsilon"], d=cell["d"], struve=KStruveParams(cell["l"], cell["c"], cell["k"]),
@@ -394,6 +417,34 @@ def ml_cases() -> list[dict]:
     return cases
 
 
+SOLVE_KEYS = ("key", "call", "variant", "n0", "upsilon", "d", "a", "l", "c", "k", "t")
+
+
+def solve_cases() -> list[dict]:
+    """(call, problem, nodes t) of every ``solve`` case, without values."""
+    wl = _perfbench()
+    cells = {}
+    for seed in (1, 2, 3):
+        for cell in wl.select("sweep", seed):
+            cells.setdefault(cell["key"], cell)
+    ts = [i / (wl.SWEEP_POINTS - 1) for i in range(wl.SWEEP_POINTS)]
+    specs = [dict(cell, call="solve_table", n0=1.0, t=ts) for cell in cells.values()]
+    slots, fixed = wl.point_pool()
+    for spec in [d for draws in slots for d in draws] + fixed:
+        if spec["call"] in ("solve_thm1", "solve_thm2", "solve_thm3"):
+            specs.append(dict(spec, t=[spec["t"]]))
+    return [{key: spec.get(key) for key in SOLVE_KEYS} for spec in specs]
+
+
+def solve_reference(case) -> list[str]:
+    """N(t) at each node of the case as 40-digit text, from the Neumann series of make_refs.py."""
+    sys.path.insert(0, str(HERE.parent / "perfbench"))
+    from make_refs import neumann
+
+    with mp.workdps(DPS + 20):
+        return [_text(v) for v in neumann(case, case["t"], t_max=max(case["t"]))]
+
+
 def outcome(call):
     """What ``call()`` returns, or [type name, message] of the error it raises."""
     try:
@@ -414,6 +465,18 @@ def ml_call(case):
     from frac_kinetics import mittag_leffler2
 
     return lambda: mittag_leffler2(case["alpha"], case["beta"], case["z"])
+
+
+def solve_call(case):
+    """A call giving the case's N(t) at its nodes, as a tuple (``outcome`` lists are errors)."""
+    from frac_kinetics import KineticProblem, KStruveParams, Variant, kinetics
+
+    p = KineticProblem(n0=case["n0"], upsilon=case["upsilon"], d=case["d"], variant=Variant(case["variant"]),
+                       struve=KStruveParams(case["l"], case["c"], case["k"]), a=case["a"])
+    if case["call"] == "solve_table":
+        return lambda: tuple(kinetics.solve_table(p, case["t"]).n.tolist())
+    solve = getattr(kinetics, case["call"])
+    return lambda: tuple(solve(p, t) for t in case["t"])
 
 
 def main() -> None:
@@ -452,17 +515,31 @@ def main() -> None:
         else:
             case["err"] = _up3(sum_error(got, case["value"]))
         ml.append(case)
-    _write(sums, rows, ml)
+    _write(sums, rows, ml, solve_family())
 
 
-def _write(sums, rows, ml) -> None:
+def solve_family() -> list[dict]:
+    """Every ``solve`` case with its values and the error (or the error raised) of the program."""
+    family = []
+    for case in solve_cases():
+        case["values"] = solve_reference(case)
+        got = outcome(solve_call(case))
+        if isinstance(got, list):
+            case["raises"] = got
+        else:
+            case["err"] = _up3(solve_error(got, case["values"]))
+        family.append(case)
+    return family
+
+
+def _write(sums, rows, ml, solve) -> None:
     with OUT.open("w") as f:  # one case a line, so that a remade ledger diffs case by case
-        for name, family in (("sums", sums), ("rows", rows), ("ml", ml)):
+        for name, family in (("sums", sums), ("rows", rows), ("ml", ml), ("solve", solve)):
             f.write(("{" if name == "sums" else ",\n") + json.dumps(name) + ": [\n")
             f.write(",\n".join(json.dumps(case) for case in family) + "\n]")
         f.write("}\n")
-    print(f"wrote {len(sums)} sums, {len(rows)} row problems and {len(ml)} Mittag-Leffler sums to {OUT}",
-          file=sys.stderr)
+    print(f"wrote {len(sums)} sums, {len(rows)} row problems, {len(ml)} Mittag-Leffler sums and "
+          f"{len(solve)} solutions to {OUT}", file=sys.stderr)
 
 
 def refresh_errors() -> None:
@@ -498,7 +575,7 @@ def refresh_errors() -> None:
     for prob in ledger["rows"]:
         got = outcome(lambda: _rows(*prob["args"]))
         record(prob, "errs", got, lambda: [_up3(row_error(coef, v)) for (coef, _, _), v in zip(got, prob["values"])])
-    _write(ledger["sums"], ledger["rows"], ledger["ml"])
+    _write(ledger["sums"], ledger["rows"], ledger["ml"], ledger["solve"])
     print("recorded errors: " + ", ".join(f"{n} {how}" for how, n in moved.items()), file=sys.stderr)
 
 

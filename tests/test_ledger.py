@@ -3,7 +3,8 @@
 Every case must stay within the larger of the error the ledger records for it
 and its family's floor: for ``sums`` and ``ml`` the floor the ledger records
 (32 u * sum |term| and what the program's formula costs in exact arithmetic,
-see ``make_ledger.py``), for ``rows`` 1e-12 relative.  A case recorded as
+see ``make_ledger.py``), for ``rows`` 1e-12 relative, for ``solve`` 1e-14
+relative to the case's largest |N(t)|.  A case recorded as
 raising must raise the same type and message, or give a value within that floor.
 """
 
@@ -12,7 +13,17 @@ from pathlib import Path
 
 import mpmath as mp
 
-from make_ledger import ROW_FLOOR, ml_call, outcome, row_error, sum_call, sum_error
+from make_ledger import (
+    ROW_FLOOR,
+    SOLVE_FLOOR,
+    ml_call,
+    outcome,
+    row_error,
+    solve_call,
+    solve_error,
+    sum_call,
+    sum_error,
+)
 
 LEDGER = json.loads((Path(__file__).resolve().parent / "ledger.json").read_text())
 
@@ -58,6 +69,20 @@ def test_solution_rows_hold_their_ledger_errors():
     assert not failures, failures
 
 
+def test_solutions_hold_their_ledger_errors():
+    failures = []
+    for case in LEDGER["solve"]:
+        got = outcome(solve_call(case))
+        if isinstance(got, list):
+            bad = got != case.get("raises") and f"raises {got}"
+        else:
+            err, limit = solve_error(got, case["values"]), max(SOLVE_FLOOR, mp.mpf(case.get("err", 0)))
+            bad = err > limit and f"error {mp.nstr(err, 3)} above {mp.nstr(limit, 3)}"
+        if bad:
+            failures.append((case["key"], bad))
+    assert not failures, failures
+
+
 def test_ledger_covers_the_named_repros():
     sums = {(c["nu"], c["c"], c["k"], c["x"]) for c in LEDGER["sums"]}
     for case in [(2.5, 3.0, 0.5, 20.0), (3.0, 1.0, 0.01, 20.0), (3.1, 1.0, 0.01, 20.0),
@@ -68,4 +93,7 @@ def test_ledger_covers_the_named_repros():
     ml = {(c["alpha"], c["beta"], c["z"]) for c in LEDGER["ml"]}
     for case in [(0.5, 1.0, -5.0), (0.5, 1.0, -8.0), (1.0, 1.0, -20.0), (0.5, 1.0, -2.0)]:
         assert case in ml
+    solve = {c["key"]: c for c in LEDGER["solve"]}
+    assert {"point/probe/thm1_d25", "point/probe/thm2_ups2"} <= set(solve)
+    assert sum(key.startswith("sweep/small/") and len(c["t"]) == 101 for key, c in solve.items()) == 16
 
