@@ -11,8 +11,8 @@ split, which is what lets the exponential identity E_1(z) = e^z hold to a few
 ulp even at z = -10 where the summands reach ~2.8e3.
 
 No FMA is assumed: products are split with Dekker's algorithm (Veltkamp
-splitting by 2**27 + 1).  ``special._ml_eval`` and ``kinetics._sum_rows``
-inline these transforms operation for operation, and tests pin them to them.
+splitting by 2**27 + 1).  The scalar series loops call these helpers and the
+array kernel ``special._lane_sums`` applies them elementwise, so both agree.
 """
 
 from __future__ import annotations

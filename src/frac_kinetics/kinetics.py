@@ -7,8 +7,10 @@ Three problem families are covered, all of the shape
 where ``I^upsilon`` is the Riemann-Liouville integral and the forcing scale
 (lam, sigma) is ``KineticProblem.forcing_scale``: (1, 1) for ``THM1`` (rate
 ``d``), (d**upsilon, upsilon) for ``THM2`` (rate ``d``) and for ``THM3`` (a
-distinct rate ``a != d``).  Every family solves as one series of
-Mittag-Leffler-damped powers of t, built by one row builder (``_rows``).
+distinct rate ``a != d``).  Every family solves as one series
+N(t) = sum_i D_i t**x_i: the rows of one row builder (``_rows``), each a power
+of t times a Mittag-Leffler function, expanded term by term into coefficients
+that do not depend on t (``_Series``, built once per problem and cached).
 
 For THM2 and THM3 two readings of the term exponent are shipped behind the
 ``reading`` switch: the default ``"consistent"`` reading carries the k-Struve
@@ -16,27 +18,30 @@ exponent ``2r + l/k + 1`` through the transform algebra (and is the one the
 numerical oracle confirms; see the README erratum note), while ``"printed"``
 uses ``2r + l + 1``, which drops the ``1/k``.  The two coincide at k = 1.
 
-Series evaluation reuses the compensated Mittag-Leffler core of
-:mod:`frac_kinetics.special`, and per-problem coefficient rows are cached.
-``solve_table`` sums the rows at every node of a grid on the series kernel
-``special._lane_sums``, one lane per node; the Mittag-Leffler values of
-each node's rows, up to an estimate of the row its sum stops at, come from
-one kernel pass over those (row, node) pairs.  So every entry is the double
-the scalar solver returns for that node.  numpy (``_lazy_numpy.np``) loads
-on the first such table, never in the scalar solvers.
+The scalar solvers sum it in one compensated loop (``_sum_series``) and
+``solve_table`` on the series kernel ``special._lane_sums``, a lane per node,
+so every entry is the double the scalar solver returns there.  Neither
+evaluates a Mittag-Leffler series (``solve_constant`` calls ``mittag_leffler``).
+numpy (``_lazy_numpy.np``) loads on the first table, never in the scalar solvers.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
+import itertools
 import math
 import sys
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
+from ._compensated import dd_add, dd_div_double, dd_mul_double
 from ._lazy_numpy import np
 from .errors import DomainError, PoleError, RangeError
+from .kgamma import _gamma_sign
 from .special import (
     ML_SERIES_CAP,
     _DEFAULT_CTL,
@@ -45,9 +50,6 @@ from .special import (
     _k_struve_coeffs,
     _lane_sums,
     _log_coef,
-    _ml_eval,
-    _ml_eval_pairs,
-    _ml_inv_gammas,
     _powers,
     mittag_leffler,
 )
@@ -226,22 +228,143 @@ def _ml_argument(rate: float, upsilon: float, t: float) -> float:
     return z
 
 
-def _sum_rows(rows, t: float, z: float, upsilon: float, ctl: SeriesControl) -> float:
-    """Sum coef * t**e * E_{upsilon,beta}(z) with compensation, the double-double
-    add written out operation for operation as ``_compensated.dd_add`` forms it."""
-    rel_tol = ctl.rel_tol
-    sum_hi, sum_lo = 0.0, 0.0
-    for coef, e, beta in rows:
-        term = coef * t**e * _ml_eval(upsilon, beta, z, ctl)
-        s = sum_hi + term  # sum += term
-        b = s - sum_hi
-        err = (sum_hi - (s - b)) + (term - b)
-        err += sum_lo + 0.0
-        sum_hi = s + err
-        b = sum_hi - s
-        sum_lo = (s - (sum_hi - b)) + (err - b)
-        if abs(term) <= rel_tol * abs(sum_hi):
-            break
+_MAX_ENTRIES = 1 << 16  # a series still going after this many entries raises RangeError
+
+
+def _gamma(a: float) -> float:
+    return math.gamma(a) if a < 171.6 else math.inf  # math.gamma overflows from 171.62 on
+
+
+def _exp(x: float) -> float:
+    return math.exp(x) if x < 709.78 else math.inf  # a sum that takes the entry then overflows
+
+
+def _row_start(rows, r: int) -> tuple[float, float]:
+    """coef_r / Gamma(beta_r), entry n = 0 of row r (a forcing coefficient), as a double-double."""
+    coef, _, beta = rows[r]
+    gam = _gamma(beta)
+    if gam == 0.0 or abs(1.0 / gam) == math.inf:
+        raise OverflowError(f"1/Gamma({beta!r}) at n = 0 exceeds the double range (row r = {r})")
+    if coef and not sys.float_info.min <= abs(gam) < math.inf:  # Gamma(beta) out of range: in logs
+        return math.copysign(_gamma_sign(beta), coef) * _exp(math.log(abs(coef)) - math.lgamma(beta)), 0.0
+    return dd_div_double(coef, 0.0, gam) if coef else (0.0, 0.0)
+
+
+def _chain(rows, first: int, q: float, upsilon: float, j: int, stride: int):
+    """D_n = q D_{n-1} Gamma(a_{n-1}) / Gamma(a_n) + [j | n] (D_0 of row first + stride n/j) in double-double,
+    a_n = beta_first + upsilon n (j = 0: one row).  The ratio is exact division by a_{n-1} + i, i < upsilon,
+    for integer upsilon, else the double-double quotient of two ``math.gamma`` values (so the ratios
+    telescope: D_n keeps the rounding of Gamma(a_n) alone), or from ``lgamma`` where one is out of range."""
+    beta = rows[first][2]
+    n_int = round(upsilon)
+    d_hi, d_lo = _row_start(rows, first)
+    a_prev, g_prev = beta, _gamma(beta)
+    for n in itertools.count(1):
+        yield d_hi + d_lo
+        a = beta + upsilon * n
+        if a <= 0.0 and a == math.floor(a):
+            raise PoleError(f"Gamma({a!r}) of entry n = {n} of row r = {first} hits a gamma pole")
+        g = _gamma(a)
+        if upsilon == n_int:
+            for i in range(n_int):
+                if not (d_hi or d_lo):
+                    break
+                d_hi, d_lo = dd_div_double(d_hi, d_lo, a_prev + i)
+        elif sys.float_info.min <= min(abs(g_prev), abs(g)) and max(abs(g_prev), abs(g)) < math.inf:
+            r_hi, r_lo = dd_div_double(g_prev, 0.0, g)
+            d_hi, d_lo = dd_add(*dd_mul_double(d_hi, d_lo, r_hi), d_hi * r_lo)
+        else:
+            ratio = _gamma_sign(a_prev) * _gamma_sign(a) * _exp(math.lgamma(a_prev) - math.lgamma(a))
+            d_hi, d_lo = dd_mul_double(d_hi, d_lo, ratio)
+        d_hi, d_lo = dd_mul_double(d_hi, d_lo, q)
+        if j and n % j == 0 and first + n // j * stride < len(rows):
+            d_hi, d_lo = dd_add(d_hi, d_lo, *_row_start(rows, first + n // j * stride))
+        a_prev, g_prev = a, g
+
+
+class _Series:
+    """The solution series N(t) = sum_i D_i t**x_i of one problem, its ``entries`` in exponent order.
+
+    Row r of :func:`_rows` (coef_r, g_r, beta_r = g_r + 1), coef_r t**g_r E_{upsilon, beta_r}(q t**upsilon)
+    with q = -rate**upsilon, expands into D_{r,n} = coef_r q**n / Gamma(beta_r + upsilon n) at
+    x = g_r + upsilon n.  Where 2 sigma / upsilon = j / L, L at most the rows (THM2 and THM3: 2 / 1), row
+    r + L's exponents are row r's from n = j on: rows r, r + L, r + 2L, ... share one chain, the L chains
+    (else one per row) merged by exponent.  ``entries`` holds (D_i, x_i, chain, first): a chain's
+    first entry takes its power t**x_i by ``**``, each later one the chain's power before times t**upsilon.
+
+    Stop rule: a sum ends at the first entry i at which each of the last ``runs[i]`` terms was at
+    most ``rel_tol`` times the partial sum after it, ``runs[i]`` being the number of entries with
+    exponents in (x_i - P, x_i], P = max(2 sigma, upsilon): the latest entry of every chain begun
+    and the first entry of a row (with one chain, the last j entries).
+
+    Entries are built as sums reach them, and kept.  One that cannot be built (a gamma pole, more
+    than ``_MAX_ENTRIES`` entries) is (nan, nan), and a sum that reaches it raises the error met.
+    """
+
+    def __init__(self, p: KineticProblem, reading: str, max_terms: int):
+        rows, upsilon, sigma = _problem_rows(p, reading, max_terms), p.upsilon, p.forcing_scale[1]
+        self.entries, self.runs, self._error, self.upsilon = [], [], None, upsilon
+        ratio = Fraction(2.0 * sigma / upsilon).limit_denominator(len(rows))  # j / L
+        j, n_chains = ratio.numerator, ratio.denominator
+        if j * upsilon != 2.0 * sigma * n_chains:  # no common exponents: a chain per row
+            j, n_chains = 0, len(rows)
+        chains = [_chain(rows, r, -(p.rate**upsilon), upsilon, j, n_chains) for r in range(n_chains)]
+        self._next = self._merged(chains, [row[1] for row in rows[:n_chains]], max(2.0 * sigma, upsilon))
+
+    def _merged(self, chains, g, span: float):
+        heap, window = [(x, c, 0) for c, x in enumerate(g)], deque()  # g increases: a heap already
+        for i in range(_MAX_ENTRIES):
+            x, c, n = heapq.heappop(heap)
+            d = next(chains[c])
+            window.append(x)
+            while window[0] <= x - span:
+                window.popleft()
+            yield (d, x, c, n == 0), len(window)
+            heapq.heappush(heap, (g[c] + self.upsilon * (n + 1), c, n + 1))
+        raise RangeError(f"the solution series does not stop within {_MAX_ENTRIES} entries")
+
+    def reach(self, i: int) -> None:
+        """Build the entries up to index i (none past one that cannot be built)."""
+        while len(self.entries) <= i and self._error is None:
+            try:
+                entry, run = next(self._next)
+            except (ArithmeticError, DomainError) as exc:
+                entry, run, self._error = (math.nan, math.nan, 0, True), 1, exc
+            self.entries.append(entry)
+            self.runs.append(run)
+
+    def error(self, i: int) -> Exception:
+        """What a sum that fails at entry i raises: the error met building it, or an overflow."""
+        if self._error is not None and i == len(self.entries) - 1:
+            return type(self._error)(*self._error.args)
+        return OverflowError(f"solution series entry {i} (t**{self.entries[i][1]!r}): a term or the sum overflows")
+
+
+_problem_series = lru_cache(maxsize=128)(_Series)  # one series per (problem, reading, max_terms)
+
+
+def _sum_series(series: _Series, t: float, rel_tol: float) -> float:
+    """N(t) from the entries of ``series`` under its stop rule, compensated; raises :meth:`_Series.error`
+    where an entry cannot be built or a power, a term or the sum leaves the double range."""
+    s, entries, runs, powers = t**series.upsilon, series.entries, series.runs, {}
+    sum_hi, sum_lo, run = 0.0, 0.0, 0
+    try:
+        for i in itertools.count():
+            if i == len(entries):
+                series.reach(i)
+            d, x, c, first = entries[i]
+            powers[c] = power = t**x if first else powers[c] * s
+            term = d * power
+            if not abs(term + sum_hi) < math.inf:
+                raise OverflowError
+            sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
+            run = run + 1 if abs(term) <= rel_tol * abs(sum_hi) else 0
+            if run >= runs[i]:
+                break
+        if not abs(sum_hi + sum_lo) < math.inf:
+            raise OverflowError
+    except OverflowError:
+        raise series.error(i) from None
     return sum_hi + sum_lo
 
 
@@ -254,41 +377,36 @@ def _zero_t_value(p: KineticProblem) -> float:
     )
 
 
-def _solve(p: KineticProblem, t: float, ctl: SeriesControl | None, reading: str) -> float:
+def _solve(p: KineticProblem, t: float, ctl: SeriesControl | None, reading: str, variant: Variant) -> float:
+    if p.variant is not variant:
+        raise DomainError(f"solve_{variant.value} requires variant {variant.name}, got {p.variant}")
+    _check_reading(reading)
     if ctl is None:
         ctl = _DEFAULT_CTL
     t = _check_t(p, t)
     if t == 0.0:
         return _zero_t_value(p)
-    z = _ml_argument(p.rate, p.upsilon, t)
-    return _sum_rows(_problem_rows(p, reading, ctl.max_terms), t, z, p.upsilon, ctl)
+    _ml_argument(p.rate, p.upsilon, t)
+    return _sum_series(_problem_series(p, reading, ctl.max_terms), t, ctl.rel_tol)
 
 
 def solve_thm1(p: KineticProblem, t: float, ctl: SeriesControl | None = None) -> float:
     """N(t) for the THM1 problem (forcing S^k_{l,c}(t), rate d)."""
-    if p.variant is not Variant.THM1:
-        raise DomainError(f"solve_thm1 requires variant THM1, got {p.variant}")
-    return _solve(p, t, ctl, "consistent")
+    return _solve(p, t, ctl, "consistent", Variant.THM1)
 
 
 def solve_thm2(
     p: KineticProblem, t: float, ctl: SeriesControl | None = None, *, reading: str = "consistent"
 ) -> float:
     """N(t) for the THM2 problem (forcing S^k_{l,c}(d**ups * t**ups), rate d)."""
-    if p.variant is not Variant.THM2:
-        raise DomainError(f"solve_thm2 requires variant THM2, got {p.variant}")
-    _check_reading(reading)
-    return _solve(p, t, ctl, reading)
+    return _solve(p, t, ctl, reading, Variant.THM2)
 
 
 def solve_thm3(
     p: KineticProblem, t: float, ctl: SeriesControl | None = None, *, reading: str = "consistent"
 ) -> float:
     """N(t) for the THM3 problem (THM2 forcing, distinct rate a != d)."""
-    if p.variant is not Variant.THM3:
-        raise DomainError(f"solve_thm3 requires variant THM3, got {p.variant}")
-    _check_reading(reading)
-    return _solve(p, t, ctl, reading)
+    return _solve(p, t, ctl, reading, Variant.THM3)
 
 
 def solve_constant(p: KineticProblem, t: float, ctl: SeriesControl | None = None) -> float:
@@ -301,9 +419,6 @@ def solve_constant(p: KineticProblem, t: float, ctl: SeriesControl | None = None
     return p.n0 * mittag_leffler(p.upsilon, _ml_argument(p.d, p.upsilon, t), ctl)
 
 
-_GRID_CHUNK = 512  # nodes per pass; bounds the (row, node) pair arrays (peak memory)
-
-
 @contextmanager
 def _at_node(g: np.ndarray, i: int):
     """Attach grid index i to a ``DomainError``/``OverflowError`` raised inside."""
@@ -313,81 +428,26 @@ def _at_node(g: np.ndarray, i: int):
         raise type(exc)(f"grid index {i} (t = {float(g[i])!r}): {exc}") from exc
 
 
-def _ml_arguments(p: KineticProblem, ts: np.ndarray) -> np.ndarray:
-    """:func:`_ml_argument` at each node t > 0, up to the first node that it or
-    :func:`_check_t` rejects: one entry per node before that one (``ts.size`` if none)."""
+def _sum_series_grid(series: _Series, ts: np.ndarray, s: np.ndarray, rel_tol: float):
+    """:func:`_sum_series` at every node, node for node the same double, on :func:`_lane_sums`.
+    Returns the values and (node, error) of the first node where ``_sum_series`` raises, or None."""
+    state = [np.arange(ts.size), ts, s]  # then the powers of chain c at each node, state[3 + c]
+
+    def step(n, hi):
+        series.reach(n)
+        d, x, c, first = series.entries[n]
+        if first:  # chains begin in order
+            state.append(_powers(state[1].tolist(), [x])[0])  # NaN where ** raises
+        else:
+            state[3 + c] *= state[2]
+        term = d * state[3 + c]
+        return term, 0.0, ~np.isfinite(term + hi)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        z = -_powers([p.rate], [p.upsilon])[0, 0] * _powers(ts.tolist(), [p.upsilon])[0]
-        ok = np.abs(z) <= ML_SERIES_CAP  # False at NaN: a power that raises, or t = inf at rate 0
-        return z if ok.all() else z[: ok.argmin()]
-
-
-@lru_cache(maxsize=128)
-def _row_columns(rows):
-    """(coefs, exponents, betas, log sizes) of the rows as arrays.
-
-    Log size r is ln(|coef_r| / |Gamma(beta_r)|): ln of term r at z = 0 (where
-    E_{upsilon,beta} is 1/Gamma(beta)) less g_r ln t, -inf where the row is 0.
-    """
-    sizes = [math.log(abs(coef)) - math.lgamma(beta) if coef else -math.inf for coef, _, beta in rows]
-    cols = tuple(np.array(col) for col in (*zip(*rows), sizes))
-    for col in cols:
-        col.setflags(write=False)  # shared by every caller through the cache
-    return cols
-
-
-def _sum_rows_grid(rows, ts: np.ndarray, z: np.ndarray, upsilon: float, ctl: SeriesControl):
-    """:func:`_sum_rows` at every node, node for node the same double.
-
-    The nodes are lanes of :func:`_lane_sums`, one row per step.  Each node's
-    (row, node) pairs are evaluated in one pass, up to an estimate of its last
-    row: the row after the first whose z = 0 size is at most ``rel_tol`` times
-    row 0's.  When a node reaches a row past its range, the active nodes' ranges
-    are estimated again from their partial sums and extended where that reaches
-    further, in one more pass; so the estimate decides speed only.
-    Returns the values and a mask of the nodes for which ``_sum_rows`` raises
-    (their values are meaningless).
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        coef, g, beta, log_size = _row_columns(rows)
-        n_rows, log_tol, span = len(rows), math.log(ctl.rel_tol), np.arange(len(rows))[:, None]
-        sizes = log_size[:, None] + np.multiply.outer(g, np.log(ts))  # ln of each (row, node) term at z = 0
-        terms, bad = np.empty((n_rows, ts.size)), np.empty((n_rows, ts.size), dtype=bool)
-        last, inv_g, pole = np.full(ts.size, -1), [], np.zeros(n_rows, dtype=bool)
-
-        def extend(nodes, first, floor):
-            """Evaluate each node's rows up to the row after the first row >= first of size <= floor, if further."""
-            small = sizes[first:, nodes] <= floor
-            reach = np.minimum(np.where(small.any(0), first + small.argmax(0) + 1, n_rows), n_rows - 1)
-            old = last.copy()
-            last[nodes] = np.maximum(last[nodes], reach)
-            for j in range(len(inv_g), last.max() + 1):
-                try:
-                    inv_g.append(_ml_inv_gammas(upsilon, rows[j][2], ctl.max_terms))
-                except (PoleError, OverflowError):  # _ml_eval raises it for every node that reaches the row
-                    inv_g.append((0.0,) * ctl.max_terms)
-                    pole[j] = True
-            top = span[: len(inv_g)]
-            r, i = np.nonzero((top > old) & (top <= last))
-            ml, ml_bad = _ml_eval_pairs(upsilon, np.array(inv_g), beta, r, z[i], ctl)
-            xs, es = ts[i].tolist(), g[r].tolist()
-            try:
-                powers = np.fromiter(map(pow, xs, es), float, r.size)
-            except ArithmeticError:  # NaN where t**e raises, as _powers gives
-                powers = np.array([_powers([x], [e])[0, 0] for x, e in zip(xs, es)])
-            terms[r, i] = coef[r] * powers * ml
-            bad[r, i] = ml_bad | pole[r] | np.isnan(powers)
-
-        extend(np.arange(ts.size), min(1, n_rows - 1), sizes[0] + log_tol)
-        state = [np.arange(ts.size)]
-
-        def step(r, hi):
-            pos = state[0]
-            if np.count_nonzero(last[pos] < r):
-                extend(pos, r, np.log(np.abs(hi)) + log_tol)
-            return terms[r][pos], 0.0, bad[r][pos]
-
-        return _lane_sums(step, state, n_rows, ctl.rel_tol)[::2]
+        vals, used, failed = _lane_sums(step, state, sys.maxsize, rel_tol, series.runs)
+        bad = failed | ~np.isfinite(vals)
+    i = int(np.argmax(bad))
+    return vals, (i, series.error(int(used[i]) - 1)) if bad[i] else None
 
 
 def solve_table(
@@ -423,20 +483,19 @@ def solve_table(
             values[0] = _zero_t_value(p)
         first = 1
     ts = g[first:]
-    z = _ml_arguments(p, ts)
-    if z.size:
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _powers(ts.tolist(), [p.upsilon])[0]
+        ok = np.abs(-_powers([p.rate], [p.upsilon])[0, 0] * s) <= ML_SERIES_CAP  # False at NaN
+    n = ts.size if ok.all() else int(ok.argmin())  # the nodes before the first past the cap (or inf)
+    if n:
         with _at_node(g, first):
-            rows = _problem_rows(p, reading, ctl.max_terms)
-        for start in range(0, z.size, _GRID_CHUNK):
-            part = slice(start, min(start + _GRID_CHUNK, z.size))
-            vals, failed = _sum_rows_grid(rows, ts[part], z[part], p.upsilon, ctl)
-            if failed.any():
-                i = start + int(np.argmax(failed))
-                with _at_node(g, first + i):
-                    _sum_rows(rows, float(ts[i]), float(z[i]), p.upsilon, ctl)
-                raise RuntimeError(f"grid index {first + i}: array pass and scalar row sum disagree")
-            values[first + start : first + start + vals.size] = vals
-    if z.size < ts.size:
-        with _at_node(g, first + z.size):
-            _ml_argument(p.rate, p.upsilon, _check_t(p, float(ts[z.size])))
+            series = _problem_series(p, reading, ctl.max_terms)
+        vals, failure = _sum_series_grid(series, ts[:n], s[:n], ctl.rel_tol)
+        if failure:
+            with _at_node(g, first + failure[0]):
+                raise failure[1]
+        values[first : first + n] = vals
+    if n < ts.size:
+        with _at_node(g, first + n):
+            _ml_argument(p.rate, p.upsilon, _check_t(p, float(ts[n])))
     return SolutionTable(g, values)

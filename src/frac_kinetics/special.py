@@ -1,38 +1,31 @@
 """Series evaluators: Struve, k-Struve, and Mittag-Leffler functions.
 
-All four evaluators share the same truncation contract, carried by
-:class:`SeriesControl`: terms are summed until the magnitude of the latest
-term drops to ``rel_tol`` times the partial sum, or ``max_terms`` terms have
-been taken, whichever comes first.  Partial sums are accumulated as
-double-double pairs (see :mod:`frac_kinetics._compensated`), because the
-interesting parameter regimes (``c > 0``, ``z < 0``) alternate in sign.
-
+All four evaluators share one truncation contract, carried by
+:class:`SeriesControl`: terms are summed until the latest term drops to
+``rel_tol`` times the partial sum, or ``max_terms`` terms have been taken.
+Partial sums are double-double pairs (:mod:`frac_kinetics._compensated`),
+because the interesting regimes (``c > 0``, ``z < 0``) alternate in sign.
 Two documented range caps keep the plain power series inside their
-numerically trustworthy region (no asymptotic continuation is attempted):
-
-* ``ML_SERIES_CAP`` — Mittag-Leffler argument, ``|z| <= 50``;
-* ``STRUVE_SERIES_CAP`` — Struve / k-Struve argument, ``|x| <= 20``.
+trustworthy region (no asymptotic continuation is attempted):
+``ML_SERIES_CAP`` (Mittag-Leffler, ``|z| <= 50``) and ``STRUVE_SERIES_CAP``
+(Struve and k-Struve, ``|x| <= 20``).
 
 The k-Struve coefficients come from one table, ``_k_struve_coeffs``, and
-the Struve powers (x/2)**(2r + nu/k + 1) from one CPython ``**`` times
-(x/2)**2 per term.  A term is coefficient times power where both are normal
-doubles and is formed in log space otherwise; a power or sum that overflows
-raises.  The array paths share one kernel, ``_lane_sums``, which sums one
-series per lane with the scalar loop's stop rule and double-double sums:
-``_k_struve_grid`` has a lane per node and hands a node whose term takes the
-log form to the scalar loop, ``_ml_eval_pairs`` one lane per (beta, z) pair,
-so each entry is the double its scalar twin returns.
+the powers (x/2)**(2r + nu/k + 1) from one ``**`` times (x/2)**2 per term.
+A term is coefficient times power where both are normal doubles and is
+formed in log space otherwise; a power or sum that overflows raises.  The
+array paths share one kernel, ``_lane_sums``, which sums one series per lane
+with the scalar loop's stop rule and double-double sums (``_k_struve_grid``
+a lane per node, handing a node whose term takes the log form to the scalar
+loop; ``kinetics.solve_table`` a lane per node of the solution series), so
+each entry is the double its scalar twin returns.
 
-For positive integer ``alpha`` the Mittag-Leffler term ratio collapses to the
-exact rational ``z / ((alpha*n + beta) ... (alpha*n + beta + alpha - 1))``,
-so terms themselves are generated in double-double arithmetic.  That is what
-makes the exponential identity E_1(z) = e^z hold to a few ulp across
-``|z| <= 10`` despite summand magnitudes up to ~2.8e3.  ``_ml_eval`` has one
-loop per kind of ``alpha``, neither with an index per term: a ``while`` loop of
-at most ``alpha`` divisions for integers, else a loop over the 1/Gamma table,
-where it and ``_ml_eval_pairs`` test z**n for overflow (and ``_ml_eval`` counts
-terms) only where |z| > 1 and max_terms ln|z| >= 700 (``_zn_may_overflow``).
-numpy (``_lazy_numpy.np``) loads on the first array call; the scalar series never touch it.
+``_ml_eval`` serves ``mittag_leffler`` and ``mittag_leffler2`` only.  For
+positive integer ``alpha`` its term ratio is the exact rational
+``z / ((alpha*n + beta) ... (alpha*n + beta + alpha - 1))``, so the terms are
+generated in double-double: E_1(z) = e^z holds to a few ulp across
+``|z| <= 10`` despite summands up to ~2.8e3.  numpy (``_lazy_numpy.np``)
+loads on the first array call; the scalar series never touch it.
 """
 
 from __future__ import annotations
@@ -44,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._compensated import _SPLITTER, dd_add, dd_div_double, dd_mul_double
+from ._compensated import dd_add, dd_div_double, dd_mul_double
 from ._lazy_numpy import np
 from .errors import DomainError, PoleError, RangeError
 from .kgamma import _gamma_sign
@@ -69,8 +62,9 @@ _STRUVE_OVERFLOW = "Struve series leaves the double range: a power (x/2)**(2r + 
 class SeriesControl:
     """Truncation policy for every series in the package.
 
-    ``max_terms`` mirrors the 50-term choice used for all shipped parameter
-    sweeps; ``rel_tol`` tightens the cut when the tail is already negligible.
+    ``max_terms`` bounds the Struve, k-Struve and Mittag-Leffler series, and so the
+    rows of a solution, whose own series stops by its rule (``kinetics._Series``);
+    ``rel_tol`` is the relative cut of every series.
     """
 
     max_terms: int = 50
@@ -111,27 +105,31 @@ class KStruveParams:
 # The lane-parallel series kernel
 
 
-def _lane_sums(step, state: list, n_terms: int, rel_tol: float):
+def _lane_sums(step, state: list, n_terms: int, rel_tol: float, runs=None):
     """Sum one series per lane, lane for lane the double of its scalar loop.
 
     ``state`` holds the caller's per-lane arrays, ``np.arange`` over the lanes first.
     ``step(n, hi)`` gives term n of the active lanes (hi, lo parts; ``hi`` is their sums)
     and the mask of lanes whose term n the kernel cannot take (the scalar loop raises
     there, or forms it another way), or None.  A lane stops on such a term (before its
-    stop test) or on a term at most ``rel_tol`` times its sum, and leaves ``state``, which
-    ends with the lanes that took all ``n_terms`` terms.  Returns the values, the terms
-    used and the mask of lanes that stopped on such a term.
+    stop test) or on a term at most ``rel_tol`` times its sum (with ``runs``, on the
+    ``runs[n]``-th such term in a row), and leaves ``state``, which ends with the lanes
+    that took all ``n_terms`` terms.  Returns the values, the terms used and the mask of
+    lanes that stopped on such a term.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         size = state[0].size
         out, used, failed = np.empty(size), np.full(size, n_terms), np.zeros(size, dtype=bool)
-        hi, lo = np.zeros(size), np.zeros(size)
+        hi, lo, run = np.zeros(size), np.zeros(size), np.zeros(size, dtype=int)
         for n in range(n_terms):
             if not hi.size:
                 break
             term, term_lo, bad = step(n, hi)
             hi, lo = dd_add(hi, lo, term, term_lo)
             done = np.abs(term) <= rel_tol * np.abs(hi)
+            if runs is not None:
+                run = np.where(done, run + 1, 0)
+                done = run >= runs[n]
             if bad is not None and np.count_nonzero(bad):  # count_nonzero: a fraction of .any()'s call cost
                 failed[state[0][bad]] = True
                 done |= bad
@@ -139,7 +137,7 @@ def _lane_sums(step, state: list, n_terms: int, rel_tol: float):
                 idx = state[0][done]
                 out[idx], used[idx] = hi[done] + lo[done], n + 1
                 keep = ~done
-                hi, lo = hi[keep], lo[keep]
+                hi, lo, run = hi[keep], lo[keep], run[keep]
                 state[:] = [a[keep] for a in state]
         out[state[0]] = hi + lo
         return out, used, failed
@@ -166,12 +164,10 @@ def _powers(xs: list[float], exps: list[float]) -> np.ndarray:
 
 @lru_cache(maxsize=512)
 def _ml_inv_gammas(alpha: float, beta: float, max_terms: int) -> tuple[float, ...]:
-    """Cached 1/Gamma(alpha*n + beta) for n < max_terms.
+    """Cached 1/Gamma(alpha*n + beta) for n < max_terms, poles checked at every such n.
 
-    Pole checking happens here, across every index the truncation policy may
-    reach.  Gamma overflow means the true denominator exceeds the double range, so the
-    reciprocal is exactly representable as 0.0; Gamma underflow to 0.0, or to a subnormal
-    whose reciprocal is infinite, raises ``OverflowError``.
+    Gamma overflow gives 0.0 (the true reciprocal is below the double range); Gamma underflow
+    to 0.0, or to a subnormal whose reciprocal is infinite, raises ``OverflowError``.
     """
     out = []
     for n in range(max_terms):
@@ -195,118 +191,33 @@ def _ml_inv_gammas(alpha: float, beta: float, max_terms: int) -> tuple[float, ..
     return tuple(out)
 
 
-def _zn_may_overflow(top: float, max_terms: int) -> bool:
-    """Whether z**n can overflow for some n <= max_terms at |z| <= top; if not, |z|**n < e**700 for every n."""
-    return top > 1.0 and max_terms * math.log(top) >= 700.0
-
-
 def _ml_eval(alpha: float, beta: float, z: float, ctl: SeriesControl) -> float:
-    """Core series for E_{alpha,beta}(z); shared by every public caller, double-double steps inlined;
-    one loop per kind of ``alpha``: for positive integers the exact term recurrence, whose ``while``
-    loop divides by alpha*n + beta + j, j = 0 .. alpha - 1, until the term is (0, 0) under a nonzero
-    sum; otherwise a loop over the 1/Gamma table that tests z**n for overflow, and counts n, only
-    where :func:`_zn_may_overflow` says that some power can overflow."""
+    """Core series for E_{alpha,beta}(z), summed in double-double.  For positive integer ``alpha``
+    the terms come from the exact recurrence t_{n+1} = t_n z / prod_j (alpha n + beta + j), j < alpha,
+    in double-double, the divisions ending once a term is 0 under a nonzero sum; otherwise term n is
+    z**n times the 1/Gamma table, z**n tested for overflow where |z| > 1 and max_terms ln|z| >= 700."""
     inv_g = _ml_inv_gammas(alpha, beta, ctl.max_terms)
-    rel_tol = ctl.rel_tol
     n_int = round(alpha)
-    sum_hi, sum_lo = 0.0, 0.0
-    if not (alpha == n_int and n_int >= 1):
-        check, zn, n = _zn_may_overflow(abs(z), ctl.max_terms), 1.0, 0
-        for g in inv_g:
-            t = zn * g
-            s = sum_hi + t  # sum += t
-            b = s - sum_hi
-            e = (sum_hi - (s - b)) + (t - b)
-            e += sum_lo + 0.0
-            sum_hi = s + e
-            b = sum_hi - s
-            sum_lo = (s - (sum_hi - b)) + (e - b)
-            if abs(t) <= rel_tol * abs(sum_hi):
-                break
-            zn *= z
-            if check:
-                n += 1  # the index of zn: counted only where it can overflow
-                if math.isinf(zn):
-                    raise OverflowError(f"Mittag-Leffler series term overflow at n = {n} (z = {z!r})")
-        return sum_hi + sum_lo
-    c = _SPLITTER * z
-    zh = c - (c - z)
-    zl = z - zh
-    t_hi, t_lo = inv_g[0], 0.0
+    integer = alpha == n_int and n_int >= 1
+    check = not integer and abs(z) > 1.0 and ctl.max_terms * math.log(abs(z)) >= 700.0
+    sum_hi, sum_lo, t_hi, t_lo, zn = 0.0, 0.0, inv_g[0], 0.0, 1.0
     for n in range(ctl.max_terms):
-        s = sum_hi + t_hi  # sum += t
-        b = s - sum_hi
-        e = (sum_hi - (s - b)) + (t_hi - b)
-        e += sum_lo + t_lo
-        sum_hi = s + e
-        b = sum_hi - s
-        sum_lo = (s - (sum_hi - b)) + (e - b)
-        if abs(t_hi) <= rel_tol * abs(sum_hi):
+        if not integer:
+            t_hi = zn * inv_g[n]
+        sum_hi, sum_lo = dd_add(sum_hi, sum_lo, t_hi, t_lo)
+        if abs(t_hi) <= ctl.rel_tol * abs(sum_hi):
             break
-        # exact term recurrence: t_{n+1} = t_n * z / prod(alpha*n + beta + j)
-        p, c = t_hi * z, _SPLITTER * t_hi
-        ah = c - (c - t_hi)
-        al = t_hi - ah
-        e = ((ah * zh - p) + ah * zl + al * zh) + al * zl + t_lo * z
-        t_hi = p + e
-        b = t_hi - p
-        t_lo = (p - (t_hi - b)) + (e - b)
-        j = 0
-        while t_hi or not sum_hi:  # t = (0, 0) ends a nonzero sum whatever the signs of its zeros
-            d = alpha * n + beta + j  # t /= d, formed afresh each time: stepping d by 1.0 rounds differently
-            q = t_hi / d
-            p, c, cd = q * d, _SPLITTER * q, _SPLITTER * d
-            ah, dh = c - (c - q), cd - (cd - d)
-            al, dl = q - ah, d - dh
-            e = ((t_hi - p) - (((ah * dh - p) + ah * dl + al * dh) + al * dl) + t_lo) / d
-            t_hi = q + e
-            b = t_hi - q
-            t_lo = (q - (t_hi - b)) + (e - b)
-            j += 1
-            if j == n_int:
-                break
+        if integer:
+            t_hi, t_lo = dd_mul_double(t_hi, t_lo, z)
+            for j in range(n_int):
+                if not t_hi and sum_hi:
+                    break
+                t_hi, t_lo = dd_div_double(t_hi, t_lo, alpha * n + beta + j)
+        else:
+            zn *= z
+            if check and math.isinf(zn):
+                raise OverflowError(f"Mittag-Leffler series term overflow at n = {n + 1} (z = {z!r})")
     return sum_hi + sum_lo
-
-
-def _ml_eval_pairs(
-    alpha: float, inv_g: np.ndarray, beta: np.ndarray, row: np.ndarray, z: np.ndarray, ctl: SeriesControl
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_ml_eval` at every pair i, E_{alpha, beta[row[i]]}(z[i]), pair for pair the same double.
-
-    ``inv_g[r]`` is the ``_ml_inv_gammas(alpha, beta[r], ctl.max_terms)``
-    table of row r, gathered by each pair's row index.  The pairs are lanes
-    of :func:`_lane_sums`.  Returns the values and a mask of the pairs for
-    which ``_ml_eval`` raises ``OverflowError`` (their values are meaningless).
-    """
-    n_int = round(alpha)
-    if alpha == n_int and n_int >= 1:
-        state = [np.arange(z.size), z, beta[row], inv_g[row, 0], np.zeros(z.size)]
-
-        def step(n, hi):
-            _, z, b, t_hi, t_lo = state
-            if n:
-                t_hi, t_lo = dd_mul_double(t_hi, t_lo, z)
-                for j in range(n_int):
-                    if not np.count_nonzero(t_hi) and np.count_nonzero(hi) == hi.size:  # _ml_eval's exit, all pairs
-                        break
-                    t_hi, t_lo = dd_div_double(t_hi, t_lo, alpha * (n - 1) + b + j)
-                state[3:] = t_hi, t_lo
-            return t_hi, t_lo, None
-
-        return _lane_sums(step, state, ctl.max_terms, ctl.rel_tol)[::2]
-    state = [np.arange(z.size), row, z, np.ones(z.size)]
-    may_overflow = _zn_may_overflow(np.abs(z).max(initial=0.0), ctl.max_terms)
-
-    def step(n, hi):
-        _, row, z, zn = state
-        bad = np.isinf(zn) if may_overflow else None  # _ml_eval raises as z**n overflows, after term n - 1
-        term = zn * inv_g[:, n].take(row)  # a column gather: half the cost of inv_g[row, n]
-        zn *= z
-        return term, 0.0, bad
-
-    out, _, overflow = _lane_sums(step, state, ctl.max_terms, ctl.rel_tol)
-    overflow[state[0][np.isinf(state[3])]] = True  # z**max_terms, after the last term
-    return out, overflow
 
 
 def mittag_leffler2(alpha: float, beta: float, z: float, ctl: SeriesControl | None = None) -> float:

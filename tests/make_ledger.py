@@ -7,7 +7,8 @@ a few minutes):
 
 With ``--errors`` it recomputes only the recorded errors from the stored
 values (a few seconds), keeping every value and floor, so that the ledger
-records the program it ships with:
+records the program it ships with (it prints, per family, how many recorded
+errors fell, rose and stayed):
 
     PYTHONPATH=src python3 tests/make_ledger.py --errors
 
@@ -552,10 +553,11 @@ def refresh_errors() -> None:
     from frac_kinetics.kinetics import _rows
 
     ledger = json.loads(OUT.read_text())
-    moved = {"fell": 0, "rose": 0, "stayed": 0, "recorded where the case raised": 0}
+    moved = {}
 
-    def record(case, key, got, errors):
+    def record(family, case, key, got, errors):
         """Store ``raises``, or the list ``errors()`` under ``key`` (one error for "err"), counting each move."""
+        counts = moved.setdefault(family, dict.fromkeys(("fell", "rose", "stayed", "recorded where it raised"), 0))
         old = case.pop(key, None)
         case.pop("raises", None)
         if isinstance(got, list):
@@ -565,18 +567,22 @@ def refresh_errors() -> None:
         case[key] = new if key == "errs" else new[0]
         for now, was in zip(new, [None] * len(new) if old is None else old if key == "errs" else [old]):
             diff = None if was is None else mp.mpf(now) - mp.mpf(was)
-            moved["recorded where the case raised" if diff is None else
-                  "fell" if diff < 0 else "rose" if diff > 0 else "stayed"] += 1
+            counts["recorded where it raised" if diff is None else
+                   "fell" if diff < 0 else "rose" if diff > 0 else "stayed"] += 1
 
-    for family, call in (("sums", sum_call), ("ml", ml_call)):
+    for family, call, error in (("sums", sum_call, lambda got, case: sum_error(got, case["value"])),
+                                ("ml", ml_call, lambda got, case: sum_error(got, case["value"])),
+                                ("solve", solve_call, lambda got, case: solve_error(got, case["values"]))):
         for case in ledger[family]:
             got = outcome(call(case))
-            record(case, "err", got, lambda: [_up3(sum_error(got, case["value"]))])
+            record(family, case, "err", got, lambda: [_up3(error(got, case))])
     for prob in ledger["rows"]:
         got = outcome(lambda: _rows(*prob["args"]))
-        record(prob, "errs", got, lambda: [_up3(row_error(coef, v)) for (coef, _, _), v in zip(got, prob["values"])])
+        record("rows", prob, "errs", got,
+               lambda: [_up3(row_error(coef, v)) for (coef, _, _), v in zip(got, prob["values"])])
     _write(ledger["sums"], ledger["rows"], ledger["ml"], ledger["solve"])
-    print("recorded errors: " + ", ".join(f"{n} {how}" for how, n in moved.items()), file=sys.stderr)
+    for family, counts in moved.items():
+        print(f"{family} recorded errors: " + ", ".join(f"{n} {how}" for how, n in counts.items()), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -73,7 +73,7 @@ def test_eval_thm1_long_budget_past_gamma_overflow(capsys):
     for budget in ("85", "90"):
         code, out, err = _run(capsys, *args, "--max-terms", budget)
         assert code == 0, err
-        assert out.strip() == "0.0444162359567548"
+        assert out.strip() == "0.0444162359567547"  # N(0.5) = 0.04441623595675474942... (mpmath)
 
 
 def test_eval_thm3_runs(capsys):
@@ -511,9 +511,9 @@ def test_env_value_reaches_default_used_elsewhere(capsys, monkeypatch):
 
 def test_consecutive_calls_share_no_state(tmp_path, capsys):
     # the argument tree is built once per process; a flag given to one call
-    # must not reach the next.  At upsilon = 0.1 the 50-term default is not
-    # converged, so a leaked --max-terms 90 would change the printed value.
-    code, _, err = _run(capsys, "sweep", "--max-terms", "90", "--out", str(tmp_path / "s.csv"))
+    # must not reach the next.  Three k-Struve rows are not converged at
+    # t = 1, so a leaked --max-terms 3 would change the printed value.
+    code, _, err = _run(capsys, "sweep", "--max-terms", "3", "--out", str(tmp_path / "s.csv"))
     assert code == 0, err
     args = ("eval", "thm1", "--n0", "1", "--d", "1", "--upsilon", "0.1",
             "--l", "1", "--c", "1", "--k", "1", "--t", "1")
@@ -523,7 +523,7 @@ def test_consecutive_calls_share_no_state(tmp_path, capsys):
         n0=1.0, upsilon=0.1, d=1.0, struve=KStruveParams(1.0, 1.0, 1.0), variant=Variant.THM1
     )
     assert out.strip() == f"{solve_thm1(p, 1.0):.15g}"
-    assert out.strip() != f"{solve_thm1(p, 1.0, SeriesControl(max_terms=90)):.15g}"
+    assert out.strip() != f"{solve_thm1(p, 1.0, SeriesControl(max_terms=3)):.15g}"
 
 
 def test_help_exits_zero_and_parser_still_works(capsys):

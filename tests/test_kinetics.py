@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -25,9 +24,6 @@ from frac_kinetics import (
     solve_thm3,
     volterra_solve,
 )
-from frac_kinetics import kinetics
-from frac_kinetics._compensated import dd_add
-from test_special import _line_runs
 
 
 def _thm1(n0=1.0, upsilon=1.0, d=1.0, l=1.0, c=1.0, k=1.0):
@@ -373,12 +369,13 @@ def _scalar_table(p, grid, ctl=None, reading="consistent"):
     return values
 
 
-def _same_failure(p, grid, ctl=None, reading="consistent"):
+def _same_failure(p, grid, ctl=None, reading="consistent", kind=None):
     with pytest.raises((DomainError, OverflowError)) as want:
         _scalar_table(p, grid, ctl, reading)
     with pytest.raises(want.type) as got:
         solve_table(p, grid, ctl, reading=reading)
     assert got.type is want.type
+    assert kind is None or got.type is kind
     assert str(got.value) == str(want.value)
     return str(got.value)
 
@@ -393,22 +390,60 @@ _VARIANTS = [
 _CONTROLS = [None, SeriesControl(max_terms=90), SeriesControl(max_terms=30, rel_tol=1e-10)]
 
 
-@pytest.mark.parametrize("make,reading", _VARIANTS)
-@pytest.mark.parametrize("ups", [0.1, 0.5, 1.0, 1.5, 2.0])
-@pytest.mark.parametrize("ctl", _CONTROLS)
-def test_solve_table_is_the_scalar_solver_bit_for_bit(make, reading, ups, ctl):
-    # integer upsilon takes the double-double term recurrence of the
-    # Mittag-Leffler kernel, fractional upsilon the plain power recurrence
-    p = make(upsilon=ups, l=0.7, c=1.3, k=2.0)
-    grid = np.linspace(0.0, 1.5, 101)
+_BIT_CASES = [
+    (make(upsilon=ups, l=0.7, c=1.3, k=2.0), reading, ctl, np.linspace(0.0, 1.5, 101))
+    for ctl in _CONTROLS
+    for ups in (0.1, 0.5, 1.0, 1.5, 2.0)
+    for make, reading in _VARIANTS
+] + [
+    # nodes whose sums stop late: THM1 at t = 1.7 ... 1.9, THM2 at t = 1.85 ... 2.0
+    (_thm1(upsilon=1.5, d=4.4, l=-0.12, c=0.85, k=2.3), "consistent", None, np.linspace(0.0, 2.0, 41)),
+    (_thm2(upsilon=2.0, d=3.4, l=3.0, c=0.3, k=3.25), "consistent", None, np.linspace(0.0, 2.0, 41)),
+]
+
+
+@pytest.mark.parametrize("p,reading,ctl,grid", _BIT_CASES)
+def test_solve_table_is_the_scalar_solver_bit_for_bit(p, reading, ctl, grid):
+    # integer upsilon divides the coefficient chain exactly, fractional upsilon
+    # takes the ratio of two gamma values; a table of one node is the scalar
+    # solver too, by repr
     try:
         want = _scalar_table(p, grid, ctl, reading)
     except OverflowError:
         # THM2/THM3 rows at upsilon = 2 leave the double range before row 90
-        assert (make, ups, ctl.max_terms) in {(_thm2, 2.0, 90), (_thm3, 2.0, 90)}
+        assert p.variant in (Variant.THM2, Variant.THM3) and p.upsilon == 2.0 and ctl.max_terms == 90
         _same_failure(p, grid, ctl, reading)
         return
     assert np.array_equal(solve_table(p, grid, ctl, reading=reading).n, want)
+    for t in (1e-6, 0.3, 1.5):
+        one = np.array([t])
+        assert repr(float(solve_table(p, one, ctl, reading=reading).n[0])) == repr(
+            float(_scalar_table(p, one, ctl, reading)[0])
+        )
+
+
+def test_solvers_evaluate_no_mittag_leffler_series(monkeypatch):
+    # a solution is one list of coefficients fixed per problem: neither the
+    # scalar solvers nor the table, nor building the list, reach the
+    # Mittag-Leffler core or its 1/Gamma table
+    from frac_kinetics import kinetics, special
+
+    grid = np.linspace(0.0, 1.5, 31)
+    cells = [(make(upsilon=ups, l=0.7, c=1.3, k=2.0), reading)
+             for make, reading in _VARIANTS for ups in (0.1, 0.5, 1.5, 2.0)]
+    want = [_scalar_table(p, grid, reading=reading) for p, reading in cells]
+
+    def refuse(*args):
+        raise AssertionError("a solver evaluated a Mittag-Leffler series")
+
+    for module in (special, kinetics):
+        for name in ("_ml_eval", "_ml_inv_gammas"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for cached in [f for f in vars(kinetics).values() if hasattr(f, "cache_clear")]:
+        cached.cache_clear()  # so that the patched run builds its coefficients afresh
+    for (p, reading), values in zip(cells, want):
+        assert np.array_equal(_scalar_table(p, grid, reading=reading), values)
+        assert np.array_equal(solve_table(p, grid, reading=reading).n, values)
 
 
 @pytest.mark.parametrize(
@@ -419,8 +454,7 @@ def test_solve_table_is_the_scalar_solver_bit_for_bit(make, reading, ups, ctl):
         (_thm3(upsilon=2.0, l=1.5, c=0.6, k=1.0), "consistent"),
     ],
 )
-def test_solve_table_bit_for_bit_across_grid_chunks(p, reading):
-    # 4,097 nodes span nine 512-node chunks
+def test_solve_table_bit_for_bit_on_a_long_grid(p, reading):
     grid = np.linspace(0.0, 1.0, 4097)
     assert np.array_equal(solve_table(p, grid, reading=reading).n, _scalar_table(p, grid, reading=reading))
 
@@ -452,180 +486,34 @@ def test_solve_table_row_overflow_at_the_first_positive_node():
 
 
 def test_solve_table_fails_like_the_scalar_row_sum():
-    # a term's power (t/2)**e or a Mittag-Leffler z**n overflows only for the
-    # nodes whose sum has not stopped before that row
-    _same_failure(_thm1(d=1e-3), np.linspace(0.0, 2e4, 9), SeriesControl(max_terms=120))
-    msg = _same_failure(
-        _thm2(upsilon=0.1, d=1e-17), np.array([0.0, 1.0, 5e33, 1e34]), SeriesControl(max_terms=200)
-    )
-    assert "Mittag-Leffler series term overflow" in msg
-    # printed reading: row 0 has beta = -1/2, so alpha + beta hits a gamma pole
-    msg = _same_failure(_thm2(upsilon=0.5, l=-4.0, k=4.0), np.array([0.5, 1.0]), reading="printed")
-    assert "gamma pole" in msg
+    # a power t**x or a term overflows only for the nodes whose sum has not
+    # stopped before that entry
+    cases = [
+        (_thm1(d=1e-3), np.linspace(0.0, 2e4, 9), SeriesControl(max_terms=120), "consistent", OverflowError),
+        (_thm2(upsilon=0.1, d=1e-17), np.array([0.0, 1.0, 5e33, 1e34]), SeriesControl(max_terms=200), "consistent",
+         OverflowError),
+        # printed reading: row 0 has beta = -1/2, so upsilon + beta hits a gamma pole
+        (_thm2(upsilon=0.5, l=-4.0, k=4.0), np.array([0.5, 1.0]), None, "printed", PoleError),
+        # upsilon = 0.1 at |z| = 5 and above: the coefficients pass the double range
+        # before the series stops; the nodes below stop first
+        (_thm1(upsilon=0.1, d=1e17), np.array([1e-30, 1e-20, 1e-10, 0.5]), None, "consistent", OverflowError),
+    ]
+    for p, grid, ctl, reading, kind in cases:
+        msg = _same_failure(p, grid, ctl, reading, kind)
+        # a table of the failing node alone fails alike
+        i = int(msg.split()[2])
+        _same_failure(p, grid[i : i + 1], ctl, reading, kind)
+    assert msg.startswith("grid index 2 (t = 1e-10): ")
     _same_failure(_thm1(), np.array([0.0, 0.5, np.inf]))
     _same_failure(_thm2(), np.array([0.5, 1.0]), reading="bogus")
 
 
 def test_solve_table_raises_for_a_power_that_overflows_after_the_last_term():
-    # z**182 overflows at t = 0.95 just after the 182nd and last Mittag-Leffler
-    # term of row 0; the scalar loop raises there, and so must the array pass
+    # E_{0.1}(z) near the cap |z| = 50 has terms past 1e308 long before it
+    # stops: the coefficient list overflows already at the first node
     p = _thm1(upsilon=0.1, d=1e17)
-    msg = _same_failure(p, np.array([0.5, 0.95]), SeriesControl(max_terms=182))
-    assert msg == (
-        "grid index 1 (t = 0.95): Mittag-Leffler series term overflow at n = 182 (z = -49.86230610603668)"
-    )
-
-
-def test_row_sum_at_one_lane_is_the_scalar_loop(monkeypatch):
-    # a one-node table: value by repr, the same error, and the kernel's
-    # term count is the number of rows the scalar row sum adds
-    cases = [
-        (make(upsilon=ups, l=0.7, c=1.3, k=2.0), reading, t, ctl)
-        for make, reading in _VARIANTS
-        for ups in (0.1, 0.5, 1.0, 2.0)
-        for t in (1e-6, 0.3, 1.5)
-        for ctl in (None, SeriesControl(max_terms=30, rel_tol=1e-10))
-    ]
-    cases += [
-        (_thm1(d=1e-3), "consistent", 2e4, SeriesControl(max_terms=120)),  # (t/2)**e overflows
-        (_thm2(upsilon=0.1, d=1e-17), "consistent", 5e33, SeriesControl(max_terms=200)),  # z**n overflows
-        (_thm2(upsilon=0.5, l=-4.0, k=4.0), "printed", 0.5, None),  # gamma pole
-        (_thm1(upsilon=0.1, d=1e17), "consistent", 0.95, SeriesControl(max_terms=182)),
-    ]
-    failures = 0
-    for p, reading, t, ctl in cases:
-        want, added = _line_runs(
-            kinetics._sum_rows, "# sum += term", lambda: float(_scalar_table(p, np.array([t]), ctl, reading)[0])
-        )
-        used, real = [], kinetics._lane_sums
-
-        def recording(step, state, n_terms, rel_tol):
-            out = real(step, state, n_terms, rel_tol)
-            used.append(out[1].tolist())
-            return out
-
-        with monkeypatch.context() as m:
-            m.setattr(kinetics, "_lane_sums", recording)
-            try:
-                got = repr(float(solve_table(p, np.array([t]), ctl, reading=reading).n[0]))
-            except (DomainError, OverflowError) as exc:
-                got = (type(exc), str(exc))
-        assert got == want, (p, reading, t, ctl)
-        if isinstance(want, tuple):
-            failures += 1
-        else:
-            assert used == [[added]], (p, reading, t, ctl)
-    assert failures == 4
-
-
-def _stop_row(p, t, ctl=SeriesControl()):
-    """The row at which the scalar row sum of p stops at node t > 0."""
-    z = kinetics._ml_argument(p.rate, p.upsilon, t)
-    hi = lo = 0.0
-    for r, (coef, e, beta) in enumerate(kinetics._problem_rows(p, "consistent", ctl.max_terms)):
-        term = coef * t**e * kinetics._ml_eval(p.upsilon, beta, z, ctl)
-        hi, lo = dd_add(hi, lo, term)
-        if abs(term) <= ctl.rel_tol * abs(hi):
-            return r
-    return None
-
-
-def _overflow_at(monkeypatch, p, t, row):
-    """Make E_{upsilon, beta_row}(z(t)) overflow, in the array pass and in the scalar replay."""
-    beta = kinetics._problem_rows(p, "consistent", SeriesControl().max_terms)[row][2]
-    z = kinetics._ml_argument(p.rate, p.upsilon, t)
-    msg = f"Mittag-Leffler series term overflow at n = 3 (z = {z!r})"
-    pairs, scalar = kinetics._ml_eval_pairs, kinetics._ml_eval
-
-    def flagged_pairs(alpha, inv_g, betas, rows, zs, ctl):
-        values, overflow = pairs(alpha, inv_g, betas, rows, zs, ctl)
-        return values, overflow | ((betas[rows] == beta) & (zs == z))
-
-    def raising_scalar(alpha, b, zz, ctl):
-        if b == beta and zz == z:
-            raise OverflowError(msg)
-        return scalar(alpha, b, zz, ctl)
-
-    monkeypatch.setattr(kinetics, "_ml_eval_pairs", flagged_pairs)
-    monkeypatch.setattr(kinetics, "_ml_eval", raising_scalar)
-    return msg
-
-
-# node 5 (t = 0.5) stops at row 6, and the rows evaluated there reach row 7
-_PRECEDENCE_GRID = np.linspace(0.0, 1.0, 11)
-
-
-@pytest.mark.parametrize("ups", [0.5, 2.0])
-def test_solve_table_ignores_a_failure_past_the_stop_row_in_its_block(monkeypatch, ups):
-    p = _thm1(upsilon=ups, l=0.7, c=1.3, k=2.0)
-    grid, i = _PRECEDENCE_GRID, 5
-    stop = _stop_row(p, grid[i])
-    assert stop == 6
-    want = solve_table(p, grid).n
-    _overflow_at(monkeypatch, p, grid[i], stop + 1)
-    flagged, failures = kinetics._ml_eval_pairs, []
-
-    def recording(*args):
-        values, overflow = flagged(*args)
-        failures.append(np.count_nonzero(overflow))
-        return values, overflow
-
-    monkeypatch.setattr(kinetics, "_ml_eval_pairs", recording)
-    assert np.array_equal(solve_table(p, grid).n, want)
-    assert sum(failures) == 1  # the failing pair was evaluated, and its failure ignored
-
-
-@pytest.mark.parametrize("ups", [0.5, 2.0])
-@pytest.mark.parametrize("before", [0, 1])
-def test_solve_table_fails_at_or_before_the_stop_row_with_the_scalar_error(monkeypatch, ups, before):
-    # the scalar loop raises before its stop test, so a failure in the stop
-    # row itself takes precedence over the stop
-    p = _thm1(upsilon=ups, l=0.7, c=1.3, k=2.0)
-    grid, i = _PRECEDENCE_GRID, 5
-    stop = _stop_row(p, grid[i])
-    assert stop == 6
-    msg = _overflow_at(monkeypatch, p, grid[i], stop - before)
-    with pytest.raises(OverflowError) as exc:
-        solve_table(p, grid)
-    assert str(exc.value) == f"grid index {i} (t = {float(grid[i])!r}): {msg}"
-    with pytest.raises(OverflowError, match="^" + re.escape(str(exc.value)) + "$"):
-        _scalar_table(p, grid)
-
-
-def _pair_counts(monkeypatch):
-    """The number of (row, node) pairs of each ``_ml_eval_pairs`` call, as it is made."""
-    counts, real = [], kinetics._ml_eval_pairs
-
-    def counted(alpha, inv_g, beta, row, z, ctl):
-        counts.append(row.size)
-        return real(alpha, inv_g, beta, row, z, ctl)
-
-    monkeypatch.setattr(kinetics, "_ml_eval_pairs", counted)
-    return counts
-
-
-# each node's rows are evaluated up to an estimate of its last row; here some
-# nodes stop past it: THM1 at t = 1.7 ... 1.9 at row 10 (estimate 9), THM2 at
-# t = 1.85 ... 2.0 at rows 27-30 (estimates 26-29)
-@pytest.mark.parametrize(
-    "p", [_thm1(upsilon=1.5, d=4.4, l=-0.12, c=0.85, k=2.3), _thm2(upsilon=2.0, d=3.4, l=3.0, c=0.3, k=3.25)]
-)
-def test_solve_table_continues_a_node_past_its_estimated_rows(monkeypatch, p):
-    grid = np.linspace(0.0, 2.0, 41)
-    want = [repr(float(v)) for v in _scalar_table(p, grid)]
-    counts = _pair_counts(monkeypatch)
-    assert [repr(float(v)) for v in solve_table(p, grid).n] == want
-    assert len(counts) > 1
-
-
-def test_solve_table_evaluates_few_pairs_past_each_stop_row(monkeypatch):
-    # the CLI's default cell: one Mittag-Leffler pass over at most the rows up
-    # to one past each node's stop row
-    p, grid = _thm1(), np.linspace(0.0, 1.0, 101)
-    bound = sum(_stop_row(p, float(t)) + 2 for t in grid[1:])
-    counts = _pair_counts(monkeypatch)
-    solve_table(p, grid)
-    assert bound == 815 and len(counts) == 1 and counts[0] <= bound
+    msg = _same_failure(p, np.array([0.5, 0.95]), SeriesControl(max_terms=182), kind=OverflowError)
+    assert msg.startswith("grid index 0 (t = 0.5): solution series entry ")
 
 
 # ---------------------------------------------------------------- rows past the double range

@@ -490,30 +490,6 @@ def test_huge_integer_alpha_leaves_the_divisor_loop_scalar():
     assert lines < 10_000
 
 
-def test_huge_integer_alpha_leaves_the_divisor_loop_array(monkeypatch):
-    from frac_kinetics import special
-
-    calls = 0
-    div = special.dd_div_double
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return div(*args)
-
-    monkeypatch.setattr(special, "dd_div_double", counted)
-    alpha = 1e4
-    beta = np.array([1.0, 2.5])
-    inv_g = np.array([special._ml_inv_gammas(alpha, b, 50) for b in beta])
-    row = np.array([0, 1, 0, 1, 0])
-    z = np.array([0.5, -3.0, 0.0, 50.0, -50.0])
-    out, overflow = special._ml_eval_pairs(alpha, inv_g, beta, row, z, SeriesControl())
-    assert not overflow.any()
-    want = [_ml_eval_reference(alpha, beta[r], zi, SeriesControl()) for r, zi in zip(row, z)]
-    assert [repr(v) for v in out] == [repr(v) for v in want]
-    assert calls < 1_000
-
-
 # ---------------------------------------------------------------- k-Struve power recurrence
 
 
@@ -807,29 +783,6 @@ def _kernel_runs(monkeypatch, module, call):
             return call(), used, stopped
         except Exception as e:  # noqa: BLE001 - any error type must match
             return (type(e), str(e)), used, stopped
-
-
-def test_ml_pairs_at_one_lane_are_the_scalar_loop(monkeypatch):
-    # value by repr, the same overflow, and the kernel's term count is the
-    # number of terms the scalar loop sums
-    from frac_kinetics import special
-
-    cases = [(a, b, z, ctl) for a, b, z in _ml_draws(29)[::3] for ctl in (SeriesControl(), SeriesControl(90, 1e-10))]
-    cases += [(0.3, 1.0, 50.0, SeriesControl(max_terms=200)), (0.1, 1.0, -49.86230610603668, SeriesControl(182))]
-    overflows = 0
-    for alpha, beta, z, ctl in cases:
-        inv_g = np.array([special._ml_inv_gammas(alpha, beta, ctl.max_terms)])
-        want, terms = _line_runs(special._ml_eval, "# sum += t", lambda: special._ml_eval(alpha, beta, z, ctl))
-        (values, overflow), used, _ = _kernel_runs(
-            monkeypatch, special,
-            lambda: special._ml_eval_pairs(alpha, inv_g, np.array([beta]), np.array([0]), np.array([z]), ctl),
-        )
-        if isinstance(want, tuple):
-            overflows += 1
-            assert want[0] is OverflowError and overflow.tolist() == [True], (alpha, beta, z)
-            continue
-        assert (repr(float(values[0])), overflow.tolist(), used) == (want, [False], [[terms]]), (alpha, beta, z)
-    assert overflows == 2
 
 
 def test_k_struve_grid_at_one_lane_is_the_scalar_loop(monkeypatch):
