@@ -443,9 +443,8 @@ def _sum_series_grid(series: _Series, ts: np.ndarray, s: np.ndarray, rel_tol: fl
         term = d * state[3 + c]
         return term, 0.0, ~np.isfinite(term + hi)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals, used, failed = _lane_sums(step, state, sys.maxsize, rel_tol, series.runs)
-        bad = failed | ~np.isfinite(vals)
+    vals, used, failed = _lane_sums(step, state, sys.maxsize, rel_tol, series.runs)  # steps under its errstate
+    bad = failed | ~np.isfinite(vals)
     i = int(np.argmax(bad))
     return vals, (i, series.error(int(used[i]) - 1)) if bad[i] else None
 
