@@ -390,28 +390,20 @@ _VARIANTS = [
 _CONTROLS = [None, SeriesControl(max_terms=90), SeriesControl(max_terms=30, rel_tol=1e-10)]
 
 
-_BIT_CASES = [
-    (make(upsilon=ups, l=0.7, c=1.3, k=2.0), reading, ctl, np.linspace(0.0, 1.5, 101))
-    for ctl in _CONTROLS
-    for ups in (0.1, 0.5, 1.0, 1.5, 2.0)
-    for make, reading in _VARIANTS
-] + [
-    # nodes whose sums stop late: THM1 at t = 1.7 ... 1.9, THM2 at t = 1.85 ... 2.0
-    (_thm1(upsilon=1.5, d=4.4, l=-0.12, c=0.85, k=2.3), "consistent", None, np.linspace(0.0, 2.0, 41)),
-    (_thm2(upsilon=2.0, d=3.4, l=3.0, c=0.3, k=3.25), "consistent", None, np.linspace(0.0, 2.0, 41)),
-]
-
-
-@pytest.mark.parametrize("p,reading,ctl,grid", _BIT_CASES)
-def test_solve_table_is_the_scalar_solver_bit_for_bit(p, reading, ctl, grid):
+@pytest.mark.parametrize("make,reading", _VARIANTS)
+@pytest.mark.parametrize("ups", [0.1, 0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("ctl", _CONTROLS)
+def test_solve_table_is_the_scalar_solver_bit_for_bit(make, reading, ups, ctl):
     # integer upsilon divides the coefficient chain exactly, fractional upsilon
     # takes the ratio of two gamma values; a table of one node is the scalar
     # solver too, by repr
+    p = make(upsilon=ups, l=0.7, c=1.3, k=2.0)
+    grid = np.linspace(0.0, 1.5, 101)
     try:
         want = _scalar_table(p, grid, ctl, reading)
     except OverflowError:
         # THM2/THM3 rows at upsilon = 2 leave the double range before row 90
-        assert p.variant in (Variant.THM2, Variant.THM3) and p.upsilon == 2.0 and ctl.max_terms == 90
+        assert (make, ups, ctl.max_terms) in {(_thm2, 2.0, 90), (_thm3, 2.0, 90)}
         _same_failure(p, grid, ctl, reading)
         return
     assert np.array_equal(solve_table(p, grid, ctl, reading=reading).n, want)
@@ -422,16 +414,26 @@ def test_solve_table_is_the_scalar_solver_bit_for_bit(p, reading, ctl, grid):
         )
 
 
-def test_solvers_evaluate_no_mittag_leffler_series(monkeypatch):
+# nodes whose sums stop late: THM1 at t = 1.7 ... 1.9, THM2 at t = 1.85 ... 2.0
+@pytest.mark.parametrize(
+    "p", [_thm1(upsilon=1.5, d=4.4, l=-0.12, c=0.85, k=2.3), _thm2(upsilon=2.0, d=3.4, l=3.0, c=0.3, k=3.25)]
+)
+def test_solve_table_is_the_scalar_solver_where_sums_stop_late(p):
+    grid = np.linspace(0.0, 2.0, 41)
+    assert [repr(float(v)) for v in solve_table(p, grid).n] == [repr(float(v)) for v in _scalar_table(p, grid)]
+
+
+@pytest.mark.parametrize("make,reading", _VARIANTS)
+@pytest.mark.parametrize("ups", [0.1, 0.5, 1.5, 2.0])
+def test_solvers_evaluate_no_mittag_leffler_series(monkeypatch, make, reading, ups):
     # a solution is one list of coefficients fixed per problem: neither the
     # scalar solvers nor the table, nor building the list, reach the
     # Mittag-Leffler core or its 1/Gamma table
     from frac_kinetics import kinetics, special
 
+    p = make(upsilon=ups, l=0.7, c=1.3, k=2.0)
     grid = np.linspace(0.0, 1.5, 31)
-    cells = [(make(upsilon=ups, l=0.7, c=1.3, k=2.0), reading)
-             for make, reading in _VARIANTS for ups in (0.1, 0.5, 1.5, 2.0)]
-    want = [_scalar_table(p, grid, reading=reading) for p, reading in cells]
+    want = _scalar_table(p, grid, reading=reading)
 
     def refuse(*args):
         raise AssertionError("a solver evaluated a Mittag-Leffler series")
@@ -441,9 +443,8 @@ def test_solvers_evaluate_no_mittag_leffler_series(monkeypatch):
             monkeypatch.setattr(module, name, refuse, raising=False)
     for cached in [f for f in vars(kinetics).values() if hasattr(f, "cache_clear")]:
         cached.cache_clear()  # so that the patched run builds its coefficients afresh
-    for (p, reading), values in zip(cells, want):
-        assert np.array_equal(_scalar_table(p, grid, reading=reading), values)
-        assert np.array_equal(solve_table(p, grid, reading=reading).n, values)
+    assert np.array_equal(_scalar_table(p, grid, reading=reading), want)
+    assert np.array_equal(solve_table(p, grid, reading=reading).n, want)
 
 
 @pytest.mark.parametrize(
