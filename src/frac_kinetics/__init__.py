@@ -4,7 +4,8 @@ Public surface:
 
 * :mod:`frac_kinetics.kgamma` — the k-generalized gamma function;
 * :mod:`frac_kinetics.special` — Struve, k-Struve, Mittag-Leffler series;
-* :mod:`frac_kinetics.kinetics` — closed-form kinetic-equation solutions;
+* :mod:`frac_kinetics.kinetics` — closed-form kinetic-equation solutions,
+  all through ``solve`` (a float at a real t, a table on a grid);
 * :mod:`frac_kinetics.oracle` — Riemann-Liouville quadrature, Volterra
   marching solver, residual reports, Laplace cross-checks;
 * :mod:`frac_kinetics.cli` — ``frac-kinetics`` command-line tool.
@@ -17,6 +18,7 @@ from .kinetics import (
     KineticProblem,
     SolutionTable,
     Variant,
+    solve,
     solve_constant,
     solve_table,
     solve_thm1,
@@ -65,6 +67,7 @@ __all__ = [
     "KineticProblem",
     "SolutionTable",
     "READINGS",
+    "solve",
     "solve_thm1",
     "solve_thm2",
     "solve_thm3",

@@ -43,10 +43,8 @@ from .kinetics import (
     KineticProblem,
     KStruveParams,
     Variant,
+    solve,
     solve_table,
-    solve_thm1,
-    solve_thm2,
-    solve_thm3,
 )
 from .oracle import QuadratureGrid, residual
 from .special import SeriesControl, k_struve, mittag_leffler, mittag_leffler2, struve_h
@@ -108,53 +106,39 @@ def _parse_config(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve_control(args: argparse.Namespace) -> tuple[SeriesControl, dict[str, str]]:
-    """Apply flag > config > env > default precedence for the series knobs."""
+# config key -> (parse a config or environment value, what it must parse as, built-in default)
+_KNOBS = {
+    "max_terms": (int, "an integer", 50),
+    "rel_tol": (float, "a number", 1e-14),
+    "exponent_reading": (str, "", "consistent"),
+}
+
+
+def _resolve_knobs(args: argparse.Namespace) -> tuple[SeriesControl, str]:
+    """The series control and the exponent reading, each knob by flag > config > env > default."""
     config = _parse_config(args.config) if getattr(args, "config", None) else {}
-    unknown = set(config) - {"max_terms", "rel_tol", "exponent_reading"}
+    unknown = set(config) - set(_KNOBS)
     if unknown:
         raise _CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    max_terms = getattr(args, "max_terms", None)
-    if max_terms is None and "max_terms" in config:
-        try:
-            max_terms = int(config["max_terms"])
-        except ValueError as exc:
-            raise _CliError(f"config max_terms: {config['max_terms']!r} is not an integer") from exc
-    if max_terms is None and os.environ.get(ENV_MAX_TERMS):
-        try:
-            max_terms = int(os.environ[ENV_MAX_TERMS])
-        except ValueError as exc:
-            raise _CliError(
-                f"{ENV_MAX_TERMS}: {os.environ[ENV_MAX_TERMS]!r} is not an integer"
-            ) from exc
-    if max_terms is None:
-        max_terms = 50
-
-    rel_tol = getattr(args, "rel_tol", None)
-    if rel_tol is None and "rel_tol" in config:
-        try:
-            rel_tol = float(config["rel_tol"])
-        except ValueError as exc:
-            raise _CliError(f"config rel_tol: {config['rel_tol']!r} is not a number") from exc
-    if rel_tol is None:
-        rel_tol = 1e-14
-
+    env = {"max_terms": os.environ.get(ENV_MAX_TERMS) or None}  # an empty variable counts as unset
+    knobs = {}
+    for name, (parse, kind, default) in _KNOBS.items():
+        value = getattr(args, name, None)
+        for source, text in ((f"config {name}", config.get(name)), (ENV_MAX_TERMS, env.get(name))):
+            if value is None and text is not None:
+                try:
+                    value = parse(text)
+                except ValueError as exc:
+                    raise _CliError(f"{source}: {text!r} is not {kind}") from exc
+        knobs[name] = default if value is None else value
+    reading = knobs.pop("exponent_reading")
     try:
-        return SeriesControl(max_terms=max_terms, rel_tol=rel_tol), config
+        ctl = SeriesControl(**knobs)
     except DomainError as exc:
         raise _CliError(str(exc)) from exc
-
-
-def _resolve_reading(args: argparse.Namespace, config: dict[str, str]) -> str:
-    reading = getattr(args, "exponent_reading", None)
-    if reading is None:
-        reading = config.get("exponent_reading")
-    if reading is None:
-        reading = "consistent"
     if reading not in READINGS:
         raise _CliError(f"exponent_reading must be one of {READINGS}, got {reading!r}")
-    return reading
+    return ctl, reading
 
 
 def _need(args: argparse.Namespace, names: tuple[str, ...]) -> dict[str, float]:
@@ -179,9 +163,8 @@ def _build_problem(variant: Variant, v: dict[str, float]) -> KineticProblem:
     )
 
 
-_THM_PARAMS = ("n0", "d", "upsilon", "l", "c", "k", "t")
-
-# eval function -> (parameter names, call on (values, ctl, reading))
+# eval function -> (parameter names, call on (values, ctl, reading)); a solver's names
+# keep the order n0, d, (a,) upsilon, l, c, k, t
 _EVAL = {
     "gamma": (("x",), lambda v, ctl, rd: gamma(v["x"])),
     "kgamma": (("x", "k"), lambda v, ctl, rd: k_gamma(v["x"], v["k"])),
@@ -192,18 +175,18 @@ _EVAL = {
     ),
     "ml": (("alpha", "z"), lambda v, ctl, rd: mittag_leffler(v["alpha"], v["z"], ctl)),
     "ml2": (("alpha", "beta", "z"), lambda v, ctl, rd: mittag_leffler2(v["alpha"], v["beta"], v["z"], ctl)),
-    "thm1": (_THM_PARAMS, lambda v, ctl, rd: solve_thm1(_build_problem(Variant.THM1, v), v["t"], ctl)),
-    "thm2": (_THM_PARAMS, lambda v, ctl, rd: solve_thm2(_build_problem(Variant.THM2, v), v["t"], ctl, reading=rd)),
-    "thm3": (
-        ("n0", "d", "a", "upsilon", "l", "c", "k", "t"),
-        lambda v, ctl, rd: solve_thm3(_build_problem(Variant.THM3, v), v["t"], ctl, reading=rd),
-    ),
+    **{
+        variant.value: (
+            ("n0", "d", *(("a",) if variant is Variant.THM3 else ()), "upsilon", "l", "c", "k", "t"),
+            lambda v, ctl, rd, variant=variant: solve(_build_problem(variant, v), v["t"], ctl, reading=rd),
+        )
+        for variant in Variant
+    },
 }
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    ctl, config = _resolve_control(args)
-    reading = _resolve_reading(args, config)
+    ctl, reading = _resolve_knobs(args)
     names, call = _EVAL[args.function]
     print(f"{call(_need(args, names), ctl, reading):.15g}")
     return 0
@@ -224,8 +207,7 @@ def _column_label(k: float, upsilon: float) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    ctl, config = _resolve_control(args)
-    reading = _resolve_reading(args, config)
+    ctl, reading = _resolve_knobs(args)
     variant = Variant(args.variant)
     spec = SweepSpec(
         variant=variant,
@@ -294,8 +276,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    ctl, config = _resolve_control(args)
-    reading = _resolve_reading(args, config)
+    ctl, reading = _resolve_knobs(args)
     variant = Variant(args.variant)
     if args.grid_n < 8:
         raise _CliError(f"--grid-n must be >= 8, got {args.grid_n}")

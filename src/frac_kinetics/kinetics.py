@@ -17,12 +17,14 @@ For THM2 and THM3 two readings of the term exponent are shipped behind the
 exponent ``2r + l/k + 1`` through the transform algebra (and is the one the
 numerical oracle confirms; see the README erratum note), while ``"printed"``
 uses ``2r + l + 1``, which drops the ``1/k``.  The two coincide at k = 1.
+THM1 has a single exponent, but a THM1 ``reading`` must be valid too.
 
-The scalar solvers sum it in one compensated loop (``_sum_series``) and
-``solve_table`` on the series kernel ``special._lane_sums``, a lane per node,
-so every entry is the double the scalar solver returns there.  Neither
-evaluates a Mittag-Leffler series (``solve_constant`` calls ``mittag_leffler``).
-numpy (``_lazy_numpy.np``) loads on the first table, never in the scalar solvers.
+``solve`` is the one solver body; ``solve_thm1/2/3`` and ``solve_table`` call
+it.  At a real t it sums the series in one compensated loop (``_sum_series``),
+on a grid on the series kernel ``special._lane_sums``, a lane per node, so
+every entry is the double a real t returns there.  Neither path evaluates a
+Mittag-Leffler series (``solve_constant`` calls ``mittag_leffler``).  numpy
+(``_lazy_numpy.np``) loads on the first grid, never at a real t.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ __all__ = [
     "KineticProblem",
     "SolutionTable",
     "READINGS",
+    "solve",
     "solve_thm1",
     "solve_thm2",
     "solve_thm3",
@@ -377,36 +380,29 @@ def _zero_t_value(p: KineticProblem) -> float:
     )
 
 
-def _solve(p: KineticProblem, t: float, ctl: SeriesControl | None, reading: str, variant: Variant) -> float:
+def _of_variant(p: KineticProblem, variant: Variant) -> KineticProblem:
     if p.variant is not variant:
         raise DomainError(f"solve_{variant.value} requires variant {variant.name}, got {p.variant}")
-    _check_reading(reading)
-    if ctl is None:
-        ctl = _DEFAULT_CTL
-    t = _check_t(p, t)
-    if t == 0.0:
-        return _zero_t_value(p)
-    _ml_argument(p.rate, p.upsilon, t)
-    return _sum_series(_problem_series(p, reading, ctl.max_terms), t, ctl.rel_tol)
+    return p
 
 
 def solve_thm1(p: KineticProblem, t: float, ctl: SeriesControl | None = None) -> float:
-    """N(t) for the THM1 problem (forcing S^k_{l,c}(t), rate d)."""
-    return _solve(p, t, ctl, "consistent", Variant.THM1)
+    """:func:`solve` for the THM1 problem (forcing S^k_{l,c}(t), rate d)."""
+    return solve(_of_variant(p, Variant.THM1), t, ctl)
 
 
 def solve_thm2(
     p: KineticProblem, t: float, ctl: SeriesControl | None = None, *, reading: str = "consistent"
 ) -> float:
-    """N(t) for the THM2 problem (forcing S^k_{l,c}(d**ups * t**ups), rate d)."""
-    return _solve(p, t, ctl, reading, Variant.THM2)
+    """:func:`solve` for the THM2 problem (forcing S^k_{l,c}(d**ups * t**ups), rate d)."""
+    return solve(_of_variant(p, Variant.THM2), t, ctl, reading=reading)
 
 
 def solve_thm3(
     p: KineticProblem, t: float, ctl: SeriesControl | None = None, *, reading: str = "consistent"
 ) -> float:
-    """N(t) for the THM3 problem (THM2 forcing, distinct rate a != d)."""
-    return _solve(p, t, ctl, reading, Variant.THM3)
+    """:func:`solve` for the THM3 problem (THM2 forcing, distinct rate a != d)."""
+    return solve(_of_variant(p, Variant.THM3), t, ctl, reading=reading)
 
 
 def solve_constant(p: KineticProblem, t: float, ctl: SeriesControl | None = None) -> float:
@@ -449,38 +445,35 @@ def _sum_series_grid(series: _Series, ts: np.ndarray, s: np.ndarray, rel_tol: fl
     return vals, (i, series.error(int(used[i]) - 1)) if bad[i] else None
 
 
-def solve_table(
-    p: KineticProblem,
-    grid,
-    ctl: SeriesControl | None = None,
-    *,
-    reading: str = "consistent",
-) -> SolutionTable:
-    """The variant's solver at every node of a grid, in one array pass.
+def solve(p: KineticProblem, t, ctl: SeriesControl | None = None, *, reading: str = "consistent"):
+    """N(t) of any variant: a float at a real t, a :class:`SolutionTable` on a grid.
 
-    Every entry is the double the scalar solver returns for that node.  The
-    grid must be strictly increasing with all entries >= 0.  The first node
-    at which the scalar solver fails aborts with the same error, its index
-    attached.
+    A real ``t`` (int, float or numpy scalar) is summed in one compensated
+    loop, which leaves numpy unloaded.  A sized ``t`` is a grid (list, tuple
+    or 1-D array, strictly increasing, all entries >= 0), summed in one array
+    pass, and every entry is the double a real ``t`` gives at that node.  The
+    first node at which a real ``t`` would fail aborts with the same error,
+    with ``grid index i (t = ...): `` in front.
+
+    ``reading`` must be one of ``READINGS`` for every variant; it picks the
+    THM2/THM3 term exponent, and THM1 has a single one.
     """
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise DomainError("grid must be a non-empty 1-D array")
-    if g[0] < 0.0 or (g.size > 1 and not np.all(np.diff(g) > 0.0)):
-        raise DomainError("grid must be strictly increasing with all entries >= 0")
     if ctl is None:
         ctl = _DEFAULT_CTL
-    if p.variant is Variant.THM1:
-        reading = "consistent"  # THM1 has a single reading and accepts any value here
-    else:
-        with _at_node(g, 0):
-            _check_reading(reading)
-    values = np.zeros(g.size)
-    first = 0  # the first node with t > 0
-    if g[0] == 0.0:
-        with _at_node(g, 0):
-            values[0] = _zero_t_value(p)
-        first = 1
+    rows_reading = "consistent" if p.variant is Variant.THM1 else reading  # THM1 has one term exponent
+    if not hasattr(t, "__len__"):  # a real t: no numpy
+        _check_reading(reading)
+        t = _check_t(p, t)
+        if t == 0.0:
+            return _zero_t_value(p)
+        _ml_argument(p.rate, p.upsilon, t)
+        return _sum_series(_problem_series(p, rows_reading, ctl.max_terms), t, ctl.rel_tol)
+    table = SolutionTable(t, np.zeros(np.shape(t)))
+    g, first = table.t, int(table.t[0] == 0.0)  # the first node with t > 0
+    with _at_node(g, 0):
+        _check_reading(reading)
+        if first:
+            table.n[0] = _zero_t_value(p)
     ts = g[first:]
     with np.errstate(over="ignore", invalid="ignore"):
         s = _powers(ts.tolist(), [p.upsilon])[0]
@@ -488,13 +481,23 @@ def solve_table(
     n = ts.size if ok.all() else int(ok.argmin())  # the nodes before the first past the cap (or inf)
     if n:
         with _at_node(g, first):
-            series = _problem_series(p, reading, ctl.max_terms)
-        vals, failure = _sum_series_grid(series, ts[:n], s[:n], ctl.rel_tol)
+            series = _problem_series(p, rows_reading, ctl.max_terms)
+        table.n[first : first + n], failure = _sum_series_grid(series, ts[:n], s[:n], ctl.rel_tol)
         if failure:
             with _at_node(g, first + failure[0]):
                 raise failure[1]
-        values[first : first + n] = vals
     if n < ts.size:
         with _at_node(g, first + n):
             _ml_argument(p.rate, p.upsilon, _check_t(p, float(ts[n])))
-    return SolutionTable(g, values)
+    return table
+
+
+def solve_table(
+    p: KineticProblem,
+    grid,
+    ctl: SeriesControl | None = None,
+    *,
+    reading: str = "consistent",
+) -> SolutionTable:
+    """:func:`solve` on a grid, for any variant; a scalar ``grid`` raises ``DomainError``."""
+    return solve(p, np.asarray(grid, dtype=float), ctl, reading=reading)

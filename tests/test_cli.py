@@ -446,12 +446,20 @@ def test_config_file_sets_truncation(tmp_path, capsys, monkeypatch):
 
 
 def test_flag_overrides_config(tmp_path, capsys):
-    full = _run(capsys, *ML_ARGS)[1]
+    thm2 = ("eval", "thm2", "--n0", "1", "--d", "1", "--upsilon", "0.5",
+            "--l", "1", "--c", "1", "--k", "2", "--t", "1")
     cfg = tmp_path / "knobs.cfg"
-    cfg.write_text("max_terms = 7\n", encoding="utf-8")
-    code, out, _ = _run(capsys, *ML_ARGS, "--config", str(cfg), "--max-terms", "50")
-    assert code == 0
-    assert out == full
+    for line, flags, args in (
+        ("max_terms = 7", ("--max-terms", "50"), ML_ARGS),
+        ("rel_tol = 0.5", ("--rel-tol", "1e-14"), thm2),
+        ("exponent_reading = printed", ("--exponent-reading", "consistent"), thm2),
+    ):
+        full = _run(capsys, *args)[1]
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert _run(capsys, *args, "--config", str(cfg))[1] != full  # the config value takes effect
+        code, out, _ = _run(capsys, *args, "--config", str(cfg), *flags)
+        assert code == 0
+        assert out == full
 
 
 def test_config_reading_applies_to_eval(tmp_path, capsys):
@@ -483,6 +491,22 @@ def test_malformed_config_line(tmp_path, capsys):
     code, _, err = _run(capsys, *ML_ARGS, "--config", str(cfg))
     assert code == 2
     assert "key = value" in err
+
+
+def test_bad_config_rel_tol(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("rel_tol = tight\n", encoding="utf-8")
+    code, _, err = _run(capsys, *ML_ARGS, "--config", str(cfg))
+    assert code == 2
+    assert "config rel_tol: 'tight' is not a number" in err
+
+
+def test_bad_config_reading(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("exponent_reading = bogus\n", encoding="utf-8")
+    code, _, err = _run(capsys, *ML_ARGS, "--config", str(cfg))
+    assert code == 2
+    assert "exponent_reading must be one of ('consistent', 'printed'), got 'bogus'" in err
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -17,6 +17,7 @@ from frac_kinetics import (
     Variant,
     k_struve,
     residual,
+    solve,
     solve_constant,
     solve_table,
     solve_thm1,
@@ -99,6 +100,11 @@ def test_solver_variant_mismatch():
 def test_reading_validation():
     with pytest.raises(DomainError, match="reading"):
         solve_thm2(_thm2(), 0.5, reading="bogus")
+    # THM1 has a single term exponent, but its reading is checked all the same
+    with pytest.raises(DomainError, match="reading"):
+        solve(_thm1(), 0.5, reading="bogus")
+    with pytest.raises(DomainError, match=r"^grid index 0 \(t = 0\.0\): reading must be"):
+        solve_table(_thm1(), np.linspace(0.0, 1.0, 5), reading="bogus")
 
 
 def test_negative_t_rejected():
@@ -354,16 +360,10 @@ def test_solve_table_reports_failing_index():
 
 def _scalar_table(p, grid, ctl=None, reading="consistent"):
     """Reference: the scalar solver node by node, failing like the array pass must."""
-    if p.variant is Variant.THM1:
-        solve = lambda t: solve_thm1(p, t, ctl)  # noqa: E731
-    elif p.variant is Variant.THM2:
-        solve = lambda t: solve_thm2(p, t, ctl, reading=reading)  # noqa: E731
-    else:
-        solve = lambda t: solve_thm3(p, t, ctl, reading=reading)  # noqa: E731
     values = np.empty(grid.size)
     for i, ti in enumerate(grid):
         try:
-            values[i] = solve(float(ti))
+            values[i] = solve(p, float(ti), ctl, reading=reading)
         except (DomainError, OverflowError) as exc:
             raise type(exc)(f"grid index {i} (t = {float(ti)!r}): {exc}") from exc
     return values
@@ -396,7 +396,8 @@ _CONTROLS = [None, SeriesControl(max_terms=90), SeriesControl(max_terms=30, rel_
 def test_solve_table_is_the_scalar_solver_bit_for_bit(make, reading, ups, ctl):
     # integer upsilon divides the coefficient chain exactly, fractional upsilon
     # takes the ratio of two gamma values; a table of one node is the scalar
-    # solver too, by repr
+    # solver too, by repr; solve takes the grid as an array or a list, and the
+    # per-variant scalar solver is solve
     p = make(upsilon=ups, l=0.7, c=1.3, k=2.0)
     grid = np.linspace(0.0, 1.5, 101)
     try:
@@ -407,11 +408,16 @@ def test_solve_table_is_the_scalar_solver_bit_for_bit(make, reading, ups, ctl):
         _same_failure(p, grid, ctl, reading)
         return
     assert np.array_equal(solve_table(p, grid, ctl, reading=reading).n, want)
+    assert np.array_equal(solve(p, grid, ctl, reading=reading).n, want)
+    assert np.array_equal(solve(p, grid.tolist(), ctl, reading=reading).n, want)
+    solver = {Variant.THM1: solve_thm1, Variant.THM2: solve_thm2, Variant.THM3: solve_thm3}[p.variant]
+    kw = {} if p.variant is Variant.THM1 else {"reading": reading}
     for t in (1e-6, 0.3, 1.5):
         one = np.array([t])
         assert repr(float(solve_table(p, one, ctl, reading=reading).n[0])) == repr(
             float(_scalar_table(p, one, ctl, reading)[0])
         )
+        assert repr(solver(p, t, ctl, **kw)) == repr(solve(p, t, ctl, reading=reading))
 
 
 # nodes whose sums stop late: THM1 at t = 1.7 ... 1.9, THM2 at t = 1.85 ... 2.0

@@ -21,12 +21,13 @@ scalars = [
     fk.gamma(2.5), fk.k_gamma(2.5, 1.5), fk.struve_h(0.5, 1.0), fk.k_struve(s, 1.0),
     fk.mittag_leffler(0.5, -1.0), fk.mittag_leffler2(0.5, 1.5, -1.0),
     fk.solve_thm1(p1, 0.5), fk.solve_thm2(p2, 0.5), fk.solve_thm3(p3, 0.5),
-    fk.solve_constant(p1, 0.5), fk.laplace_image(p1, 3.0),
+    fk.solve_constant(p1, 0.5), fk.laplace_image(p1, 3.0), fk.solve(p2, 0.5),
 ]
 """
 
 _ARRAYS = r"""
 table = fk.solve_table(p2, [0.0, 0.25, 0.5, 1.0]).n.tobytes().hex()
+solved = fk.solve(p2, [0.0, 0.25, 0.5, 1.0]).n.tobytes().hex()
 march = fk.volterra_solve(p1, fk.Forcing.STRUVE_T, fk.QuadratureGrid(n=64, t_max=1.0)).n.tobytes().hex()
 """
 
@@ -41,7 +42,7 @@ code = cli.main(["eval", "thm1", "--n0", "1", "--d", "1", "--upsilon", "0.5",
 loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
 """ + _ARRAYS + r"""
 print(json.dumps({"code": code, "loaded": loaded, "scalars": [repr(v) for v in scalars],
-                  "table": table, "march": march}))
+                  "table": table, "solved": solved, "march": march}))
 """
 
 
@@ -62,4 +63,5 @@ def test_scalar_calls_and_eval_leave_numpy_unloaded():
     assert eval_line == f"{want['scalars'][6]:.15g}"
     assert got["scalars"] == [repr(v) for v in want["scalars"]]
     assert got["table"] == want["table"]
+    assert got["solved"] == want["solved"] == want["table"]
     assert got["march"] == want["march"]
