@@ -353,10 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, OverflowError) as exc:
+    except (_CliError, DomainError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

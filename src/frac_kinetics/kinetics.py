@@ -8,9 +8,10 @@ where ``I^upsilon`` is the Riemann-Liouville integral and the forcing scale
 (lam, sigma) is ``KineticProblem.forcing_scale``: (1, 1) for ``THM1`` (rate
 ``d``), (d**upsilon, upsilon) for ``THM2`` (rate ``d``) and for ``THM3`` (a
 distinct rate ``a != d``).  Every family solves as one series
-N(t) = sum_i D_i t**x_i: the rows of one row builder (``_rows``), each a power
-of t times a Mittag-Leffler function, expanded term by term into coefficients
-that do not depend on t (``_Series``, built once per problem and cached).
+N(t) = sum_i D_i t**x_i, the Neumann series of the integral equation: each
+term b_r t**g_r of the forcing's own series (``_rows``) becomes a power of t
+times a Mittag-Leffler function, expanded term by term into coefficients that
+do not depend on t (``_Series``, built once per problem and cached).
 
 For THM2 and THM3 two readings of the term exponent are shipped behind the
 ``reading`` switch: the default ``"consistent"`` reading carries the k-Struve
@@ -169,12 +170,13 @@ def _check_reading(reading: str) -> None:
 @lru_cache(maxsize=128)
 def _rows(
     n0: float, lam: float, sigma: float, l: float, c: float, k: float, reading: str, max_terms: int
-) -> tuple[tuple[float, float, float], ...]:
-    """Rows (coef, t_exponent, ml_beta) of the solution series.
+) -> tuple[tuple[float, float], ...]:
+    """Rows (b_r, g_r) of the forcing series N0 * F(t) = sum_r b_r * t**g_r.
 
-    Term r is  coef * t**(sigma*e_r) * E_{upsilon, sigma*e_r + 1}(z)
-    with coef = n0 * a_r * (lam / 2)**e_r * Gamma(sigma*e_r + 1), a_r from
-    ``special._k_struve_coeffs``, and z = -rate**upsilon * t**upsilon.
+    b_r = n0 * a_r * (lam / 2)**e_r with a_r from ``special._k_struve_coeffs``,
+    and g_r = sigma * e_r.  Row r of the solution is
+    b_r * Gamma(g_r + 1) * t**g_r * E_{upsilon, g_r + 1}(-rate**upsilon * t**upsilon),
+    which :class:`_Series` expands without forming Gamma(g_r + 1).
     """
     coeffs = _k_struve_coeffs(l, c, k, max_terms)
     rows = []
@@ -190,22 +192,21 @@ def _rows(
             )
         try:
             head, power = n0 * a, (lam / 2.0) ** e
-            steps = (a, head, power, head * power, head * power * math.gamma(g + 1.0))
+            steps = (a, head, power, head * power)
         except OverflowError:
             steps = (math.inf,)
         coef = steps[-1]
         # a factor or partial product that overflowed (an infinite coefficient
         # would otherwise give inf or NaN) or passed through zero or a
-        # subnormal is redone in log space, unless the row is exactly zero
-        if not all(map(math.isfinite, steps)) or (
-            min(map(abs, steps)) < sys.float_info.min and not ((r and c == 0.0) or lam == 0.0)
-        ):
-            coef = _log_coef(r, c, l, k, n0, lam / 2.0, e, g)
-        rows.append((coef, g, g + 1.0))
+        # subnormal is redone in log space (0.0 for the zero rows of c = 0),
+        # unless lam = 0, where the row is exactly zero or exactly n0 * a_0
+        if not all(map(math.isfinite, steps)) or (min(map(abs, steps)) < sys.float_info.min and lam != 0.0):
+            coef = _log_coef(r, c, l, k, n0, lam / 2.0, e)
+        rows.append((coef, g))
     return tuple(rows)
 
 
-def _problem_rows(p: KineticProblem, reading: str, max_terms: int) -> tuple[tuple[float, float, float], ...]:
+def _problem_rows(p: KineticProblem, reading: str, max_terms: int) -> tuple[tuple[float, float], ...]:
     s = p.struve
     return _rows(p.n0, *p.forcing_scale, s.nu, s.c, s.k, reading, max_terms)
 
@@ -214,7 +215,7 @@ def _problem_rows(p: KineticProblem, reading: str, max_terms: int) -> tuple[tupl
 _thm1_rows = _thm23_rows = _rows
 
 
-def _check_t(p: KineticProblem, t: float) -> float:
+def _check_t(t: float) -> float:
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"t must be a finite real >= 0, got {t!r}")
@@ -242,25 +243,15 @@ def _exp(x: float) -> float:
     return math.exp(x) if x < 709.78 else math.inf  # a sum that takes the entry then overflows
 
 
-def _row_start(rows, r: int) -> tuple[float, float]:
-    """coef_r / Gamma(beta_r), entry n = 0 of row r (a forcing coefficient), as a double-double."""
-    coef, _, beta = rows[r]
-    gam = _gamma(beta)
-    if gam == 0.0 or abs(1.0 / gam) == math.inf:
-        raise OverflowError(f"1/Gamma({beta!r}) at n = 0 exceeds the double range (row r = {r})")
-    if coef and not sys.float_info.min <= abs(gam) < math.inf:  # Gamma(beta) out of range: in logs
-        return math.copysign(_gamma_sign(beta), coef) * _exp(math.log(abs(coef)) - math.lgamma(beta)), 0.0
-    return dd_div_double(coef, 0.0, gam) if coef else (0.0, 0.0)
-
-
 def _chain(rows, first: int, q: float, upsilon: float, j: int, stride: int):
-    """D_n = q D_{n-1} Gamma(a_{n-1}) / Gamma(a_n) + [j | n] (D_0 of row first + stride n/j) in double-double,
-    a_n = beta_first + upsilon n (j = 0: one row).  The ratio is exact division by a_{n-1} + i, i < upsilon,
-    for integer upsilon, else the double-double quotient of two ``math.gamma`` values (so the ratios
-    telescope: D_n keeps the rounding of Gamma(a_n) alone), or from ``lgamma`` where one is out of range."""
-    beta = rows[first][2]
+    """D_n = q D_{n-1} Gamma(a_{n-1}) / Gamma(a_n) + [j | n] b_{first + stride n/j} in double-double, from
+    D_0 = b_first, a_n = g_first + 1 + upsilon n (j = 0: one row).  The ratio is exact division by
+    a_{n-1} + i, i < upsilon, for integer upsilon, else the double-double quotient of two ``math.gamma``
+    values (so the ratios telescope: D_n keeps the rounding of Gamma(a_0) and Gamma(a_n)), or from
+    ``lgamma`` where one is out of range."""
+    beta = rows[first][1] + 1.0
     n_int = round(upsilon)
-    d_hi, d_lo = _row_start(rows, first)
+    d_hi, d_lo = rows[first][0], 0.0
     a_prev, g_prev = beta, _gamma(beta)
     for n in itertools.count(1):
         yield d_hi + d_lo
@@ -281,19 +272,20 @@ def _chain(rows, first: int, q: float, upsilon: float, j: int, stride: int):
             d_hi, d_lo = dd_mul_double(d_hi, d_lo, ratio)
         d_hi, d_lo = dd_mul_double(d_hi, d_lo, q)
         if j and n % j == 0 and first + n // j * stride < len(rows):
-            d_hi, d_lo = dd_add(d_hi, d_lo, *_row_start(rows, first + n // j * stride))
+            d_hi, d_lo = dd_add(d_hi, d_lo, rows[first + n // j * stride][0])
         a_prev, g_prev = a, g
 
 
 class _Series:
     """The solution series N(t) = sum_i D_i t**x_i of one problem, its ``entries`` in exponent order.
 
-    Row r of :func:`_rows` (coef_r, g_r, beta_r = g_r + 1), coef_r t**g_r E_{upsilon, beta_r}(q t**upsilon)
-    with q = -rate**upsilon, expands into D_{r,n} = coef_r q**n / Gamma(beta_r + upsilon n) at
-    x = g_r + upsilon n.  Where 2 sigma / upsilon = j / L, L at most the rows (THM2 and THM3: 2 / 1), row
-    r + L's exponents are row r's from n = j on: rows r, r + L, r + 2L, ... share one chain, the L chains
-    (else one per row) merged by exponent.  ``entries`` holds (D_i, x_i, chain, first): a chain's
-    first entry takes its power t**x_i by ``**``, each later one the chain's power before times t**upsilon.
+    Row r of :func:`_rows` (b_r, g_r), b_r Gamma(beta_r) t**g_r E_{upsilon, beta_r}(q t**upsilon) with
+    beta_r = g_r + 1 and q = -rate**upsilon, expands into D_{r,n} = b_r q**n Gamma(beta_r) /
+    Gamma(beta_r + upsilon n) at x = g_r + upsilon n, from D_{r,0} = b_r.  Where 2 sigma / upsilon = j / L,
+    L at most the rows (THM2 and THM3: 2 / 1), row r + L's exponents are row r's from n = j on: rows r,
+    r + L, r + 2L, ... share one chain, the L chains (else one per row) merged by exponent.  ``entries``
+    holds (D_i, x_i, chain, first): a chain's first entry takes its power t**x_i by ``**``, each later
+    one the chain's power before times t**upsilon.
 
     Stop rule: a sum ends at the first entry i at which each of the last ``runs[i]`` terms was at
     most ``rel_tol`` times the partial sum after it, ``runs[i]`` being the number of entries with
@@ -411,7 +403,7 @@ def solve_constant(p: KineticProblem, t: float, ctl: SeriesControl | None = None
     Degenerate-check helper: at upsilon = 1 this is N0 * exp(-d t), the
     classical first-order decay the fractional families generalize.
     """
-    t = _check_t(p, t)
+    t = _check_t(t)
     return p.n0 * mittag_leffler(p.upsilon, _ml_argument(p.d, p.upsilon, t), ctl)
 
 
@@ -463,7 +455,7 @@ def solve(p: KineticProblem, t, ctl: SeriesControl | None = None, *, reading: st
     rows_reading = "consistent" if p.variant is Variant.THM1 else reading  # THM1 has one term exponent
     if not hasattr(t, "__len__"):  # a real t: no numpy
         _check_reading(reading)
-        t = _check_t(p, t)
+        t = _check_t(t)
         if t == 0.0:
             return _zero_t_value(p)
         _ml_argument(p.rate, p.upsilon, t)
@@ -488,7 +480,7 @@ def solve(p: KineticProblem, t, ctl: SeriesControl | None = None, *, reading: st
                 raise failure[1]
     if n < ts.size:
         with _at_node(g, first + n):
-            _ml_argument(p.rate, p.upsilon, _check_t(p, float(ts[n])))
+            _ml_argument(p.rate, p.upsilon, _check_t(float(ts[n])))
     return table
 
 

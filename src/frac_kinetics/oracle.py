@@ -1,6 +1,8 @@
 """Independent numerical verification of the closed-form solutions.
 
-Three legs, none of which shares series code with :mod:`.kinetics`:
+Three legs, none of which sums a series of :mod:`.kinetics`; the forcing table
+uses ``special``'s k-Struve coefficient table, as the solution rows do, and
+``laplace_image`` reads ``kinetics._rows`` (ROADMAP items 3 and 7 end both):
 
 * a product-trapezoidal quadrature for the Riemann-Liouville integral
   (exact for piecewise-linear integrands against the weakly singular kernel
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,7 +44,7 @@ from ._compensated import dd_add
 from ._lazy_numpy import np
 from .errors import DomainError, RangeError, SingularStepError
 from .kinetics import KineticProblem, SolutionTable, Variant, _problem_rows
-from .special import _DEFAULT_CTL, SeriesControl, _k_struve_grid, _powers
+from .special import _DEFAULT_CTL, SeriesControl, _k_struve_grid, _log_coef, _powers
 
 __all__ = [
     "QuadratureGrid",
@@ -337,8 +340,8 @@ def laplace_image(p: KineticProblem, s: float, ctl: SeriesControl | None = None)
 
     Term-wise transform of the solution series with the inner binomial tail
     resummed geometrically:
-        sum_r coef_r * s**-(e_r+1) / (1 + d**u s**-u),
-    with the rows (coef_r, e_r) of the solution series.
+        sum_r b_r * Gamma(e_r + 1) * s**-(e_r+1) / (1 + d**u s**-u),
+    with the rows (b_r, e_r) of the forcing series N0 * F(t) = sum_r b_r t**e_r.
     """
     if p.variant is not Variant.THM1:
         raise DomainError(f"laplace_image requires variant THM1, got {p.variant}")
@@ -351,9 +354,15 @@ def laplace_image(p: KineticProblem, s: float, ctl: SeriesControl | None = None)
         raise RangeError(
             f"s = {s!r} is outside the geometric convergence region (requires s > d = {p.d!r})"
         )
-    sum_hi, sum_lo = 0.0, 0.0
-    for coef, e, _beta in _problem_rows(p, "consistent", ctl.max_terms):
-        term = coef * s ** (-(e + 1.0))
+    sum_hi, sum_lo, st = 0.0, 0.0, p.struve
+    for r, (coef, e) in enumerate(_problem_rows(p, "consistent", ctl.max_terms)):
+        try:
+            image = coef * math.gamma(e + 1.0)  # b_r Gamma(e_r + 1), the row's image coefficient
+        except OverflowError:
+            image = math.inf
+        if not sys.float_info.min <= min(abs(coef), abs(image)) <= sys.float_info.max:  # out of range: in logs
+            image = _log_coef(r, st.c, st.nu, st.k, p.n0, 0.5, e, e)
+        term = image * s ** (-(e + 1.0))
         sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
         if abs(term) <= ctl.rel_tol * abs(sum_hi):
             break

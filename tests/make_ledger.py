@@ -28,9 +28,11 @@ Four families:
   for the terms it forms from logarithms (see ``sum_reference``).
   Inputs: the corner cases pinned in ``test_special.py``, named repros, and
   seeded wide draws.
-* ``rows``: the coefficient rows of the solution series,
-  ``kinetics._rows(n0, lam, sigma, l, c, k, reading, max_terms)``, as closed
-  products of gamma functions.  The error is relative; the floor is 1e-12.
+* ``rows``: the coefficient rows of the solution series in its
+  Mittag-Leffler form, b_r Gamma(g_r + 1), as closed products of gamma
+  functions.  The program's row is ``row_image`` of each forcing row (b_r,
+  g_r) of ``kinetics._rows(n0, lam, sigma, l, c, k, reading, max_terms)``,
+  formed in 60-digit arithmetic.  The error is relative; the floor is 1e-12.
   Inputs: the problems of the ``sweep`` benchmark pool and named repros.
 * ``ml``: ``mittag_leffler2(alpha, beta, z)`` at default control.  The value
   and the term-magnitude sum come from sum z**n / Gamma(alpha n + beta), with
@@ -236,7 +238,14 @@ def sum_error(got: float, value: str):
         return abs(mp.mpf(got) - mp.mpf(value))
 
 
-def row_error(got: float, value: str):
+def row_image(row):
+    """b_r Gamma(g_r + 1) of a ``kinetics._rows`` row (b_r, g_r), in 60-digit arithmetic."""
+    coef, g = row
+    with mp.workdps(DPS + 20):
+        return mp.mpf(coef) * mp.gamma(mp.mpf(g) + 1)
+
+
+def row_error(got, value: str):
     with mp.workdps(DPS):
         want = mp.mpf(value)
         return abs(mp.mpf(got) - want) / abs(want) if want else abs(mp.mpf(got))
@@ -401,11 +410,12 @@ def ml_cases() -> list[dict]:
     for key, p in _sweep_problems():
         rows = _problem_rows(p, "consistent", 50)
         for r in (0, 1, 3, 8, 16):
-            betas.add(rows[r][2])
+            beta = rows[r][1] + 1.0
+            betas.add(beta)
             for t in (0.5, 1.0):
                 z = _ml_argument(p.rate, p.upsilon, t)
-                if _peak_digits(p.upsilon, rows[r][2], z) <= ML_PEAK_DIGITS:
-                    cases.append(dict(alpha=p.upsilon, beta=rows[r][2], z=z, tag=f"{key} row {r}"))
+                if _peak_digits(p.upsilon, beta, z) <= ML_PEAK_DIGITS:
+                    cases.append(dict(alpha=p.upsilon, beta=beta, z=z, tag=f"{key} row {r}"))
     # wide draws: alpha in [0.1, 2] (1 or 2 in one draw of five), a beta of those rows, z in
     # [-50, 1] or -z log-uniform in [0.01, 50]
     rng, betas = np.random.default_rng(2018), sorted(betas)
@@ -504,7 +514,7 @@ def main() -> None:
         if isinstance(got, list):
             prob["raises"] = got
         else:
-            prob["errs"] = [_up3(row_error(coef, v)) for (coef, _, _), v in zip(got, prob["values"])]
+            prob["errs"] = [_up3(row_error(row_image(row), v)) for row, v in zip(got, prob["values"])]
         rows.append(prob)
     ml = []
     for case in ml_cases():
@@ -579,7 +589,7 @@ def refresh_errors() -> None:
     for prob in ledger["rows"]:
         got = outcome(lambda: _rows(*prob["args"]))
         record("rows", prob, "errs", got,
-               lambda: [_up3(row_error(coef, v)) for (coef, _, _), v in zip(got, prob["values"])])
+               lambda: [_up3(row_error(row_image(row), v)) for row, v in zip(got, prob["values"])])
     _write(ledger["sums"], ledger["rows"], ledger["ml"], ledger["solve"])
     for family, counts in moved.items():
         print(f"{family} recorded errors: " + ", ".join(f"{n} {how}" for how, n in counts.items()), file=sys.stderr)

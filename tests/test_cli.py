@@ -399,6 +399,14 @@ def test_verify_consistent_reading_passes_off_k1(capsys):
     assert code == 0
 
 
+def test_verify_thm2_at_upsilon_3_passes(capsys):
+    # Gamma(upsilon e_r + 1) leaves the double range from row 36 of the default
+    # budget; the solver never forms it
+    code, out, _ = _run(capsys, "verify", "--variant", "thm2", "--upsilon", "3")
+    assert code == 0
+    assert "relative defect" in out
+
+
 def test_verify_small_grid_rejected(capsys):
     code, _, err = _run(capsys, "verify", "--grid-n", "4")
     assert code == 2

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +49,15 @@ def _thm3(n0=1.0, upsilon=1.0, d=2.0, a=1.0, l=1.0, c=1.0, k=1.0):
         struve=KStruveParams(nu=l, c=c, k=k),
         variant=Variant.THM3,
     )
+
+
+def _neumann(p, ts):
+    """N(t) at each t (consistent reading) from the Neumann series of ``perfbench/make_refs.py``."""
+    from make_ledger import solve_reference
+
+    s = p.struve
+    case = dict(variant=p.variant.value, n0=p.n0, upsilon=p.upsilon, d=p.d, a=p.a, l=s.nu, c=s.c, k=s.k, t=ts)
+    return [float(v) for v in solve_reference(case)]
 
 
 # ---------------------------------------------------------------- validation
@@ -281,10 +291,19 @@ def test_first_omitted_outer_term_is_negligible(ups, l, k):
     assert term <= 1e-12 * abs(total)
 
 
+def _near(got: float, want) -> bool:
+    """got within 1e-12 of an mpmath ``want``; below the normal double range, 0.0 or a subnormal
+    within that or one subnormal step of it."""
+    if abs(want) < sys.float_info.min:
+        return abs(got) < sys.float_info.min and abs(got - want) <= max(1e-12 * abs(want), 2.0**-1074)
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_rows_past_gamma_overflow_fit_in_a_double():
-    # Gamma(e_r + 1) overflows from r = 85 although the row coefficients stay
-    # near 4**r (times the 2**-e_r the THM1 rows carry); those rows come
-    # from log space, the earlier ones unchanged
+    # Gamma(e_r + 1) overflows from r = 85; the solver never forms it.  The
+    # forcing coefficients 2**-e_r / (Gamma(r + 5/2) Gamma(r + 3/2)) pass below
+    # the normal double range from r = 84 and come from log space, the
+    # earlier ones unchanged
     import mpmath as mp
 
     from frac_kinetics.kinetics import _rows
@@ -292,12 +311,9 @@ def test_rows_past_gamma_overflow_fit_in_a_double():
     short = _rows(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "consistent", 85)
     long = _rows(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "consistent", 90)
     assert long[:85] == short
-    for r in range(85, 90):
-        want = (
-            (-1) ** r * mp.gamma(2 * r + 3) / (mp.gamma(r + 2.5) * mp.gamma(r + 1.5))
-            * mp.mpf(2) ** -(2 * r + 2)
-        )
-        assert abs(long[r][0] - want) <= 1e-12 * abs(want)
+    for r in range(80, 90):
+        want = (-1) ** r / (mp.gamma(r + 2.5) * mp.gamma(r + 1.5)) * mp.mpf(2) ** -(2 * r + 2)
+        assert _near(long[r][0], want), r
     p = _thm1()
     assert solve_thm1(p, 0.5, SeriesControl(max_terms=90)) == solve_thm1(
         p, 0.5, SeriesControl(max_terms=85)
@@ -306,12 +322,34 @@ def test_rows_past_gamma_overflow_fit_in_a_double():
 
 def test_thm2_rows_past_gamma_overflow():
     # at upsilon = 2 Gamma(upsilon e_r + 1) overflows from r = 42 within the
-    # default budget, while the coefficients reach only 6.7e215 at r = 49
+    # default budget; the solver forms no such factor
     p = _thm2(upsilon=2.0)
     assert solve_thm2(p, 0.5) == solve_thm2(p, 0.5, SeriesControl(max_terms=42))
-    # at upsilon = 3 they do leave the double range
-    with pytest.raises(OverflowError, match="series row r = "):
-        solve_thm2(_thm2(upsilon=3.0), 0.5, SeriesControl(max_terms=90))
+    # at upsilon = 3 the rows times that factor would leave the double range
+    # from r = 36; the forcing coefficients themselves do not
+    p = _thm2(upsilon=3.0)
+    want = _neumann(p, [0.5])[0]
+    assert abs(solve_thm2(p, 0.5, SeriesControl(max_terms=90)) - want) <= 1e-14 * abs(want)
+
+
+_HIGH_ORDER = [
+    *(_thm2(upsilon=ups) for ups in (2.5, 3.0, 4.0)),
+    *(_thm3(upsilon=ups, d=1.0, a=2.0) for ups in (2.5, 3.0, 4.0)),
+    *(_thm2(upsilon=ups, d=1.5, l=0.5, c=2.0, k=2.0) for ups in (2.5, 3.0)),
+    *(_thm3(upsilon=ups, d=1.5, a=0.7, l=0.5, c=2.0, k=2.0) for ups in (2.5, 3.0)),
+]
+
+
+@pytest.mark.parametrize("p", _HIGH_ORDER, ids=lambda p: f"{p.variant.value}-ups{p.upsilon}-d{p.d}")
+def test_thm2_thm3_at_high_order_against_neumann(p):
+    # upsilon >= 2.5: the rows b_r Gamma(upsilon e_r + 1) would leave the double
+    # range within the default budget; the series starts from the forcing's own
+    # coefficients and matches the Neumann series, scalar and grid alike
+    ts = [0.25, 0.5, 1.0]
+    want = _neumann(p, ts)
+    scale = max(map(abs, want))
+    for got in ([solve(p, t) for t in ts], solve_table(p, ts).n.tolist()):
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------- tables
@@ -486,10 +524,13 @@ def test_solve_table_domain_error_at_the_origin():
 
 
 def test_solve_table_row_overflow_at_the_first_positive_node():
-    p, ctl = _thm2(upsilon=3.0), SeriesControl(max_terms=90)
+    # d = 1e10, upsilon = 3: lam / 2 = 5e29, so forcing row r = 5 leaves the
+    # double range; |z| stays under the cap up to t = 3.68e-10
+    p = _thm2(upsilon=3.0, d=1e10)
     # t[0] = 0 returns before any rows are built
-    assert _same_failure(p, np.linspace(0.0, 1.0, 11), ctl).startswith("grid index 1 (")
-    assert _same_failure(p, np.linspace(0.5, 1.0, 11), ctl).startswith("grid index 0 (")
+    msg = _same_failure(p, np.linspace(0.0, 3e-10, 11), kind=OverflowError)
+    assert msg.startswith("grid index 1 (") and "series row r = 5 exceeds the double range" in msg
+    assert _same_failure(p, np.linspace(1.5e-10, 3e-10, 11)).startswith("grid index 0 (")
 
 
 def test_solve_table_fails_like_the_scalar_row_sum():
@@ -528,7 +569,8 @@ def test_solve_table_raises_for_a_power_that_overflows_after_the_last_term():
 
 def test_rows_with_an_overflowing_denominator_are_not_silent_zeros():
     # Gamma_k(rk + l + 3k/2) * Gamma(r + 3/2) overflows to inf from row 87,
-    # while the rows themselves are as small as 1e-88
+    # while the rows come from log space, down to 0.0 or a subnormal where
+    # they are below the double range
     import mpmath as mp
 
     from frac_kinetics.kinetics import _rows
@@ -541,16 +583,15 @@ def test_rows_with_an_overflowing_denominator_are_not_silent_zeros():
         e = 2 * r + mp.mpf(l) / k + 1
         kg = mp.mpf(k) ** ((r * k + l + 1.5 * k) / k - 1) * mp.gamma((r * k + l + 1.5 * k) / k)
         want = (
-            n0 * (-c) ** r / (kg * mp.gamma(r + 1.5))
-            * (mp.mpf(d) ** ups / 2) ** e * mp.gamma(ups * e + 1)
+            n0 * (-c) ** r / (kg * mp.gamma(r + 1.5)) * (mp.mpf(d) ** ups / 2) ** e
         )
-        assert long[r][0] != 0.0
-        assert abs(long[r][0] - want) <= 1e-12 * abs(want)
+        assert _near(long[r][0], want), r
 
 
 def test_rows_whose_direct_product_underflows_are_not_silent_zeros():
-    # (lam/2)**e_r underflows before the large Gamma(sigma e_r + 1) multiplies
-    # it, while the rows themselves are as large as 1e-159
+    # the direct product n0 a_r (lam/2)**e_r passes through a subnormal from
+    # row 28, where the rows leave the normal double range: they come from
+    # log space, 0.0 or a subnormal only below it
     import mpmath as mp
 
     from frac_kinetics.kinetics import _rows
@@ -558,14 +599,12 @@ def test_rows_whose_direct_product_underflows_are_not_silent_zeros():
     n0, d, ups, l, c, k = 1.0, 0.01, 2.0, 1.0, 1.0, 1.0
     rows = _rows(n0, d**ups, ups, l, c, k, "consistent", 50)
     mp.mp.dps = 40
-    for r in range(30, 42):
+    for r in range(26, 42):
         e = 2 * r + mp.mpf(l) / k + 1
         want = (
-            n0 * (-c) ** r / (mp.gamma(r + 2.5) * mp.gamma(r + 1.5))
-            * (mp.mpf(d**ups) / 2) ** e * mp.gamma(ups * e + 1)
+            n0 * (-c) ** r / (mp.gamma(r + 2.5) * mp.gamma(r + 1.5)) * (mp.mpf(d**ups) / 2) ** e
         )
-        assert rows[r][0] != 0.0
-        assert abs(rows[r][0] - want) <= 1e-12 * abs(want)
+        assert _near(rows[r][0], want), r
 
 
 def test_rows_with_a_subnormal_k_gamma_against_mpmath():
@@ -579,22 +618,22 @@ def test_rows_with_a_subnormal_k_gamma_against_mpmath():
     n0, lam, sigma, l, c, k = 1.0, 1.0, 0.1, 0.11039369777854577, -0.9097258095658689, 0.0005
     rows = _rows(n0, lam, sigma, l, c, k, "consistent", 20)
     with mp.workdps(40):
-        for r, (coef, _, _) in enumerate(rows):
+        for r, (coef, _) in enumerate(rows):
             a = r + mp.mpf(l) / k + mp.mpf(1.5)
             e = 2 * r + mp.mpf(l) / k + 1
             want = (
-                n0 * (-c) ** r * (mp.mpf(lam) / 2) ** e * mp.gamma(sigma * e + 1)
+                n0 * (-c) ** r * (mp.mpf(lam) / 2) ** e
                 / (mp.mpf(k) ** (a - 1) * mp.gamma(a) * mp.gamma(r + mp.mpf(1.5)))
             )
-            assert abs(coef - want) <= 1e-12 * abs(want), r
+            assert _near(coef, want), r
 
 
 def test_rows_that_are_exactly_zero_stay_zero():
     from frac_kinetics.kinetics import _rows
 
     # c = 0 leaves only row 0; lam = 0 (d = 0) zeroes every row with e_r > 0
-    assert all(coef == 0.0 for coef, _, _ in _rows(1.0, 0.01, 2.0, 1.0, 0.0, 1.0, "consistent", 50)[1:])
-    assert all(coef == 0.0 for coef, _, _ in _rows(1.0, 0.0, 2.0, 1.0, 1.0, 1.0, "consistent", 50))
+    assert all(coef == 0.0 for coef, _ in _rows(1.0, 0.01, 2.0, 1.0, 0.0, 1.0, "consistent", 50)[1:])
+    assert all(coef == 0.0 for coef, _ in _rows(1.0, 0.0, 2.0, 1.0, 1.0, 1.0, "consistent", 50))
 
 
 def test_forcing_scale():
@@ -618,12 +657,25 @@ def test_gamma_pole_in_a_row_is_a_pole_error(p, reading):
 
 def test_gamma_underflow_in_a_row_is_an_overflow_error():
     # printed reading, l = -100.25, k = 100, upsilon = 2: row 0's beta is
-    # upsilon * (l + 1) + 1 = -197.5, where Gamma underflows to -0.0
+    # upsilon * (l + 1) + 1 = -197.5, where Gamma underflows to -0.0; the
+    # series starts from the forcing coefficient and never divides by it, so
+    # N(t) = sum_r b_r Gamma(beta_r) t**g_r E_{2, beta_r}(-t**2) is a value
+    import mpmath as mp
+
     p = _thm2(upsilon=2.0, l=-100.25, k=100.0)
-    with pytest.raises(OverflowError, match=r"^1/Gamma\(-197\.5\) at n = 0 exceeds the double range"):
-        solve_thm2(p, 0.5, reading="printed")
-    with pytest.raises(OverflowError, match=r"^grid index 0 \(t = 0\.25\): 1/Gamma\(-197\.5\) at n = 0 exceeds"):
-        solve_table(p, np.array([0.25, 0.5]), reading="printed")
+    with mp.workdps(40):
+        t, total = mp.mpf(0.5), mp.mpf(0)
+        for r in range(60):
+            e, a = 2 * r + mp.mpf(-100.25) + 1, r + mp.mpf(-100.25) / 100 + mp.mpf(1.5)
+            b = (-1) ** r * mp.mpf(0.5) ** e / (mp.mpf(100) ** (a - 1) * mp.gamma(a) * mp.gamma(r + mp.mpf(1.5)))
+            beta = 2 * e + 1
+            total += b * mp.gamma(beta) * t ** (beta - 1) * sum(
+                mp.rgamma(beta + 2 * n) * (-(t**2)) ** n for n in range(200)
+            )
+    got = solve_thm2(p, 0.5, reading="printed")
+    assert abs(got - total) <= 1e-14 * abs(total)
+    assert abs(got - 2.7437e90) <= 1e-4 * 2.7437e90
+    assert solve_table(p, np.array([0.25, 0.5]), reading="printed").n[1] == got
 
 
 def test_zero_rate_with_a_divergent_forcing_is_a_domain_error():

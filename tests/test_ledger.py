@@ -3,8 +3,9 @@
 Every case must stay within the larger of the error the ledger records for it
 and its family's floor: for ``sums`` and ``ml`` the floor the ledger records
 (32 u * sum |term| and what the program's formula costs in exact arithmetic,
-see ``make_ledger.py``), for ``rows`` 1e-12 relative, for ``solve`` 1e-14
-relative to the case's largest |N(t)|.  A case recorded as
+see ``make_ledger.py``), for ``rows`` 1e-12 relative (each forcing row b_r
+times Gamma(g_r + 1), the solution's row in its Mittag-Leffler form), for
+``solve`` 1e-14 relative to the case's largest |N(t)|.  A case recorded as
 raising must raise the same type and message, or give a value within that floor.
 """
 
@@ -19,6 +20,7 @@ from make_ledger import (
     ml_call,
     outcome,
     row_error,
+    row_image,
     solve_call,
     solve_error,
     sum_call,
@@ -62,8 +64,8 @@ def test_solution_rows_hold_their_ledger_errors():
                 failures.append((prob["args"], f"raises {got}"))
             continue
         errs = prob.get("errs", [0] * len(got))  # a problem that raised may now give rows within the floor
-        for r, ((coef, _, _), value, rec) in enumerate(zip(got, prob["values"], errs)):
-            err, limit = row_error(coef, value), max(ROW_FLOOR, mp.mpf(rec))
+        for r, (row, value, rec) in enumerate(zip(got, prob["values"], errs)):
+            err, limit = row_error(row_image(row), value), max(ROW_FLOOR, mp.mpf(rec))
             if err > limit:
                 failures.append((prob["args"], r, mp.nstr(err, 3), mp.nstr(limit, 3)))
     assert not failures, failures

@@ -12,6 +12,7 @@ from frac_kinetics import (
     QuadratureGrid,
     RangeError,
     ResidualReport,
+    SeriesControl,
     SolutionTable,
     Variant,
     k_struve,
@@ -421,6 +422,29 @@ def test_laplace_image_decreases_in_s():
     p = _problem()
     a, b = laplace_image(p, 1e3), laplace_image(p, 1e4)
     assert a > b > 0.0
+
+
+def test_laplace_image_rows_past_the_double_range():
+    # l = c = k = 1: row 84 of the forcing series is subnormal and Gamma(e_r + 1)
+    # overflows from row 85, so those image coefficients come from log space;
+    # at s = 1.202 the sum stops at row 84, at s = 1.2 one row later.  l = 200:
+    # Gamma(e_r + 1) overflows from row 0, so every coefficient comes from there
+    import mpmath as mp
+
+    def want(l, s):
+        with mp.workdps(30):
+            ms = mp.mpf(s)
+            return sum(
+                (-1) ** r * mp.gamma(2 * r + l + 2) / (mp.gamma(r + l + 1.5) * mp.gamma(r + 1.5))
+                * (2 * ms) ** -(2 * r + l + 1) / ms for r in range(400)
+            ) / (1 + 1 / ms)
+
+    for l, s in ((1.0, 1.2), (1.0, 1.202), (200.0, 10.0)):
+        got = laplace_image(_problem(l=l), s, SeriesControl(max_terms=90))
+        assert abs(got - want(l, s)) <= 1e-12 * abs(want(l, s)), (l, s)
+    p = _problem()
+    short, long = (laplace_image(p, 1.202, SeriesControl(max_terms=n)) for n in (85, 90))
+    assert short == long
 
 
 def test_laplace_image_domain():
