@@ -50,10 +50,9 @@ from .special import (
     _DEFAULT_CTL,
     KStruveParams,
     SeriesControl,
-    _k_struve_coeffs,
     _lane_sums,
-    _log_coef,
     _powers,
+    _scaled_terms,
     mittag_leffler,
 )
 
@@ -171,16 +170,17 @@ def _check_reading(reading: str) -> None:
 def _rows(
     n0: float, lam: float, sigma: float, l: float, c: float, k: float, reading: str, max_terms: int
 ) -> tuple[tuple[float, float], ...]:
-    """Rows (b_r, g_r) of the forcing series N0 * F(t) = sum_r b_r * t**g_r.
+    """Rows (b_r, g_r), r < max_terms, of the forcing series N0 * F(t) = sum_r b_r * t**g_r.
 
-    b_r = n0 * a_r * (lam / 2)**e_r with a_r from ``special._k_struve_coeffs``,
-    and g_r = sigma * e_r.  Row r of the solution is
-    b_r * Gamma(g_r + 1) * t**g_r * E_{upsilon, g_r + 1}(-rate**upsilon * t**upsilon),
-    which :class:`_Series` expands without forming Gamma(g_r + 1).
+    b_r = n0 * a_r * (lam / 2)**e_r comes from ``special._scaled_terms`` under either reading
+    (e_r - e_0 = 2r): 0.0 or subnormal only below the double range, ``OverflowError`` above it.
+    g_r = sigma * e_r.  Row r of the solution is b_r * Gamma(g_r + 1) * t**g_r *
+    E_{upsilon, g_r + 1}(-rate**upsilon * t**upsilon), which :class:`_Series` expands without
+    forming Gamma(g_r + 1).
     """
-    coeffs = _k_struve_coeffs(l, c, k, max_terms)
     rows = []
-    for r, a in enumerate(coeffs):
+    scaled = _scaled_terms(n0, lam / 2.0, _exponent(0, l, k, reading), l, c, k)
+    for r, (m, e2) in zip(range(max_terms), scaled):
         e = _exponent(r, l, k, reading)
         g = sigma * e
         if g + 1.0 <= 0.0 and g + 1.0 == math.floor(g + 1.0):
@@ -191,17 +191,11 @@ def _rows(
                 f"exponent e_r = {e!r} (l/k < -1 under the consistent reading)"
             )
         try:
-            head, power = n0 * a, (lam / 2.0) ** e
-            steps = (a, head, power, head * power)
+            coef = math.ldexp(m, e2)
         except OverflowError:
-            steps = (math.inf,)
-        coef = steps[-1]
-        # a factor or partial product that overflowed (an infinite coefficient
-        # would otherwise give inf or NaN) or passed through zero or a
-        # subnormal is redone in log space (0.0 for the zero rows of c = 0),
-        # unless lam = 0, where the row is exactly zero or exactly n0 * a_0
-        if not all(map(math.isfinite, steps)) or (min(map(abs, steps)) < sys.float_info.min and lam != 0.0):
-            coef = _log_coef(r, c, l, k, n0, lam / 2.0, e)
+            coef = math.inf
+        if not abs(coef) < math.inf:
+            raise OverflowError(f"series row r = {r} exceeds the double range; reduce max_terms")
         rows.append((coef, g))
     return tuple(rows)
 
@@ -425,11 +419,11 @@ def _sum_series_grid(series: _Series, ts: np.ndarray, s: np.ndarray, rel_tol: fl
         series.reach(n)
         d, x, c, first = series.entries[n]
         if first:  # chains begin in order
-            state.append(_powers(state[1].tolist(), [x])[0])  # NaN where ** raises
+            state.append(_powers(state[1].tolist(), x))  # NaN where ** raises
         else:
             state[3 + c] *= state[2]
         term = d * state[3 + c]
-        return term, 0.0, ~np.isfinite(term + hi)
+        return term, ~np.isfinite(term + hi)
 
     vals, used, failed = _lane_sums(step, state, sys.maxsize, rel_tol, series.runs)  # steps under its errstate
     bad = failed | ~np.isfinite(vals)
@@ -449,6 +443,12 @@ def solve(p: KineticProblem, t, ctl: SeriesControl | None = None, *, reading: st
 
     ``reading`` must be one of ``READINGS`` for every variant; it picks the
     THM2/THM3 term exponent, and THM1 has a single one.
+
+    Where the leading forcing exponent g_0 = sigma * e_0 is at most -1 (THM2
+    or THM3 with upsilon > 1 and l/k in (-3/2, -1), or such exponents under
+    the printed reading), the forcing has no Riemann-Liouville integral: a
+    t > 0 gives the analytically continued closed form, which no oracle leg
+    can check, and t = 0 raises ``DomainError``.
     """
     if ctl is None:
         ctl = _DEFAULT_CTL
@@ -468,8 +468,8 @@ def solve(p: KineticProblem, t, ctl: SeriesControl | None = None, *, reading: st
             table.n[0] = _zero_t_value(p)
     ts = g[first:]
     with np.errstate(over="ignore", invalid="ignore"):
-        s = _powers(ts.tolist(), [p.upsilon])[0]
-        ok = np.abs(-_powers([p.rate], [p.upsilon])[0, 0] * s) <= ML_SERIES_CAP  # False at NaN
+        s = _powers(ts.tolist(), p.upsilon)
+        ok = np.abs(-_powers([p.rate], p.upsilon)[0] * s) <= ML_SERIES_CAP  # False at NaN
     n = ts.size if ok.all() else int(ok.argmin())  # the nodes before the first past the cap (or inf)
     if n:
         with _at_node(g, first):

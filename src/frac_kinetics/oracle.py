@@ -1,8 +1,9 @@
 """Independent numerical verification of the closed-form solutions.
 
 Three legs, none of which sums a series of :mod:`.kinetics`; the forcing table
-uses ``special``'s k-Struve coefficient table, as the solution rows do, and
-``laplace_image`` reads ``kinetics._rows`` (ROADMAP items 3 and 7 end both):
+uses ``special``'s k-Struve prefactor and 1F2 term ratio, as the solution rows
+and ``laplace_image`` do (``special._scaled_terms``; ROADMAP items 3 and 7 end
+both):
 
 * a product-trapezoidal quadrature for the Riemann-Liouville integral
   (exact for piecewise-linear integrands against the weakly singular kernel
@@ -36,15 +37,14 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 from ._compensated import dd_add
 from ._lazy_numpy import np
 from .errors import DomainError, RangeError, SingularStepError
-from .kinetics import KineticProblem, SolutionTable, Variant, _problem_rows
-from .special import _DEFAULT_CTL, SeriesControl, _k_struve_grid, _log_coef, _powers
+from .kinetics import KineticProblem, SolutionTable, Variant
+from .special import _DEFAULT_CTL, SeriesControl, _exp_scaled, _k_struve_grid, _powers, _scaled_power, _scaled_terms
 
 __all__ = [
     "QuadratureGrid",
@@ -188,7 +188,7 @@ def _forcing_values(p: KineticProblem, forcing, grid: QuadratureGrid, ctl: Serie
             lam, sigma = _scale(p, forcing)
             # t**1.0 == t, and both products round correctly, so the numpy
             # product is the per-node expression lam * t**sigma
-            powers = grid.nodes if sigma == 1.0 else _powers(grid.nodes.tolist(), [sigma])[0]
+            powers = grid.nodes if sigma == 1.0 else _powers(grid.nodes.tolist(), sigma)
             if np.isnan(powers).any():  # the first t**sigma that raises, raised again
                 float(grid.nodes[np.argmax(np.isnan(powers))]) ** sigma
             vals = _k_struve_grid(p.struve, lam * powers, ctl)
@@ -341,7 +341,9 @@ def laplace_image(p: KineticProblem, s: float, ctl: SeriesControl | None = None)
     Term-wise transform of the solution series with the inner binomial tail
     resummed geometrically:
         sum_r b_r * Gamma(e_r + 1) * s**-(e_r+1) / (1 + d**u s**-u),
-    with the rows (b_r, e_r) of the forcing series N0 * F(t) = sum_r b_r t**e_r.
+    with the rows (b_r, e_r) of the forcing series N0 * F(t) = sum_r b_r t**e_r: term 0 from
+    their start b_0 = m * 2**E times Gamma(e_0 + 1) s**-(e_0 + 1), each later one by their
+    ratio times (e_r + 1)(e_r + 2) / s**2, the binary exponents kept apart.
     """
     if p.variant is not Variant.THM1:
         raise DomainError(f"laplace_image requires variant THM1, got {p.variant}")
@@ -354,18 +356,21 @@ def laplace_image(p: KineticProblem, s: float, ctl: SeriesControl | None = None)
         raise RangeError(
             f"s = {s!r} is outside the geometric convergence region (requires s > d = {p.d!r})"
         )
-    sum_hi, sum_lo, st = 0.0, 0.0, p.struve
-    for r, (coef, e) in enumerate(_problem_rows(p, "consistent", ctl.max_terms)):
-        try:
-            image = coef * math.gamma(e + 1.0)  # b_r Gamma(e_r + 1), the row's image coefficient
-        except OverflowError:
-            image = math.inf
-        if not sys.float_info.min <= min(abs(coef), abs(image)) <= sys.float_info.max:  # out of range: in logs
-            image = _log_coef(r, st.c, st.nu, st.k, p.n0, 0.5, e, e)
-        term = image * s ** (-(e + 1.0))
+    st = p.struve
+    e = st.nu / st.k + 1.0  # e_0
+    try:
+        gm, ge = math.frexp(math.gamma(e + 1.0))
+    except OverflowError:
+        gm, ge = _exp_scaled(math.lgamma(e + 1.0))
+    sm, se = _scaled_power(s, -(e + 1.0))
+    sum_hi, sum_lo = 0.0, 0.0
+    for r, (m, e2) in zip(range(ctl.max_terms), _scaled_terms(p.n0, 0.5, e, st.nu, st.c, st.k)):
+        term = math.ldexp(m * gm * sm, e2 + ge + se)
         sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
         if abs(term) <= ctl.rel_tol * abs(sum_hi):
             break
+        gm, de = math.frexp(gm * (e + 1.0) * (e + 2.0) / (s * s))
+        ge, e = ge + de, e + 2.0
     return (sum_hi + sum_lo) / (1.0 + p.d**p.upsilon * s ** (-p.upsilon))
 
 

@@ -10,14 +10,13 @@ trustworthy region (no asymptotic continuation is attempted):
 ``ML_SERIES_CAP`` (Mittag-Leffler, ``|z| <= 50``) and ``STRUVE_SERIES_CAP``
 (Struve and k-Struve, ``|x| <= 20``).
 
-The k-Struve coefficients come from one table, ``_k_struve_coeffs``, and
-the powers (x/2)**(2r + nu/k + 1) from one ``**`` times (x/2)**2 per term.
-A term is coefficient times power where both are normal doubles and is
-formed in log space otherwise; a power or sum that overflows raises.  The
-array paths share one kernel, ``_lane_sums``, which sums one series per lane
-with the scalar loop's stop rule and double-double sums (``_k_struve_grid``
-a lane per node, handing a node whose term takes the log form to the scalar
-loop; ``kinetics.solve_table`` a lane per node of the solution series), so
+A k-Struve value is one prefactor, cached per (nu, k), times (x/2)**(nu/k + 1)
+times its 1F2 sum, whose terms come from their ratio; both factors keep their
+binary exponents apart, so only a value past the double range overflows.  A
+sum cut at ``max_terms`` returns only within its tail bound.  The array paths
+share one kernel, ``_lane_sums``, which sums one series per lane with the
+scalar loop's stop rule and double-double sums (``_k_struve_grid`` a lane per
+node, ``kinetics.solve_table`` a lane per node of the solution series), so
 each entry is the double its scalar twin returns.
 
 ``_ml_eval`` serves ``mittag_leffler`` and ``mittag_leffler2`` only.  For
@@ -30,6 +29,7 @@ loads on the first array call; the scalar series never touch it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from contextlib import suppress
@@ -40,7 +40,6 @@ from functools import lru_cache
 from ._compensated import dd_add, dd_div_double, dd_mul_double
 from ._lazy_numpy import np
 from .errors import DomainError, PoleError, RangeError
-from .kgamma import _gamma_sign
 
 __all__ = [
     "SeriesControl",
@@ -55,16 +54,16 @@ __all__ = [
 
 ML_SERIES_CAP = 50.0
 STRUVE_SERIES_CAP = 20.0
-_STRUVE_OVERFLOW = "Struve series leaves the double range: a power (x/2)**(2r + nu/k + 1) or the sum overflows"
 
 
 @dataclass(frozen=True)
 class SeriesControl:
     """Truncation policy for every series in the package.
 
-    ``max_terms`` bounds the Struve, k-Struve and Mittag-Leffler series, and so the
-    rows of a solution, whose own series stops by its rule (``kinetics._Series``);
-    ``rel_tol`` is the relative cut of every series.
+    ``rel_tol`` is the relative cut of every series.  ``max_terms`` bounds the Struve,
+    k-Struve and Mittag-Leffler series and the rows of a solution, whose own series
+    stops by its rule (``kinetics._Series``).  A Struve or k-Struve sum cut at
+    ``max_terms`` raises ``RangeError`` unless its tail bound is within ``rel_tol``.
     """
 
     max_terms: int = 50
@@ -109,9 +108,9 @@ def _lane_sums(step, state: list, n_terms: int, rel_tol: float, runs=None):
     """Sum one series per lane, lane for lane the double of its scalar loop.
 
     ``state`` holds the caller's per-lane arrays, ``np.arange`` over the lanes first.
-    ``step(n, hi)`` gives term n of the active lanes (hi, lo parts; ``hi`` is their sums)
-    and the mask of lanes whose term n the kernel cannot take (the scalar loop raises
-    there, or forms it another way), or None.  A lane stops on such a term (before its
+    ``step(n, hi)`` gives term n of the active lanes (``hi`` is their sums) and the mask
+    of lanes whose term n the kernel cannot take (the scalar loop raises there), or
+    None.  A lane stops on such a term (before its
     stop test) or on a term at most ``rel_tol`` times its sum (with ``runs``, on the
     ``runs[n]``-th such term in a row), and leaves ``state``, which ends with the lanes
     that took all ``n_terms`` terms.  Returns the values, the terms used and the mask of
@@ -124,8 +123,8 @@ def _lane_sums(step, state: list, n_terms: int, rel_tol: float, runs=None):
         for n in range(n_terms):
             if not hi.size:
                 break
-            term, term_lo, bad = step(n, hi)
-            hi, lo = dd_add(hi, lo, term, term_lo)
+            term, bad = step(n, hi)
+            hi, lo = dd_add(hi, lo, term)
             done = np.abs(term) <= rel_tol * np.abs(hi)
             if runs is not None:
                 run = np.where(done, run + 1, 0)
@@ -143,18 +142,17 @@ def _lane_sums(step, state: list, n_terms: int, rel_tol: float, runs=None):
         return out, used, failed
 
 
-def _powers(xs: list[float], exps: list[float]) -> np.ndarray:
-    """``x**e`` at every (exponent, node) pair with CPython's float ``**`` (``np.power``
-    differs in the last bit), NaN where it raises (x**e is never NaN for x > 0)."""
+def _powers(xs: list[float], e: float) -> np.ndarray:
+    """``x**e`` at every node with CPython's float ``**`` (``np.power`` differs in the last
+    bit), NaN where it raises (x**e is never NaN for x > 0)."""
     try:
-        return np.fromiter((x**e for e in exps for x in xs), float, len(exps) * len(xs)).reshape(len(exps), len(xs))
+        return np.fromiter((x**e for x in xs), float, len(xs))
     except ArithmeticError:
         pass
-    vals = np.full((len(exps), len(xs)), np.nan)
-    for j, e in enumerate(exps):
-        for i, x in enumerate(xs):
-            with suppress(ArithmeticError):
-                vals[j, i] = x**e
+    vals = np.full(len(xs), np.nan)
+    for i, x in enumerate(xs):
+        with suppress(ArithmeticError):
+            vals[i] = x**e
     return vals
 
 
@@ -253,107 +251,110 @@ def mittag_leffler(alpha: float, z: float, ctl: SeriesControl | None = None) -> 
 # Struve
 
 
-def _log_coef(
-    r: int, c: float, nu: float, k: float,
-    n0: float = 1.0, base: float = 1.0, e: float = 0.0, g: float = 0.0,
-) -> float:
-    """Series coefficient  n0 (-c)**r base**e Gamma(g + 1) / (Gamma_k(rk + nu + 3k/2) Gamma(r + 3/2)), in log space.
+_TINY, _GAMMA_3_2 = sys.float_info.min, math.gamma(1.5)
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # n * _LN2_HI is exact for |n| < 2**20
 
-    With the defaults this is coefficient r of the k-Struve series; the
-    solution rows of :mod:`frac_kinetics.kinetics` add the other factors.
-    Used where the direct product leaves the double range although the
-    coefficient itself may fit in a double: it comes out 0.0 only when its
-    magnitude is below the double range, and raises ``OverflowError`` only
-    when it is above.
-    """
-    if (r and c == 0.0) or base == 0.0:
-        return 0.0
-    x = r + nu / k + 1.5  # Gamma_k(x k) = k**(x - 1) * Gamma(x)
-    log_abs = (
-        math.log(n0)
-        + (r * math.log(abs(c)) if r else 0.0)
-        + e * math.log(base)
-        + math.lgamma(g + 1.0)
-        - (x - 1.0) * math.log(k)
-        - math.lgamma(x)
-        - math.lgamma(r + 1.5)
-    )
-    sign = (-1.0 if c > 0.0 and r % 2 else 1.0) * _gamma_sign(g + 1.0) * _gamma_sign(x)
+
+def _exp_scaled(*logs: float) -> tuple[float, int]:
+    """exp(sum(logs)) as (m, E), m * 2**E with 0.5 <= m < 1, for a value past the double range: the
+    sum is taken exactly with E ln 2 split off, so only the logarithms' own roundings remain."""
+    n = math.floor(math.fsum(logs) / _LN2_HI)
+    m, e = math.frexp(math.exp(math.fsum((*logs, -n * _LN2_HI, -n * _LN2_LO))))
+    return m, e + n
+
+
+def _scaled_power(base: float, e: float) -> tuple[float, int]:
+    """base**e, base >= 0, as (m, E), m * 2**E with 0.5 <= m < 1 (0.0 or inf only at base 0): one ``**``
+    where that is a normal double, else base**(e/2) squared, the binary exponent kept apart, so that a
+    power past the double range keeps its digits (a few u, where a logarithm loses u |e ln base|)."""
     try:
-        return sign * math.exp(log_abs)
-    except OverflowError:
-        raise OverflowError(
-            f"series row r = {r} exceeds the double range; reduce max_terms"
-        ) from None
+        p = base**e
+    except (OverflowError, ZeroDivisionError):  # 0.0 ** -e raises
+        p = math.inf
+    if _TINY <= p < math.inf or not base:
+        return math.frexp(p)
+    m, n = _scaled_power(base, e / 2.0)
+    m, d = math.frexp(m * m)
+    return m, 2 * n + d
 
 
 @lru_cache(maxsize=256)
-def _k_struve_coeffs(nu: float, c: float, k: float, max_terms: int) -> tuple[float, ...]:
-    """(-c)**r / (Gamma_k(rk + nu + 3k/2) Gamma(r + 3/2)) for r < max_terms, Gamma_k as k**(x - 1) Gamma(x).
+def _k_struve_prefactor(nu: float, k: float) -> tuple[float, float, int]:
+    """(A, m, E) of S^k_{nu,c}(x) = C (x/2)**(nu/k + 1) 1F2(1; 3/2, A; -c x**2 / (4k)), C = m * 2**E.
 
-    x = r + a, a = nu/k + 3/2 taken once and exactly rounded (> 0 where nu/k rounds to -3/2).
-    Where the k-power, Gamma_k or the denominator leaves the normal double range the coefficient
-    comes from :func:`_log_coef`: 0.0 or subnormal below the range, inf above it (as is a quotient
-    that overflows).
-    """
+    A = nu/k + 3/2, exactly rounded (> 0 where nu/k rounds to -3/2); C = k**(1 - A) / (Gamma(A) Gamma(3/2))
+    is corrected to first order for that rounding a_lo, (ln k + digamma(A)) a_lo, digamma(A) taken as
+    ln(A + 1) - 1/(2(A + 1)) - 1/A (within 3e-2).  It is one quotient of ``**`` and ``math.gamma`` values
+    where they and C are normal doubles, else one ``lgamma`` sum (off by about u times its |terms|)."""
     exact = Fraction(nu) / Fraction(k) + Fraction(3, 2)
-    a = float(exact)
-    a_lo, log_k = float(exact - Fraction(a)), math.log(k)
-    out = []
-    for r in range(max_terms):
-        x = r + a
-        # x + d is r + nu/k + 3/2, and d moves Gamma_k by (ln k + digamma(x)) d to first order (sums
-        # lost up to 39 u * sum |term| to it); digamma(x) ~ ln(x + 1) - 1/(2(x + 1)) - 1/x within 3e-2
-        d = math.fsum((r, a, -x)) + a_lo
-        try:
-            power = k ** (x - 1.0)
-            kg = power * math.gamma(x) * (1.0 + d * (log_k + math.log(x + 1.0) - 0.5 / (x + 1.0) - 1.0 / x))
-            denom = kg * math.gamma(r + 1.5)
-        except OverflowError:
-            power = kg = denom = math.inf
-        normal = sys.float_info.min <= min(power, kg, denom) and denom < math.inf
-        try:
-            out.append((-c) ** r / denom if normal else _log_coef(r, c, nu, k))
-        except OverflowError:
-            out.append(math.inf)
-    return tuple(out)
+    a, log_k = float(exact), math.log(k)
+    corr = 1.0 + float(exact - Fraction(a)) * (log_k + math.log(a + 1.0) - 0.5 / (a + 1.0) - 1.0 / a)
+    try:
+        power = k ** (a - 1.0)
+        kg = power * math.gamma(a) * corr
+        pref = 1.0 / (kg * _GAMMA_3_2)
+        if _TINY <= min(power, kg, pref) and pref < math.inf:
+            return (a, *math.frexp(pref))
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return (a, *_exp_scaled(-(a - 1.0) * log_k, -math.lgamma(a), -math.log(corr * _GAMMA_3_2)))
 
 
-def _power_series(nu: float, c: float, k: float, half_x: float, ctl: SeriesControl) -> float:
-    """Sum the k-Struve coefficients times half_x**(2r + nu/k + 1), compensated, with early exit.
+def _scaled_terms(n0: float, h: float, e0: float, nu: float, c: float, k: float):
+    """Yield n0 a_r h**(e0 + 2r), a_r the k-Struve coefficient r of (nu, c, k), as (m, E), m * 2**E: from
+    n0 C h**e0, each times the 1F2 ratio (-c h**2 / k) / ((A + r)(3/2 + r)) (the solution rows of
+    ``kinetics`` and the Laplace images of ``oracle``)."""
+    a, cm, ce = _k_struve_prefactor(nu, k)
+    pm, pe = _scaled_power(h, e0)
+    hm, he = math.frexp(h)
+    step = (0.0 - c) * hm * hm / k  # 0.0, not -0.0, at c = 0
+    m, e = math.frexp(n0 * cm * pm)
+    e += ce + pe
+    for r in itertools.count():
+        yield m, e
+        m, de = math.frexp(m * step / ((a + r) * (r + 1.5)))
+        e += de + 2 * he
 
-    A term whose coefficient or power is not a normal double is formed, power included, by
-    :func:`_log_coef`: it keeps its digits, and is 0.0 or subnormal only below the double range.
-    Raises ``OverflowError`` where a power or the sum overflows, or the sum does not stop over an
-    infinite coefficient.
+
+def _struve_series(nu: float, c: float, k: float, half_x: float, ctl: SeriesControl) -> float:
+    """S^k_{nu,c}(2 half_x) = C half_x**(nu/k + 1) 1F2(1; 3/2, A; -w), w = c half_x**2 / k, the terms
+    t_{r+1} = t_r (-w) / ((A + r)(3/2 + r)), t_0 = 1, summed in double-double under the stop rule.
+
+    A sum cut at ``max_terms`` returns only if its tail bound |t_R| rho / (1 - rho), rho = |w| /
+    ((A + R)(3/2 + R)) at its last index R (the ratios fall from there), is within ``rel_tol`` of it;
+    else it raises ``RangeError``, or ``OverflowError`` where its terms have one sign (c <= 0) and its
+    value already leaves the double range, as any value or sum past the range does.
     """
-    coeffs = _k_struve_coeffs(nu, c, k, ctl.max_terms)
-    exp0, tiny = nu / k + 1.0, sys.float_info.min
-    try:
-        power = half_x**exp0
-    except OverflowError:
-        power = math.nan  # as in _powers: a normal coefficient times it ends the value
-    h2, sign = half_x * half_x, 1.0 if half_x >= 0.0 else (-1.0) ** exp0  # x < 0 only for integer orders
-    sum_hi, sum_lo = 0.0, 0.0
-    try:
-        for r, coef in enumerate(coeffs):
-            if tiny <= abs(coef) < math.inf and not abs(power) < tiny:
-                term = coef * power
-            else:
-                term = sign * _log_coef(r, c, nu, k, 1.0, abs(half_x), 2 * r + exp0)  # log form
-            sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
-            if abs(term) <= ctl.rel_tol * abs(sum_hi):
-                break
-            power *= h2
-        else:
-            if math.inf in coeffs:
-                raise OverflowError
-    except OverflowError:
-        raise OverflowError(_STRUVE_OVERFLOW) from None
+    a, cm, ce = _k_struve_prefactor(nu, k)
+    exp0 = nu / k + 1.0
+    pm, pe = _scaled_power(abs(half_x), exp0)
+    if half_x < 0.0:
+        pm *= (-1.0) ** exp0  # x < 0 only for integer orders
+    h2, nc = half_x * half_x, 0.0 - c  # -c, and 0.0 (not -0.0) at c = 0
+    sum_hi, sum_lo, t, tol, cut = 0.0, 0.0, 1.0, ctl.rel_tol, False
+    for r in map(float, range(ctl.max_terms)):
+        sum_hi, sum_lo = dd_add(sum_hi, sum_lo, t)
+        if abs(t) <= tol * abs(sum_hi):
+            break
+        den = k * ((a + r) * (r + 1.5))
+        t = t * h2 * (nc / den)  # only h2's rounding recurs in every step; nc / den is rounded anew
+    else:
+        rho = abs(h2 * nc) / den
+        cut = not abs(t) <= tol * abs(sum_hi + sum_lo) * (1.0 - rho)  # t is t_R rho
     total = sum_hi + sum_lo
-    if not math.isfinite(total):
-        raise OverflowError(_STRUVE_OVERFLOW)
-    return total
+    try:
+        value = math.ldexp(cm * pm * total, ce + pe)
+    except OverflowError:
+        value = math.inf
+    if cut and (nc < 0.0 or value < math.inf):
+        raise RangeError(
+            f"Struve series cut at max_terms = {ctl.max_terms}: the tail bound "
+            f"{abs(t) / (1.0 - rho) if rho < 1.0 else math.inf:.3g} of its 1F2 sum exceeds "
+            f"rel_tol * |sum| = {tol * abs(total):.3g}; raise max_terms"
+        )
+    if not abs(value) < math.inf:
+        raise OverflowError("Struve series leaves the double range: its 1F2 sum or its value overflows")
+    return value
 
 
 def struve_h(p: float, x: float, ctl: SeriesControl | None = None) -> float:
@@ -381,15 +382,16 @@ def struve_h(p: float, x: float, ctl: SeriesControl | None = None) -> float:
             raise DomainError(f"H_p diverges at x = 0 for p < -1 (p = {p!r})")
         # p == -1: the series limit is the r = 0 coefficient, 2/pi
     # at k = 1 the k-power is 1.0 and Gamma_k is Gamma: H_p is S^1_{p,1}
-    return _power_series(p, 1.0, 1.0, x / 2.0, ctl)
+    return _struve_series(p, 1.0, 1.0, x / 2.0, ctl)
 
 
 def k_struve(params: KStruveParams, x: float, ctl: SeriesControl | None = None) -> float:
     """k-Struve function S^k_{nu,c}(x).
 
     Series sum of (-c)**r / (Gamma_k(r*k + nu + 3k/2) * Gamma(r + 3/2))
-    times (x/2)**(2r + nu/k + 1); collapses to ``struve_h(nu, x)`` at
-    k = 1, c = 1.
+    times (x/2)**(2r + nu/k + 1), taken as a prefactor times a 1F2 sum;
+    collapses to ``struve_h(nu, x)`` at k = 1, c = 1.  A sum cut at
+    ``max_terms`` raises ``RangeError`` unless its tail bound is within ``rel_tol``.
     """
     if ctl is None:
         ctl = _DEFAULT_CTL
@@ -408,45 +410,42 @@ def k_struve(params: KStruveParams, x: float, ctl: SeriesControl | None = None) 
             raise DomainError(
                 f"k-Struve diverges at x = 0 for nu/k < -1 (nu = {params.nu!r}, k = {params.k!r})"
             )
-    return _power_series(params.nu, params.c, params.k, x / 2.0, ctl)
+    return _struve_series(params.nu, params.c, params.k, x / 2.0, ctl)
 
 
 # --------------------------------------------------------------------------
 # k-Struve over a grid
 
 def _k_struve_grid(params: KStruveParams, xs: np.ndarray, ctl: SeriesControl | None = None) -> np.ndarray:
-    """``[k_struve(params, x, ctl) for x in xs]`` as an array, in one array pass.
-
-    The nodes are lanes of :func:`_lane_sums` on the scalar loop's coefficient
-    table, powers, term rule and stop rule, so every entry is the exact double
-    it returns: a lane whose term takes the log form ends there, and its node
-    is summed by the scalar loop :func:`_power_series`.
-    """
+    """``[k_struve(params, x, ctl) for x in xs]`` as an array, in one array pass: the nodes are
+    lanes of :func:`_lane_sums` on the scalar loop's prefactor, powers, term ratio and stop rule,
+    so every entry is the double it returns.  Where it raises, the grid raises the error of the
+    first such node, by that loop."""
     if ctl is None:
         ctl = _DEFAULT_CTL
     xs = np.asarray(xs, dtype=float)
-    ratio = params.nu / params.k
-    bad = ~np.isfinite(xs) | (xs < 0.0) | (xs > STRUVE_SERIES_CAP)
-    if ratio < -1.0:
-        bad |= xs == 0.0
-    if bad.any():
-        # the scalar path owns the argument checks: it raises for the first
-        # bad node with the same type and message
-        k_struve(params, float(xs[np.argmax(bad)]), ctl)
-    half_x = xs / 2.0  # a node x = 0 sums to 0.0 where the scalar path returns it
-    coeffs = _k_struve_coeffs(params.nu, params.c, params.k, ctl.max_terms)
-    state = [np.arange(half_x.size), _powers(half_x.tolist(), [ratio + 1.0])[0], half_x * half_x]
+    nu, c, k = params.nu, params.c, params.k
+    bad = ~np.isfinite(xs) | (xs < 0.0) | (xs > STRUVE_SERIES_CAP) | ((xs == 0.0) & (nu / k < -1.0))
+    a, cm, ce = _k_struve_prefactor(nu, k)
+    half_x, exp0, last, nc = np.where(bad, 0.0, xs) / 2.0, nu / k + 1.0, ctl.max_terms - 1, 0.0 - c
+    p = _powers(half_x.tolist(), exp0)  # NaN where ** raises
+    pm, pe = np.frexp(p)
+    for i in np.flatnonzero(~((p >= _TINY) & (p < math.inf))).tolist():
+        pm[i], pe[i] = _scaled_power(float(half_x[i]), exp0)  # x = 0 gives 0.0, as k_struve does
 
     def step(n, hi):
-        _, power, h2 = state
-        log_form = (np.abs(power) < sys.float_info.min) | (not sys.float_info.min <= abs(coeffs[n]) < math.inf)
-        term = coeffs[n] * power
-        power *= h2
-        return term, 0.0, log_form
+        _, t, h2 = state
+        state[1] = t * h2 * (nc / (k * ((a + n) * (n + 1.5))))
+        return t, None
 
-    sums, _, log_form = _lane_sums(step, state, ctl.max_terms, ctl.rel_tol)
-    for i in np.flatnonzero(log_form).tolist():
-        sums[i] = _power_series(params.nu, params.c, params.k, float(half_x[i]), ctl)
-    if not np.isfinite(sums).all():
-        raise OverflowError(_STRUVE_OVERFLOW)
-    return sums
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = [np.arange(xs.size), np.ones(xs.size), half_x * half_x]
+        sums, _, _ = _lane_sums(step, state, ctl.max_terms, ctl.rel_tol)
+        cut, t, h2 = state  # the lanes that took all max_terms terms
+        rho = np.abs(h2 * nc) / (k * ((a + last) * (last + 1.5)))
+        vals = np.ldexp(cm * pm * sums, ce + pe)
+        bad |= ~np.isfinite(vals)
+        bad[cut[~(np.abs(t) <= ctl.rel_tol * np.abs(sums[cut]) * (1.0 - rho))]] = True
+    if bad.any():
+        k_struve(params, float(xs[np.argmax(bad)]), ctl)  # raises, as for a real x there
+    return vals

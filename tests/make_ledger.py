@@ -23,9 +23,10 @@ Four families:
   the term-magnitude sum come from the exact series, summed by its term ratio
   at a precision raised until the cancellation it meets leaves 40 digits.
   The error is absolute.  The floor is 32 u * sum |term|, plus how far the
-  program's formula is from the value in exact arithmetic (it rounds nu/k to
-  a double and takes only the terms its stop rule takes), plus an allowance
-  for the terms it forms from logarithms (see ``sum_reference``).
+  program's formula (a prefactor times a power times 1F2 terms from their
+  ratio) is from the value in exact arithmetic (it rounds nu/k to a double and
+  takes only the terms its stop rule takes), plus an allowance where it forms
+  the prefactor from logarithms (see ``sum_reference``).
   Inputs: the corner cases pinned in ``test_special.py``, named repros, and
   seeded wide draws.
 * ``rows``: the coefficient rows of the solution series in its
@@ -105,34 +106,41 @@ def _series(nu, c, k, x, dps):
 def _design(nu, c, k, x, dps):
     """(value, log-space allowance) of the program's formula in exact arithmetic on its doubles.
 
-    Term r is (-c)**r (x/2)**(2r + e0) / (k**(x_r - 1) Gamma(x_r) Gamma(r + 3/2))
-    with the double e0 = nu/k + 1 (nu/k rounded, then the sum) and the exact
-    x_r = r + nu/k + 3/2, summed until a term is at most 1e-14 times the sum
-    or 50 terms are taken (the default control).  A term whose k-power,
-    Gamma(x_r), denominator or coefficient leaves the normal double range,
-    or whose power falls below it, is formed from logarithms; the allowance
-    is 4 u (a few roundings of each) times their sum of magnitudes times
-    |term|, summed over those terms.
+    The value is the prefactor C = k**(1 - A) / (Gamma(A) Gamma(3/2)) (A = nu/k + 3/2 exact: the
+    program corrects its rounded A to first order) times (x/2)**e0 (the double e0 = nu/k + 1, nu/k
+    rounded, then the sum) times the 1F2 terms t_{r+1} = t_r (-c) (x/2)**2 / (k (A' + r)(3/2 + r))
+    on the program's double A', t_0 = 1, summed until a term is at most 1e-14 times the sum or 50
+    terms are taken (the default control).  It is None where the program raises: a sum cut at 50
+    terms whose tail bound |t_50| / (1 - rho), rho = |w| / ((A' + 49)(49 + 3/2)), exceeds 1e-14
+    times the sum, or a value above the double range.  Where the program forms C from ``lgamma``
+    (a k-power, Gamma(A), their product or C outside the normal double range), the allowance is
+    4 u (a few roundings) times the sum of the magnitudes of those logarithms, times |value|.
     """
+    from fractions import Fraction
+
     lo, hi = mp.mpf(sys.float_info.min), mp.mpf(sys.float_info.max)
-    rho, h = nu / k, x / 2.0
+    a_double = float(Fraction(nu) / Fraction(k) + Fraction(3, 2))
+    h = x / 2.0
     with mp.workdps(dps):
-        total = allow = mp.mpf(0)
+        a = mp.mpf(nu) / k + mp.mpf(1.5)
+        k_power, gamma = mp.mpf(k) ** (a - 1), mp.gamma(a)
+        pref = 1 / (k_power * gamma * mp.gamma(mp.mpf(1.5)))
+        term = pref * mp.mpf(h) ** mp.mpf(nu / k + 1.0)
+        mw, total = -mp.mpf(c) * mp.mpf(h) ** 2 / k, mp.mpf(0)
         for r in range(50):
-            xr = r + mp.mpf(nu) / k + mp.mpf(1.5)
-            k_power, gamma, gamma_half = mp.mpf(k) ** (xr - 1), mp.gamma(xr), mp.gamma(r + mp.mpf(1.5))
-            coef = (-mp.mpf(c)) ** r / (k_power * gamma * gamma_half)
-            e = 2 * r + mp.mpf(rho + 1.0)
-            power = mp.mpf(h) ** e
-            term = coef * power
             total += term
-            factors = (k_power, gamma, k_power * gamma * gamma_half, abs(coef) or lo)
-            if not all(lo <= v <= hi for v in factors) or power < lo:
-                logs = (r * mp.log(abs(c)) if c else 0, e * mp.log(h), (xr - 1) * mp.log(k), mp.log(gamma),
-                        mp.log(gamma_half))
-                allow += 4 * U * sum(map(abs, logs)) * abs(term)
             if abs(term) <= mp.mpf(1e-14) * abs(total):
                 break
+            term *= mw / ((a_double + r) * (r + mp.mpf(1.5)))
+        else:
+            rho = abs(mw) / ((a_double + 49) * (49 + mp.mpf(1.5)))
+            if not (rho < 1 and abs(term) / (1 - rho) <= mp.mpf(1e-14) * abs(total)):
+                total = None
+        if total is not None and abs(total) > hi:
+            total = None
+        allow = mp.mpf(0)
+        if total is not None and not all(lo <= v <= hi for v in (k_power, gamma, k_power * gamma, pref)):
+            allow = 4 * U * ((a - 1) * abs(mp.log(k)) + abs(mp.log(gamma)) + 1) * abs(total)
         return total, allow
 
 
@@ -153,15 +161,18 @@ def _to_40_digits(series, *args):
 def sum_reference(nu, c, k, x):
     """(value, sum |term|, floor) of the exact series, the value to 40 digits.
 
-    The floor is 32 u * sum |term| (powers, products and compensated sum),
-    plus what the program's formula is off by in exact arithmetic (the
-    rounding of nu/k and the terms it does not take), plus the log-space
-    allowance of :func:`_design`.
+    The program's formula is a prefactor times (x/2)**(nu/k + 1) times 1F2 terms from their
+    ratio (see :func:`_design`).  The floor is 32 u * sum |term| (power, ratios, products and
+    compensated sum), plus what that formula is off by in exact arithmetic (the rounding of
+    nu/k in the power and in the ratios, and the terms it does not take; nothing where it
+    raises on a sum cut at 50 terms with its tail bound unmet), plus the log-space allowance
+    of :func:`_design`, which is nonzero only where the prefactor comes from ``lgamma``.
     """
     value, mag, dps = _to_40_digits(_series, nu, c, k, x)
     design, allow = _design(nu, c, k, x, dps + 20)
     with mp.workdps(dps + 20):
-        return value, mag, SUM_FLOOR_U * U * mag + abs(design - value) + allow
+        off = 0 if design is None else abs(design - value)
+        return value, mag, SUM_FLOOR_U * U * mag + off + allow
 
 
 def _ml_series(alpha, beta, z, dps):

@@ -302,8 +302,8 @@ def _near(got: float, want) -> bool:
 def test_rows_past_gamma_overflow_fit_in_a_double():
     # Gamma(e_r + 1) overflows from r = 85; the solver never forms it.  The
     # forcing coefficients 2**-e_r / (Gamma(r + 5/2) Gamma(r + 3/2)) pass below
-    # the normal double range from r = 84 and come from log space, the
-    # earlier ones unchanged
+    # the normal double range from r = 84 and keep their binary exponent
+    # apart until the row is formed, the earlier ones unchanged
     import mpmath as mp
 
     from frac_kinetics.kinetics import _rows
@@ -569,8 +569,8 @@ def test_solve_table_raises_for_a_power_that_overflows_after_the_last_term():
 
 def test_rows_with_an_overflowing_denominator_are_not_silent_zeros():
     # Gamma_k(rk + l + 3k/2) * Gamma(r + 3/2) overflows to inf from row 87,
-    # while the rows come from log space, down to 0.0 or a subnormal where
-    # they are below the double range
+    # while the rows come from the prefactor and the 1F2 ratio, down to 0.0 or
+    # a subnormal where they are below the double range
     import mpmath as mp
 
     from frac_kinetics.kinetics import _rows
@@ -590,8 +590,8 @@ def test_rows_with_an_overflowing_denominator_are_not_silent_zeros():
 
 def test_rows_whose_direct_product_underflows_are_not_silent_zeros():
     # the direct product n0 a_r (lam/2)**e_r passes through a subnormal from
-    # row 28, where the rows leave the normal double range: they come from
-    # log space, 0.0 or a subnormal only below it
+    # row 28, where the rows leave the normal double range: their binary
+    # exponent is kept apart, so they are 0.0 or a subnormal only below it
     import mpmath as mp
 
     from frac_kinetics.kinetics import _rows
@@ -685,3 +685,32 @@ def test_zero_rate_with_a_divergent_forcing_is_a_domain_error():
         solve_thm2(p, 0.5)
     with pytest.raises(DomainError, match=r"^grid index 0 \(t = 0\.5\): row r = 0: .*diverges"):
         solve_table(p, np.array([0.5, 1.0]))
+
+
+def test_a_leading_exponent_below_minus_one_gives_the_continued_closed_form(capsys):
+    # THM2 at upsilon = 2.2, l/k = -1.49: g_0 = sigma e_0 = -1.078, so
+    # t**g_0 has no Riemann-Liouville integral and no oracle leg can check the
+    # value; the solver returns the analytically continued closed form
+    # sum_r b_r Gamma(g_r + 1) t**g_r E_{ups, g_r + 1}(-d**ups t**ups)
+    import mpmath as mp
+
+    from frac_kinetics.cli import main
+
+    p = _thm2(upsilon=2.2, d=0.5, l=-1.49)
+    got = solve_thm2(p, 0.5)
+    assert got == 0.11101981958719988
+    with mp.workdps(40):
+        ups, d, l, t = mp.mpf(2.2), mp.mpf(0.5), mp.mpf(-1.49), mp.mpf(0.5)
+        z, want = -(d**ups) * t**ups, 0
+        for r in range(30):
+            e, a = 2 * r + l + 1, r + l + mp.mpf(1.5)
+            b = (-1) ** r * (d**ups / 2) ** e / (mp.gamma(a) * mp.gamma(r + mp.mpf(1.5)))
+            g = ups * e
+            ml = mp.fsum(z**n / mp.gamma(ups * n + g + 1) for n in range(60))
+            want += b * mp.gamma(g + 1) * t**g * ml
+        assert abs(got - want) <= 1e-12
+    # verify starts its grid at t = 0, where such a problem has no value
+    assert main(["verify", "--variant", "thm2", "--upsilon", "2.2", "--l", "-1.49", "--d", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid index 0 (t = 0.0): t = 0 requires l > -k")
+

@@ -426,9 +426,9 @@ def test_laplace_image_decreases_in_s():
 
 def test_laplace_image_rows_past_the_double_range():
     # l = c = k = 1: row 84 of the forcing series is subnormal and Gamma(e_r + 1)
-    # overflows from row 85, so those image coefficients come from log space;
-    # at s = 1.202 the sum stops at row 84, at s = 1.2 one row later.  l = 200:
-    # Gamma(e_r + 1) overflows from row 0, so every coefficient comes from there
+    # overflows from row 85, so those image coefficients must keep their binary
+    # exponents apart; at s = 1.202 the sum stops at row 84, at s = 1.2 one row
+    # later.  l = 200: Gamma(e_r + 1) overflows from row 0
     import mpmath as mp
 
     def want(l, s):

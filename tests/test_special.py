@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -150,15 +151,15 @@ def test_k_struve_rejects_negative_x_and_cap():
 
 
 def test_k_struve_truncation_monotonicity():
-    # alternating regime (c > 0): doubling the term budget moves the value
-    # by no more than the first omitted term (rel_tol disabled so max_terms
-    # is the actual cut)
+    # alternating regime (c > 0) with rel_tol disabled, so that max_terms is
+    # the actual cut: a sum cut there returns only if its tail bound is within
+    # rel_tol of the sum, so each budget raises, naming the bound, rather than
+    # return a partial sum (which moved by up to the first omitted term)
     p = KStruveParams(1.0, 1.0, 1.0)
     x, m = 3.0, 6
-    short = k_struve(p, x, SeriesControl(max_terms=m, rel_tol=1e-300))
-    long = k_struve(p, x, SeriesControl(max_terms=2 * m, rel_tol=1e-300))
-    omitted = (x / 2.0) ** (2 * m + 2) / (math.gamma(m + 2.5) * math.gamma(m + 1.5))
-    assert abs(long - short) <= omitted * (1.0 + 1e-12)
+    for n in (m, 2 * m):
+        with pytest.raises(RangeError, match=rf"^Struve series cut at max_terms = {n}: the tail bound "):
+            k_struve(p, x, SeriesControl(max_terms=n, rel_tol=1e-300))
 
 
 def test_divergent_at_zero_raises():
@@ -177,6 +178,20 @@ def _scalar_k_struve(p, xs, ctl=None):
     return np.array([k_struve(p, x, ctl) for x in xs])
 
 
+def _assert_grid_is_scalar(p, xs, ctl=None):
+    """The grid gives the scalar path's doubles node for node, or, where a node
+    raises, the error (type and message) of the first such node."""
+    want = [_outcome(k_struve, p, float(x), ctl) for x in xs]
+    first = next((w for w in want if isinstance(w, tuple)), None)
+    if first is None:
+        assert np.array_equal(_k_struve_grid(p, np.asarray(xs), ctl), _scalar_k_struve(p, xs, ctl))
+        return first
+    with pytest.raises(first[0]) as grid:
+        _k_struve_grid(p, np.asarray(xs), ctl)
+    assert str(grid.value) == first[1]
+    return first
+
+
 @pytest.mark.parametrize("n", [65, 4097])
 @pytest.mark.parametrize(
     "nu,c,k", [(1.0, 1.0, 1.0), (1.0, 1.0, 2.0), (0.3, 0.7, 3.0), (-0.5, -1.0, 1.0), (2.5, 3.0, 0.5)]
@@ -187,12 +202,14 @@ def _scalar_k_struve(p, xs, ctl=None):
 )
 def test_k_struve_grid_is_the_scalar_path(n, nu, c, k, ctl):
     # node for node the same double: np.power differs from CPython's float
-    # ** in the last bit on some nodes, so a tolerance would hide a change
+    # ** in the last bit on some nodes, so a tolerance would hide a change;
+    # where a node's sum is cut at max_terms with its tail bound unmet (most
+    # nodes past x ~ 5 at 7 terms), the grid raises that node's error
     p = KStruveParams(nu, c, k)
-    xs = np.linspace(0.0, STRUVE_SERIES_CAP, n)
-    assert np.array_equal(_k_struve_grid(p, xs, ctl), _scalar_k_struve(p, xs, ctl))
-    xs = np.linspace(0.0, 1.0, n)
-    assert np.array_equal(_k_struve_grid(p, xs, ctl), _scalar_k_struve(p, xs, ctl))
+    wide, _ = (_assert_grid_is_scalar(p, xs, ctl) for xs in (np.linspace(0.0, STRUVE_SERIES_CAP, n),
+                                                               np.linspace(0.0, 1.0, n)))
+    if ctl is not None and ctl.max_terms == 7:
+        assert wide[0] is RangeError
 
 
 def test_k_struve_grid_at_zero():
@@ -343,21 +360,34 @@ def test_ml2_gamma_underflow_is_an_overflow_error(beta):
 
 def test_k_struve_coefficients_past_the_double_range_are_not_silent_zeros():
     # the denominator Gamma_k(rk + nu + 3k/2) * Gamma(r + 3/2) overflows to
-    # inf from r = 87 although the coefficient (-3.6e-269 there) is a double
+    # inf from r = 87 although the coefficient (-3.6e-269 there) is a double;
+    # the coefficients are the prefactor times the 1F2 ratios, the binary
+    # exponent kept apart, so they are right there and on to r = 120, 0.0 or
+    # subnormal only below the double range
     import mpmath as mp
 
-    from frac_kinetics.special import _k_struve_coeffs
+    from frac_kinetics.special import _scaled_terms
 
     nu, c, k = 2.0, 3.0, 3.0
-    long = _k_struve_coeffs(nu, c, k, 120)
-    assert long[:87] == _k_struve_coeffs(nu, c, k, 87)
-    mp.mp.dps = 40
-    for r in range(87, 120):
-        x = mp.mpf(r * k + nu + 1.5 * k) / k
-        want = (-c) ** r / (mp.mpf(k) ** (x - 1) * mp.gamma(x) * mp.gamma(r + 1.5))
-        # relative error |log coef| * 2**-52 at most, plus the subnormal spacing
-        assert abs(long[r] - want) <= 1e-12 * abs(want) + 5e-324
-    assert long[87] != 0.0
+    coeffs = [math.ldexp(m, e) for m, e in itertools.islice(_scaled_terms(1.0, 1.0, 0.0, nu, c, k), 120)]
+    with mp.workdps(40):
+        for r in range(80, 120):
+            x = mp.mpf(r * k + nu + 1.5 * k) / k
+            want = (-c) ** r / (mp.mpf(k) ** (x - 1) * mp.gamma(x) * mp.gamma(r + 1.5))
+            # the subnormal spacing below the double range (from r = 95)
+            assert abs(coeffs[r] - want) <= 1e-13 * abs(want) + 5e-324, r
+    assert coeffs[87] != 0.0
+    # a prefactor C = k**(1 - A) / (Gamma(A) Gamma(3/2)) past the double range
+    # (4.2e733 at k = 0.0005, nu/k = 1000; 1e-375 for H_200) keeps its digits
+    from frac_kinetics.special import _k_struve_prefactor
+
+    for nu, k in ((0.5, 0.0005), (200.0, 1.0)):
+        a, m, e = _k_struve_prefactor(nu, k)
+        assert not -1021 <= e <= 1024
+        with mp.workdps(40):
+            big_a = mp.mpf(nu) / k + mp.mpf(1.5)
+            want = mp.mpf(k) ** (1 - big_a) / (mp.gamma(big_a) * mp.gamma(mp.mpf(1.5)))
+            assert abs(mp.ldexp(m, e) / want - 1) <= 1e-12, (nu, k)
 
 
 # ---------------------------------------------------------------- inlined double-double in _ml_eval
@@ -490,31 +520,39 @@ def test_huge_integer_alpha_leaves_the_divisor_loop_scalar():
     assert lines < 10_000
 
 
-# ---------------------------------------------------------------- k-Struve power recurrence
+# ---------------------------------------------------------------- k-Struve prefactor and 1F2 ratio
 
 
-def _power_series_reference(coeffs, x, exp0):
-    """(sum, sum of |term|) of sum coeffs[r] (x/2)**(2r + exp0) with exact powers, at 40 digits."""
+def _ratio_series_reference(nu, c, k, x):
+    """(sum, sum of |term|) of the program's own formula in exact arithmetic, at 40 digits.
+
+    Its doubles (the prefactor C = m * 2**E, A = nu/k + 3/2 and the power's
+    exponent nu/k + 1) times the exact (x/2)**(nu/k + 1) and the exact 1F2
+    terms t_{r+1} = t_r (-c) (x/2)**2 / (k (A + r)(3/2 + r)).
+    """
     import mpmath as mp
 
+    from frac_kinetics.special import _k_struve_prefactor
+
+    a, m, e = _k_struve_prefactor(nu, k)
     with mp.workdps(40):
         h = mp.mpf(x) / 2
-        power, h2, terms = h**exp0, h * h, []
-        for coef in coeffs:
-            terms.append(coef * power)
-            power *= h2
-        return float(mp.fsum(terms)), float(mp.fsum(abs(t) for t in terms))
+        term = mp.ldexp(m, e) * h ** mp.mpf(nu / k + 1.0)
+        mw, terms = -mp.mpf(c) * h * h / k, []
+        for r in itertools.count():
+            terms.append(term)
+            ratio = mw / ((a + r) * (r + mp.mpf(1.5)))
+            # past the peak the ratio falls, so the tail is below 2 |term|
+            if abs(ratio) < 0.5 and abs(term) <= mp.mpf(10) ** -45 * abs(terms[0]):
+                return float(mp.fsum(terms)), float(mp.fsum(abs(t) for t in terms))
+            term *= ratio
 
 
 def test_k_struve_power_recurrence_rounding_bound():
-    # the powers and the compensated sum stay within 32 u * sum |term_r| of
-    # the series on the same double coefficients (worst seen over 1,500
-    # draws: 13.7 u; one libm pow per term with the rounded exponent
-    # 2r + nu/k + 1 reached 36.3 u)
-    import mpmath as mp
-
-    from frac_kinetics.special import _k_struve_coeffs
-
+    # the power, the 1F2 ratios and the compensated sum stay within
+    # 32 u * sum |term_r| of the program's formula on its own doubles (the
+    # prefactor, A and the power's exponent); worst seen 17.6 u, most of it
+    # the rounding of (x/2)**2, which term r takes r times
     ctl = SeriesControl(max_terms=200, rel_tol=1e-17)  # the tail is below the rounding
     u = 2.0**-53
     rng = np.random.default_rng(2071)
@@ -523,15 +561,44 @@ def test_k_struve_power_recurrence_rounding_bound():
         nu = float(rng.uniform(-1.4, 3.0)) * k
         c = float(rng.uniform(-2.0, 2.0))
         x = float(20.0 - rng.uniform(0.0, 20.0))  # in (0, 20]
-        coeffs = _k_struve_coeffs(nu, c, k, ctl.max_terms)
-        want, mag = _power_series_reference(coeffs, x, mp.mpf(nu) / k + 1)
+        want, mag = _ratio_series_reference(nu, c, k, x)
         got = k_struve(KStruveParams(nu, c, k), x, ctl)
         assert abs(got - want) <= 32 * u * mag, (nu, c, k, x)
     for _ in range(200):
         p = float(rng.uniform(-1.4, 4.0))
         x = float(20.0 - rng.uniform(0.0, 20.0))
-        want, mag = _power_series_reference(_k_struve_coeffs(p, 1.0, 1.0, ctl.max_terms), x, mp.mpf(p) + 1)
+        want, mag = _ratio_series_reference(p, 1.0, 1.0, x)
         assert abs(struve_h(p, x, ctl) - want) <= 32 * u * mag, (p, x)
+
+
+def test_k_struve_against_mpmath_struve_functions():
+    # S^k_{nu,c}(x) = k**(-a - 1/2) w**(-a - 1) H_a(w x), a = nu/k, w = sqrt(c/k)
+    # (DLMF 11.2.1), the modified L_a with w = sqrt(-c/k) for c < 0, and its
+    # r = 0 term alone at c = 0; mpmath's Struve functions share no code with
+    # the program
+    import mpmath as mp
+
+    ctl = SeriesControl(max_terms=200, rel_tol=1e-17)
+    u = 2.0**-53
+    rng = np.random.default_rng(2073)
+    for i in range(240):
+        k = float(rng.uniform(0.5, 3.0))
+        nu = float(4.0 - rng.uniform(0.0, 5.4)) * k  # nu/k in (-1.4, 4]
+        c = 0.0 if i % 8 == 0 else float(rng.uniform(-2.0, 2.0))
+        x = float(20.0 - rng.uniform(0.0, 20.0))  # in (0, 20]
+        with mp.workdps(40):
+            a = mp.mpf(nu) / k
+            if c:
+                w = mp.sqrt(abs(mp.mpf(c)) / k)
+                want = mp.mpf(k) ** (-a - 0.5) * w ** (-a - 1) * (mp.struveh if c > 0 else mp.struvel)(a, w * x)
+            else:
+                want = (mp.mpf(x) / 2) ** (a + 1) / (mp.mpf(k) ** (a + 0.5) * mp.gamma(a + 1.5) * mp.gamma(1.5))
+        _, mag = _k_struve_reference(nu, c, k, x)
+        got = k_struve(KStruveParams(nu, c, k), x, ctl)
+        assert abs(got - want) <= 32 * u * mag, (nu, c, k, x)
+    # the values at (1.3, +-0.7, 1.9, 4.2)
+    assert abs(k_struve(KStruveParams(1.3, 0.7, 1.9), 4.2) - 1.0023637207502269) <= 4 * u
+    assert abs(k_struve(KStruveParams(1.3, -0.7, 1.9), 4.2) - 2.7116636939461745) <= 8 * u
 
 
 def test_k_struve_exact_series_rounding_bound():
@@ -555,18 +622,21 @@ def test_k_struve_exact_series_rounding_bound():
 @pytest.mark.parametrize(
     "nu,xs",
     [
-        (3.0, [1.0, 20.0]),  # (x/2)**(2r + 301) leaves the double range at r = 4
-        (3.1, [20.0]),  # (x/2)**311 overflows at the first power
-        (3.1, [1.0, 10.0, 20.0, 5.0]),  # running overflow at 10, first power at 20
+        (3.0, [1.0, 20.0]),  # (x/2)**(2r + 301) would leave the double range at r = 4
+        (3.1, [20.0]),  # (x/2)**311 would overflow at the first power
+        (3.1, [1.0, 10.0, 20.0, 5.0]),
     ],
 )
 def test_k_struve_power_overflow_raises_the_same_error_on_a_grid(nu, xs):
-    # nu/k = 300 or 310 with a small k keeps the coefficients inside the
-    # double range, so the series really reaches the overflowing powers
+    # nu/k = 300 or 310 with a small k: the power past the double range is
+    # kept apart from its binary exponent, so it no longer raises; the
+    # alternating 1F2 sum at w = 1e4 (x = 20) is still far from converged
+    # after 50 terms, so its tail bound is unmet and it raises RangeError
+    # (the 50-term partial sums were finite and wrong)
     p = KStruveParams(nu, 1.0, 0.01)
-    with pytest.raises(OverflowError, match="double range") as scalar:
+    with pytest.raises(RangeError, match="tail bound") as scalar:
         _scalar_k_struve(p, xs)
-    with pytest.raises(OverflowError) as grid:
+    with pytest.raises(RangeError) as grid:
         _k_struve_grid(p, np.array(xs))
     assert type(grid.value) is type(scalar.value)
     assert str(grid.value) == str(scalar.value)
@@ -643,32 +713,36 @@ def test_large_order_struve_raises_only_above_the_double_range():
         _k_struve_grid(KStruveParams(0.5, 1.0, 0.0005), np.array([1.0, 2.0]))
 
 
+_ABOVE = (OverflowError, "double range")  # a value above the double range
+_CUT = (RangeError, "tail bound")  # a sum cut at max_terms with its tail bound unmet
+
+
 @pytest.mark.parametrize(
-    "nu,c,k,xs,x_over",
+    "nu,c,k,xs,x_over,error",
     [
         # nu/k = 750 or 1000: every coefficient is above the double range
         # (4.2e733 for row 0 of the first), and the first power below it
-        (0.5, 1.0, 0.0005, [0.01, 0.3, 0.37, 0.45], 1.0),
-        (0.5, -2.0, 0.0005, [0.01, 0.3, 0.37, 0.45], 1.0),
-        (0.3, 1.5, 0.0004, [0.01, 0.3, 0.37, 0.45], 0.6),
+        (0.5, 1.0, 0.0005, [0.01, 0.3, 0.37, 0.45], 1.0, _ABOVE),
+        (0.5, -2.0, 0.0005, [0.01, 0.3, 0.37, 0.45], 1.0, _ABOVE),
+        (0.3, 1.5, 0.0004, [0.01, 0.3, 0.37, 0.45], 0.6, _ABOVE),
         # coefficients past the double range from row 23 on, reached by the
         # sum at x = 0.1665 with a normal first power (1.0e-271)
-        (0.25, -500.0, 0.001, [0.05, 0.1, 0.1665], 2.0),
+        (0.25, -500.0, 0.001, [0.05, 0.1, 0.1665], 2.0, _ABOVE),
         # at x = 1.0 the 50-term sum stops short, at 7.33e248, of a value of
-        # 3.43e322 (above the double range): a sum over a coefficient past the
-        # range that does not stop raises rather than return that partial sum
-        (0.25, -500.0, 0.001, [0.05], 1.0),
+        # 3.43e322 (above the double range): its tail bound is unmet, so it
+        # raises rather than return that partial sum
+        (0.25, -500.0, 0.001, [0.05], 1.0, _CUT),
         # coefficients past the double range at rows 6-8; Gamma_k(rk + nu +
         # 3k/2) is subnormal from row 2 on (about 3 digits left at row 15)
         # while its product with Gamma(r + 3/2) stays normal, and a quotient
         # of those few digits put the value at x = 1.76 1.6e-7 off
-        (0.11039369777854577, -0.9097258095658689, 0.0005, [1.7628480786615368], 2.0),
+        (0.11039369777854577, -0.9097258095658689, 0.0005, [1.7628480786615368], 2.0, _ABOVE),
         # coefficients past the double range from row 2 on, met by normal
         # powers (1e-261 at row 2 and x = 2e-6) in a sum of a few terms
-        (38.5 * 1.35e-9, -0.8, 1.35e-9, [1e-6, 2e-6, 4e-6], 0.1),
+        (38.5 * 1.35e-9, -0.8, 1.35e-9, [1e-6, 2e-6, 4e-6], 0.1, _ABOVE),
     ],
 )
-def test_coefficients_above_the_double_range_against_mpmath(nu, c, k, xs, x_over):
+def test_coefficients_above_the_double_range_against_mpmath(nu, c, k, xs, x_over, error):
     # (x/2)**(2r + nu/k + 1) brings the terms back into the double range or
     # below it: a value within it, or 0.0 where mpmath gives 1.98e-1570
     params = KStruveParams(nu, c, k)
@@ -678,10 +752,10 @@ def test_coefficients_above_the_double_range_against_mpmath(nu, c, k, xs, x_over
     assert np.array_equal(_k_struve_grid(params, np.array(xs)), _scalar_k_struve(params, xs))
     if (nu, c, k) == (0.5, 1.0, 0.0005):
         assert k_struve(params, 0.01) == 0.0
-    # a value above the double range still raises
-    with pytest.raises(OverflowError, match="double range"):
+    # a value above the double range still raises, as does a cut sum
+    with pytest.raises(error[0], match=error[1]):
         k_struve(params, x_over)
-    with pytest.raises(OverflowError, match="double range"):
+    with pytest.raises(error[0], match=error[1]):
         _k_struve_grid(params, np.array([xs[-1], x_over]))
 
 
@@ -792,21 +866,15 @@ def test_k_struve_grid_at_one_lane_is_the_scalar_loop(monkeypatch):
     cases = [(float(rng.uniform(-1.4, 3.0)) * k, float(rng.uniform(-3.0, 3.0)), k, float(rng.uniform(0.0, 20.0)))
              for k in (0.5, 1.0, 2.0) for _ in range(30)]
     cases += [(3.1, 1.0, 0.01, 20.0), (3.0, 1.0, 0.01, 20.0), (0.5, 1.0, 0.0005, 0.01), (0.5, 1.0, 0.0005, 2.0),
-              (1.0, 1.0, 0.005, 1e-3), (200.0, 1.0, 1.0, 20.0)]
-    handed = 0
+              (1.0, 1.0, 0.005, 1e-3), (200.0, 1.0, 1.0, 20.0), (0.25, -500.0, 0.001, 1.0)]
+    cut = 0
     for nu, c, k, x in cases:
         p = KStruveParams(nu, c, k)
-        want, terms = _line_runs(special._power_series, "sum_hi, sum_lo = dd_add(", lambda: k_struve(p, x))
-        _, log_terms = _line_runs(special._power_series, "# log form", lambda: k_struve(p, x))
-        got, used, log_form = _kernel_runs(monkeypatch, special, lambda: _k_struve_grid(p, np.array([x])))
+        want, terms = _line_runs(special._struve_series, "sum_hi, sum_lo = dd_add(", lambda: k_struve(p, x))
+        got, used, stopped = _kernel_runs(monkeypatch, special, lambda: _k_struve_grid(p, np.array([x])))
         assert (got if isinstance(got, tuple) else repr(float(got[0]))) == want, (nu, c, k, x)
-        # the kernel ends a lane on a log-form term, and hands its node to the
-        # scalar loop, exactly where that loop forms a term in log space (for
-        # (200, 1, 1, 20) at term 1 of the 14 it sums); any other lane takes
-        # the scalar loop's terms
-        assert log_form == [[log_terms > 0]], (nu, c, k, x)
-        if log_terms:
-            handed += 1
-        else:
-            assert used == [[terms]], (nu, c, k, x)
-    assert handed == 4
+        # the lane takes the scalar loop's terms and stops on none it cannot
+        # take; a lane cut at max_terms raises, by the scalar loop, its error
+        assert used == [[terms]] and stopped == [[False]], (nu, c, k, x)
+        cut += isinstance(want, tuple) and want[0] is RangeError
+    assert cut == 8  # the three named cuts and five seeded draws at k = 0.5, w up to 500
