@@ -410,25 +410,21 @@ def _at_node(g: np.ndarray, i: int):
         raise type(exc)(f"grid index {i} (t = {float(g[i])!r}): {exc}") from exc
 
 
-def _sum_series_grid(series: _Series, ts: np.ndarray, s: np.ndarray, rel_tol: float):
-    """:func:`_sum_series` at every node, node for node the same double, on :func:`_lane_sums`.
-    Returns the values and (node, error) of the first node where ``_sum_series`` raises, or None."""
+def _sum_series_grid(series: _Series, ts: np.ndarray, s: np.ndarray, rel_tol: float) -> np.ndarray:
+    """:func:`_sum_series` at every node on :func:`_lane_sums`: the same double where that is finite;
+    where it is not, ``_sum_series`` raises."""
     state = [np.arange(ts.size), ts, s]  # then the powers of chain c at each node, state[3 + c]
 
-    def step(n, hi):
+    def step(n):
         series.reach(n)
         d, x, c, first = series.entries[n]
         if first:  # chains begin in order
             state.append(_powers(state[1].tolist(), x))  # NaN where ** raises
         else:
             state[3 + c] *= state[2]
-        term = d * state[3 + c]
-        return term, ~np.isfinite(term + hi)
+        return d * state[3 + c]
 
-    vals, used, failed = _lane_sums(step, state, sys.maxsize, rel_tol, series.runs)  # steps under its errstate
-    bad = failed | ~np.isfinite(vals)
-    i = int(np.argmax(bad))
-    return vals, (i, series.error(int(used[i]) - 1)) if bad[i] else None
+    return _lane_sums(step, state, sys.maxsize, rel_tol, series.runs)  # steps under its errstate
 
 
 def solve(p: KineticProblem, t, ctl: SeriesControl | None = None, *, reading: str = "consistent"):
@@ -474,13 +470,11 @@ def solve(p: KineticProblem, t, ctl: SeriesControl | None = None, *, reading: st
     if n:
         with _at_node(g, first):
             series = _problem_series(p, rows_reading, ctl.max_terms)
-        table.n[first : first + n], failure = _sum_series_grid(series, ts[:n], s[:n], ctl.rel_tol)
-        if failure:
-            with _at_node(g, first + failure[0]):
-                raise failure[1]
-    if n < ts.size:
-        with _at_node(g, first + n):
-            _ml_argument(p.rate, p.upsilon, _check_t(float(ts[n])))
+        table.n[first : first + n] = _sum_series_grid(series, ts[:n], s[:n], ctl.rel_tol)
+    # the scalar solve returns the same double, or raises its own error, at every other node
+    for i in [*np.flatnonzero(~np.isfinite(table.n[first : first + n])).tolist(), *range(n, ts.size)]:
+        with _at_node(g, first + i):
+            table.n[first + i] = solve(p, float(ts[i]), ctl, reading=reading)
     return table
 
 

@@ -107,39 +107,32 @@ class KStruveParams:
 def _lane_sums(step, state: list, n_terms: int, rel_tol: float, runs=None):
     """Sum one series per lane, lane for lane the double of its scalar loop.
 
-    ``state`` holds the caller's per-lane arrays, ``np.arange`` over the lanes first.
-    ``step(n, hi)`` gives term n of the active lanes (``hi`` is their sums) and the mask
-    of lanes whose term n the kernel cannot take (the scalar loop raises there), or
-    None.  A lane stops on such a term (before its
-    stop test) or on a term at most ``rel_tol`` times its sum (with ``runs``, on the
-    ``runs[n]``-th such term in a row), and leaves ``state``, which ends with the lanes
-    that took all ``n_terms`` terms.  Returns the values, the terms used and the mask of
-    lanes that stopped on such a term.
+    ``state`` holds the caller's per-lane arrays, ``np.arange`` over the lanes first;
+    ``step(n)`` gives term n of the active lanes.  A lane stops on a term at most ``rel_tol``
+    times its sum (with ``runs``, on the ``runs[n]``-th such term in a row), or once its sum is
+    no longer finite (where a scalar loop raises: the caller hands that lane to it), and leaves
+    ``state``, which ends with the lanes that took all ``n_terms`` terms.  Returns the values.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        size = state[0].size
-        out, used, failed = np.empty(size), np.full(size, n_terms), np.zeros(size, dtype=bool)
-        hi, lo, run = np.zeros(size), np.zeros(size), np.zeros(size, dtype=int)
+        out = np.empty(state[0].size)
+        hi, lo, run = np.zeros(out.size), np.zeros(out.size), np.zeros(out.size, dtype=int)
         for n in range(n_terms):
             if not hi.size:
                 break
-            term, bad = step(n, hi)
+            term = step(n)
             hi, lo = dd_add(hi, lo, term)
             done = np.abs(term) <= rel_tol * np.abs(hi)
             if runs is not None:
                 run = np.where(done, run + 1, 0)
                 done = run >= runs[n]
-            if bad is not None and np.count_nonzero(bad):  # count_nonzero: a fraction of .any()'s call cost
-                failed[state[0][bad]] = True
-                done |= bad
-            if np.count_nonzero(done):
-                idx = state[0][done]
-                out[idx], used[idx] = hi[done] + lo[done], n + 1
+            done |= ~np.isfinite(hi)
+            if np.count_nonzero(done):  # count_nonzero: a fraction of .any()'s call cost
+                out[state[0][done]] = hi[done] + lo[done]
                 keep = ~done
                 hi, lo, run = hi[keep], lo[keep], run[keep]
                 state[:] = [a[keep] for a in state]
         out[state[0]] = hi + lo
-        return out, used, failed
+        return out
 
 
 def _powers(xs: list[float], e: float) -> np.ndarray:
@@ -417,35 +410,32 @@ def k_struve(params: KStruveParams, x: float, ctl: SeriesControl | None = None) 
 # k-Struve over a grid
 
 def _k_struve_grid(params: KStruveParams, xs: np.ndarray, ctl: SeriesControl | None = None) -> np.ndarray:
-    """``[k_struve(params, x, ctl) for x in xs]`` as an array, in one array pass: the nodes are
-    lanes of :func:`_lane_sums` on the scalar loop's prefactor, powers, term ratio and stop rule,
-    so every entry is the double it returns.  Where it raises, the grid raises the error of the
-    first such node, by that loop."""
+    """``[k_struve(params, x, ctl) for x in xs]`` as an array.  Each x in (0, cap] is a lane of
+    :func:`_lane_sums` on the scalar loop's prefactor, power, term ratio and stop rule; where its
+    power is a normal double, its value finite and its sum not cut at ``max_terms``, the entry is
+    the double ``k_struve`` returns.  Every other node is ``k_struve``'s own, so the grid raises
+    the error of the first node where it raises."""
     if ctl is None:
         ctl = _DEFAULT_CTL
     xs = np.asarray(xs, dtype=float)
     nu, c, k = params.nu, params.c, params.k
-    bad = ~np.isfinite(xs) | (xs < 0.0) | (xs > STRUVE_SERIES_CAP) | ((xs == 0.0) & (nu / k < -1.0))
     a, cm, ce = _k_struve_prefactor(nu, k)
-    half_x, exp0, last, nc = np.where(bad, 0.0, xs) / 2.0, nu / k + 1.0, ctl.max_terms - 1, 0.0 - c
-    p = _powers(half_x.tolist(), exp0)  # NaN where ** raises
-    pm, pe = np.frexp(p)
-    for i in np.flatnonzero(~((p >= _TINY) & (p < math.inf))).tolist():
-        pm[i], pe[i] = _scaled_power(float(half_x[i]), exp0)  # x = 0 gives 0.0, as k_struve does
+    nc = 0.0 - c
 
-    def step(n, hi):
+    def step(n):
         _, t, h2 = state
         state[1] = t * h2 * (nc / (k * ((a + n) * (n + 1.5))))
-        return t, None
+        return t
 
     with np.errstate(over="ignore", invalid="ignore"):
+        lane = (xs > 0.0) & (xs <= STRUVE_SERIES_CAP)  # False at NaN
+        half_x = np.where(lane, xs, 0.0) / 2.0
+        p = _powers(half_x.tolist(), nu / k + 1.0)  # NaN where ** raises
         state = [np.arange(xs.size), np.ones(xs.size), half_x * half_x]
-        sums, _, _ = _lane_sums(step, state, ctl.max_terms, ctl.rel_tol)
-        cut, t, h2 = state  # the lanes that took all max_terms terms
-        rho = np.abs(h2 * nc) / (k * ((a + last) * (last + 1.5)))
-        vals = np.ldexp(cm * pm * sums, ce + pe)
-        bad |= ~np.isfinite(vals)
-        bad[cut[~(np.abs(t) <= ctl.rel_tol * np.abs(sums[cut]) * (1.0 - rho))]] = True
-    if bad.any():
-        k_struve(params, float(xs[np.argmax(bad)]), ctl)  # raises, as for a real x there
+        pm, pe = np.frexp(p)
+        vals = np.ldexp(cm * pm * _lane_sums(step, state, ctl.max_terms, ctl.rel_tol), ce + pe)
+        lane &= (p >= _TINY) & np.isfinite(vals)
+        lane[state[0]] = False  # the lanes cut at max_terms
+    for i in np.flatnonzero(~lane).tolist():
+        vals[i] = k_struve(params, float(xs[i]), ctl)
     return vals

@@ -839,24 +839,27 @@ def _line_runs(func, marker, call):
 
 
 def _kernel_runs(monkeypatch, module, call):
-    """(what ``call()`` returns, or its error as in ``_outcome``; the ``terms_used`` arrays and the
-    masks of lanes stopped on a term the kernel cannot take, of the kernel calls made through ``module``)."""
+    """(what ``call()`` returns, or its error as in ``_outcome``; the number of ``step`` calls of each
+    kernel call made through ``module``)."""
     from frac_kinetics import special
 
-    real, used, stopped = special._lane_sums, [], []
+    real, steps = special._lane_sums, []
 
     def recording(step, state, n_terms, rel_tol):
-        out = real(step, state, n_terms, rel_tol)
-        used.append(out[1].tolist())
-        stopped.append(out[2].tolist())
-        return out
+        steps.append(0)
+
+        def counted(n):
+            steps[-1] += 1
+            return step(n)
+
+        return real(counted, state, n_terms, rel_tol)
 
     with monkeypatch.context() as m:
         m.setattr(module, "_lane_sums", recording)
         try:
-            return call(), used, stopped
+            return call(), steps
         except Exception as e:  # noqa: BLE001 - any error type must match
-            return (type(e), str(e)), used, stopped
+            return (type(e), str(e)), steps
 
 
 def test_k_struve_grid_at_one_lane_is_the_scalar_loop(monkeypatch):
@@ -871,10 +874,10 @@ def test_k_struve_grid_at_one_lane_is_the_scalar_loop(monkeypatch):
     for nu, c, k, x in cases:
         p = KStruveParams(nu, c, k)
         want, terms = _line_runs(special._struve_series, "sum_hi, sum_lo = dd_add(", lambda: k_struve(p, x))
-        got, used, stopped = _kernel_runs(monkeypatch, special, lambda: _k_struve_grid(p, np.array([x])))
+        got, steps = _kernel_runs(monkeypatch, special, lambda: _k_struve_grid(p, np.array([x])))
         assert (got if isinstance(got, tuple) else repr(float(got[0]))) == want, (nu, c, k, x)
-        # the lane takes the scalar loop's terms and stops on none it cannot
-        # take; a lane cut at max_terms raises, by the scalar loop, its error
-        assert used == [[terms]] and stopped == [[False]], (nu, c, k, x)
+        # the lane takes the scalar loop's terms; a lane cut at max_terms
+        # raises, by the scalar loop, its error
+        assert steps == [terms], (nu, c, k, x)
         cut += isinstance(want, tuple) and want[0] is RangeError
     assert cut == 8  # the three named cuts and five seeded draws at k = 0.5, w up to 500
