@@ -36,7 +36,7 @@ import itertools
 import math
 import sys
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,6 +47,7 @@ from .errors import DomainError, PoleError, RangeError
 from .kgamma import _gamma_sign
 from .special import (
     ML_SERIES_CAP,
+    STRUVE_SERIES_CAP,
     _DEFAULT_CTL,
     KStruveParams,
     SeriesControl,
@@ -455,6 +456,11 @@ def solve(p: KineticProblem, t, ctl: SeriesControl | None = None, *, reading: st
         if t == 0.0:
             return _zero_t_value(p)
         _ml_argument(p.rate, p.upsilon, t)
+        lam, sigma = p.forcing_scale
+        if lam * t**sigma > STRUVE_SERIES_CAP:
+            raise RangeError(
+                f"forcing argument lam * t**sigma = {lam * t**sigma!r} exceeds the Struve series cap {STRUVE_SERIES_CAP}"
+            )
         return _sum_series(_problem_series(p, rows_reading, ctl.max_terms), t, ctl.rel_tol)
     table = SolutionTable(t, np.zeros(np.shape(t)))
     g, first = table.t, int(table.t[0] == 0.0)  # the first node with t > 0
@@ -466,7 +472,10 @@ def solve(p: KineticProblem, t, ctl: SeriesControl | None = None, *, reading: st
     with np.errstate(over="ignore", invalid="ignore"):
         s = _powers(ts.tolist(), p.upsilon)
         ok = np.abs(-_powers([p.rate], p.upsilon)[0] * s) <= ML_SERIES_CAP  # False at NaN
-    n = ts.size if ok.all() else int(ok.argmin())  # the nodes before the first past the cap (or inf)
+        with suppress(OverflowError):  # of d**upsilon: _problem_series raises it at the first node
+            lam, sigma = p.forcing_scale
+            ok &= lam * (ts if sigma == 1.0 else s) <= STRUVE_SERIES_CAP
+    n = ts.size if ok.all() else int(ok.argmin())  # the nodes before the first past a cap (or inf)
     if n:
         with _at_node(g, first):
             series = _problem_series(p, rows_reading, ctl.max_terms)

@@ -14,6 +14,7 @@ from frac_kinetics import (
     RangeError,
     READINGS,
     SeriesControl,
+    STRUVE_SERIES_CAP,
     SolutionTable,
     Variant,
     k_struve,
@@ -458,13 +459,18 @@ def test_solve_table_is_the_scalar_solver_bit_for_bit(make, reading, ups, ctl):
         assert repr(solver(p, t, ctl, **kw)) == repr(solve(p, t, ctl, reading=reading))
 
 
-# nodes whose sums stop late: THM1 at t = 1.7 ... 1.9, THM2 at t = 1.85 ... 2.0
+# nodes whose sums stop late: THM1 at t = 1.7 ... 1.9, THM2 at t = 1.85 ... 2.0,
+# where its forcing argument 3.4**2 t**2 has passed the Struve cap from t = 1.32
 @pytest.mark.parametrize(
     "p", [_thm1(upsilon=1.5, d=4.4, l=-0.12, c=0.85, k=2.3), _thm2(upsilon=2.0, d=3.4, l=3.0, c=0.3, k=3.25)]
 )
 def test_solve_table_is_the_scalar_solver_where_sums_stop_late(p):
     grid = np.linspace(0.0, 2.0, 41)
-    assert [repr(float(v)) for v in solve_table(p, grid).n] == [repr(float(v)) for v in _scalar_table(p, grid)]
+    lam, sigma = p.forcing_scale
+    under = grid[[lam * t**sigma <= STRUVE_SERIES_CAP for t in grid.tolist()]]
+    assert [repr(float(v)) for v in solve_table(p, under).n] == [repr(float(v)) for v in _scalar_table(p, under)]
+    if under.size < grid.size:
+        assert _same_failure(p, grid, kind=RangeError).startswith(f"grid index {under.size} (")
 
 
 @pytest.mark.parametrize("make,reading", _VARIANTS)
@@ -518,6 +524,37 @@ def test_solve_table_range_error_at_first_node_past_the_cap():
     assert msg.startswith("grid index 71 (t = ")
 
 
+@pytest.mark.parametrize(
+    "p,grid,at",
+    [
+        # the forcing argument lam * t**sigma is t: the CLI sweep to t = 25 fails at index 81
+        (_thm1(), np.linspace(0.0, 25.0, 101), 81),
+        # 2**2 t**2: the cap at t = sqrt(5)
+        (_thm2(upsilon=2.0, d=2.0), np.linspace(0.0, 3.0, 31), 23),
+        # 25 t: at t = 1 the scalar solver returned 0.13029219193830371, 1.5e-6
+        # off its Neumann sum 0.13029199481685884
+        (_thm3(d=25.0, a=1.0), np.linspace(0.0, 1.0, 11), 9),
+    ],
+)
+def test_solvers_refuse_a_forcing_argument_past_the_struve_cap(p, grid, at):
+    lam, sigma = p.forcing_scale
+    # the last double t with lam * t**sigma <= STRUVE_SERIES_CAP returns a value, the next raises
+    t = (STRUVE_SERIES_CAP / lam) ** (1.0 / sigma)
+    while lam * t**sigma > STRUVE_SERIES_CAP:
+        t = math.nextafter(t, 0.0)
+    while lam * math.nextafter(t, math.inf) ** sigma <= STRUVE_SERIES_CAP:
+        t = math.nextafter(t, math.inf)
+    pair = np.array([t, math.nextafter(t, math.inf)])
+    assert math.isfinite(solve(p, t)) and solve_table(p, pair[:1]).n[0] == solve(p, t)
+    with pytest.raises(RangeError, match=r"lam \* t\*\*sigma = .* exceeds the Struve series cap 20.0"):
+        solve(p, pair[1])
+    assert _same_failure(p, pair, kind=RangeError).startswith("grid index 1 (")
+    # on a grid the table is the scalar solver up to the first node past the cap, and fails there
+    assert lam * grid[at - 1] ** sigma <= STRUVE_SERIES_CAP < lam * grid[at] ** sigma
+    assert np.array_equal(solve_table(p, grid[:at]).n, _scalar_table(p, grid[:at]))
+    assert _same_failure(p, grid, kind=RangeError).startswith(f"grid index {at} (")
+
+
 def test_solve_table_domain_error_at_the_origin():
     msg = _same_failure(_thm2(l=-1.2), np.linspace(0.0, 1.0, 11))
     assert msg.startswith("grid index 0 (t = 0.0): t = 0 requires")
@@ -535,21 +572,23 @@ def test_solve_table_row_overflow_at_the_first_positive_node():
 
 def test_solve_table_fails_like_the_scalar_row_sum():
     # a power t**x or a term overflows only for the nodes whose sum has not
-    # stopped before that entry
+    # stopped before that entry; the first two grids pass the forcing's Struve
+    # cap (lam * t**sigma = 2500 and 47.3) before any overflow
     cases = [
-        (_thm1(d=1e-3), np.linspace(0.0, 2e4, 9), SeriesControl(max_terms=120), "consistent", OverflowError),
+        (_thm1(d=1e-3), np.linspace(0.0, 2e4, 9), SeriesControl(max_terms=120), "consistent", RangeError),
         (_thm2(upsilon=0.1, d=1e-17), np.array([0.0, 1.0, 5e33, 1e34]), SeriesControl(max_terms=200), "consistent",
-         OverflowError),
+         RangeError),
         # printed reading: row 0 has beta = -1/2, so upsilon + beta hits a gamma pole
         (_thm2(upsilon=0.5, l=-4.0, k=4.0), np.array([0.5, 1.0]), None, "printed", PoleError),
         # upsilon = 0.1 at |z| = 5 and above: the coefficients pass the double range
         # before the series stops; the nodes below stop first
         (_thm1(upsilon=0.1, d=1e17), np.array([1e-30, 1e-20, 1e-10, 0.5]), None, "consistent", OverflowError),
     ]
-    for p, grid, ctl, reading, kind in cases:
+    for (p, grid, ctl, reading, kind), at in zip(cases, (1, 2, 0, 2)):
         msg = _same_failure(p, grid, ctl, reading, kind)
         # a table of the failing node alone fails alike
         i = int(msg.split()[2])
+        assert i == at
         _same_failure(p, grid[i : i + 1], ctl, reading, kind)
     assert msg.startswith("grid index 2 (t = 1e-10): ")
     _same_failure(_thm1(), np.array([0.0, 0.5, np.inf]))
