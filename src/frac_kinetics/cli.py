@@ -32,7 +32,6 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ._lazy_numpy import np
@@ -49,41 +48,10 @@ from .kinetics import (
 from .oracle import QuadratureGrid, residual
 from .special import SeriesControl, k_struve, mittag_leffler, mittag_leffler2, struve_h
 
-__all__ = ["main", "SweepSpec", "VERIFY_TOL"]
+__all__ = ["main", "VERIFY_TOL"]
 
 VERIFY_TOL = 5e-4
 ENV_MAX_TERMS = "FRAC_KINETICS_MAX_TERMS"
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A (k, upsilon) product sweep of one theorem variant over a t-grid."""
-
-    variant: Variant
-    k_values: tuple[float, ...]
-    upsilon_values: tuple[float, ...]
-    n0: float
-    d: float
-    c: float
-    l: float
-    t_min: float
-    t_max: float
-    points: int
-    out: str
-    a: float | None = None
-    reading: str = "consistent"
-
-    def __post_init__(self) -> None:
-        if not self.k_values or not self.upsilon_values:
-            raise DomainError("parameter lists must be non-empty")
-        if not math.isfinite(self.t_max):
-            raise DomainError(f"t_max must be a positive finite real, got {self.t_max!r}")
-        if not (0.0 <= self.t_min < self.t_max):
-            raise DomainError(
-                f"need t_max > t_min >= 0, got t_min = {self.t_min!r}, t_max = {self.t_max!r}"
-            )
-        if self.points < 2:
-            raise DomainError(f"points must be >= 2, got {self.points!r}")
-
 
 class _CliError(Exception):
     """Internal: input problem that should terminate with exit code 2."""
@@ -209,35 +177,28 @@ def _column_label(k: float, upsilon: float) -> str:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     ctl, reading = _resolve_knobs(args)
     variant = Variant(args.variant)
-    spec = SweepSpec(
-        variant=variant,
-        k_values=_parse_list(args.k_list, "k-list"),
-        upsilon_values=_parse_list(args.upsilon_list, "upsilon-list"),
-        n0=args.n0,
-        d=args.d,
-        c=args.c,
-        l=args.l,
-        a=args.a,
-        t_min=args.t_min,
-        t_max=args.t_max,
-        points=args.points,
-        out=args.out,
-        reading=reading,
-    )
-    grid = np.linspace(spec.t_min, spec.t_max, spec.points)
+    k_values = _parse_list(args.k_list, "k-list")
+    upsilon_values = _parse_list(args.upsilon_list, "upsilon-list")
+    if not math.isfinite(args.t_max):
+        raise DomainError(f"t_max must be a positive finite real, got {args.t_max!r}")
+    if not (0.0 <= args.t_min < args.t_max):
+        raise DomainError(f"need t_max > t_min >= 0, got t_min = {args.t_min!r}, t_max = {args.t_max!r}")
+    if args.points < 2:
+        raise DomainError(f"points must be >= 2, got {args.points!r}")
+    grid = np.linspace(args.t_min, args.t_max, args.points)
     columns: list[tuple[str, np.ndarray]] = []
-    for k in spec.k_values:
-        for upsilon in spec.upsilon_values:
+    for k in k_values:
+        for upsilon in upsilon_values:
             try:
                 problem = KineticProblem(
-                    n0=spec.n0,
+                    n0=args.n0,
                     upsilon=upsilon,
-                    d=spec.d,
-                    struve=KStruveParams(nu=spec.l, c=spec.c, k=k),
-                    variant=spec.variant,
-                    a=spec.a,
+                    d=args.d,
+                    struve=KStruveParams(nu=args.l, c=args.c, k=k),
+                    variant=variant,
+                    a=args.a,
                 )
-                table = solve_table(problem, grid, ctl, reading=spec.reading)
+                table = solve_table(problem, grid, ctl, reading=reading)
             except (DomainError, OverflowError) as exc:
                 raise _CliError(f"cell k = {k:g}, upsilon = {upsilon:g}: {exc}") from exc
             columns.append((_column_label(k, upsilon), table.n))
@@ -250,12 +211,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         # written over the old bytes, then cut to length: emptying a file that
         # holds data before rewriting it costs far more on some filesystems
-        with open(os.open(spec.out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
             fh.write(data)
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a device or pipe cannot be cut
                 fh.truncate()
     except OSError as exc:
-        raise _CliError(f"cannot write {spec.out}: {exc}") from exc
+        raise _CliError(f"cannot write {args.out}: {exc}") from exc
 
     all_vals = np.column_stack([vals for _, vals in columns])
     non_monotone = [
