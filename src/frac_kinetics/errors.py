@@ -17,9 +17,11 @@ class PoleError(DomainError):
 class RangeError(DomainError):
     """An argument lies outside the validated numerical range.
 
-    Raised both for the documented series caps (Mittag-Leffler ``|z|``,
-    Struve ``x``) and for Laplace-domain evaluation outside the convergence
-    region of the geometric resummation.
+    Raised for the documented series caps (Mittag-Leffler ``|z|``, Struve
+    ``x``, also as a solution's forcing argument), for a Struve sum cut at
+    ``max_terms`` whose tail bound exceeds ``rel_tol``, for a solution series
+    still going after 65,536 entries, and for Laplace-domain evaluation
+    outside the convergence region of the geometric resummation.
     """
 
 

@@ -22,10 +22,14 @@ THM1 has a single exponent, but a THM1 ``reading`` must be valid too.
 
 ``solve`` is the one solver body; ``solve_thm1/2/3`` and ``solve_table`` call
 it.  At a real t it sums the series in one compensated loop (``_sum_series``),
-on a grid on the series kernel ``special._lane_sums``, a lane per node, so
-every entry is the double a real t returns there.  Neither path evaluates a
-Mittag-Leffler series (``solve_constant`` calls ``mittag_leffler``).  numpy
-(``_lazy_numpy.np``) loads on the first grid, never at a real t.
+on a grid on the series kernel ``special._lane_sums``, a lane per node, and
+solves every node whose lane sum is not finite, or past a cap, at that real t:
+so every entry is the double a real t returns there, or the grid raises its
+error.  A t raises ``RangeError`` past ``ML_SERIES_CAP`` (rate**upsilon
+t**upsilon) or ``STRUVE_SERIES_CAP`` (the forcing argument lam t**sigma).
+Neither path evaluates a Mittag-Leffler series (``solve_constant`` calls
+``mittag_leffler``).  numpy (``_lazy_numpy.np``) loads on the first grid,
+never at a real t.
 """
 
 from __future__ import annotations

@@ -14,10 +14,12 @@ A k-Struve value is one prefactor, cached per (nu, k), times (x/2)**(nu/k + 1)
 times its 1F2 sum, whose terms come from their ratio; both factors keep their
 binary exponents apart, so only a value past the double range overflows.  A
 sum cut at ``max_terms`` returns only within its tail bound.  The array paths
-share one kernel, ``_lane_sums``, which sums one series per lane with the
-scalar loop's stop rule and double-double sums (``_k_struve_grid`` a lane per
-node, ``kinetics.solve_table`` a lane per node of the solution series), so
-each entry is the double its scalar twin returns.
+share one kernel, ``_lane_sums``, which only sums: one series per lane, with
+the scalar loop's stop rule and double-double sums, until the rule fires or
+the sum is no longer finite (``_k_struve_grid`` a lane per node,
+``kinetics.solve_table`` a lane per node of the solution series).  Every node
+the kernel does not finish goes to its scalar twin, so each entry is the
+double that returns, and the first node where it raises aborts the grid.
 
 ``_ml_eval`` serves ``mittag_leffler`` and ``mittag_leffler2`` only.  For
 positive integer ``alpha`` its term ratio is the exact rational
@@ -418,9 +420,8 @@ def _k_struve_grid(params: KStruveParams, xs: np.ndarray, ctl: SeriesControl | N
     if ctl is None:
         ctl = _DEFAULT_CTL
     xs = np.asarray(xs, dtype=float)
-    nu, c, k = params.nu, params.c, params.k
+    nu, nc, k = params.nu, 0.0 - params.c, params.k  # -c, and 0.0 (not -0.0) at c = 0
     a, cm, ce = _k_struve_prefactor(nu, k)
-    nc = 0.0 - c
 
     def step(n):
         _, t, h2 = state

@@ -592,6 +592,8 @@ def test_solve_table_fails_like_the_scalar_row_sum():
         _same_failure(p, grid[i : i + 1], ctl, reading, kind)
     assert msg.startswith("grid index 2 (t = 1e-10): ")
     _same_failure(_thm1(), np.array([0.0, 0.5, np.inf]))
+    # lam = d**upsilon overflows: the grid's cap mask must not raise it before the first node does
+    _same_failure(_thm3(upsilon=2.0, d=1e200), np.array([0.0, 0.5, 1.0]), kind=OverflowError)
     _same_failure(_thm2(), np.array([0.5, 1.0]), reading="bogus")
 
 

@@ -602,11 +602,10 @@ def test_k_struve_against_mpmath_struve_functions():
 
 
 def test_k_struve_exact_series_rounding_bound():
-    # against the exact series, not the table's own doubles, so coefficient
-    # error shows: with c < 0 every term is positive and no cancellation hides
-    # it (worst seen 12.2 u here, 10.6-17.0 u over nine other seeds; forming
-    # Gamma_k through k_gamma(rk + nu + 3k/2, k), which recomputes nu/k per
-    # row, reached 38.1 u here and 33.9-60.6 u over those seeds)
+    # against the exact series at 50 digits, so the rounding of the prefactor,
+    # the power and the term ratios shows: with c < 0 every term is positive
+    # and no cancellation hides it (worst seen 18.7 u at this seed, 16.1-29.8 u
+    # at seeds 1-9)
     ctl = SeriesControl(max_terms=200, rel_tol=1e-17)
     u = 2.0**-53
     rng = np.random.default_rng(2072)
