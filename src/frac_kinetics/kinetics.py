@@ -21,8 +21,8 @@ uses ``2r + l + 1``, which drops the ``1/k``.  The two coincide at k = 1.
 THM1 has a single exponent, but a THM1 ``reading`` must be valid too.
 
 ``solve`` is the one solver body; ``solve_thm1/2/3`` and ``solve_table`` call
-it.  At a real t it sums the series in one compensated loop (``_sum_series``),
-on a grid on the series kernel ``special._lane_sums``, a lane per node, and
+it.  At a real t it sums the series in one Sum2 loop (``_sum_series``), on a
+grid on the series kernel ``special._lane_sums``, a lane per node, and
 solves every node whose lane sum is not finite, or past a cap, at that real t:
 so every entry is the double a real t returns there, or the grid raises its
 error.  A t raises ``RangeError`` past ``ML_SERIES_CAP`` (rate**upsilon
@@ -338,28 +338,32 @@ _problem_series = lru_cache(maxsize=128)(_Series)  # one series per (problem, re
 
 
 def _sum_series(series: _Series, t: float, rel_tol: float) -> float:
-    """N(t) from the entries of ``series`` under its stop rule, compensated; raises :meth:`_Series.error`
-    where an entry cannot be built or a power, a term or the sum leaves the double range."""
-    s, entries, runs, powers = t**series.upsilon, series.entries, series.runs, {}
-    sum_hi, sum_lo, run = 0.0, 0.0, 0
+    """N(t) from the entries of ``series`` under its stop rule, by Sum2 (Ogita, Rump and Oishi): the running
+    sum, and apart the running sum of its ``two_sum`` errors, added at the stop, as ``special._lane_sums``
+    sums a lane.  Raises :meth:`_Series.error` where an entry cannot be built or a power, a term or the
+    sum leaves the double range."""
+    tu, entries, runs, powers = t**series.upsilon, series.entries, series.runs, {}
+    s, err, run = 0.0, 0.0, 0
     try:
         for i in itertools.count():
             if i == len(entries):
                 series.reach(i)
             d, x, c, first = entries[i]
-            powers[c] = power = t**x if first else powers[c] * s
+            powers[c] = power = t**x if first else powers[c] * tu
             term = d * power
-            if not abs(term + sum_hi) < math.inf:
+            s, prev = s + term, s  # Sum2: two_sum inlined, its errors summed apart
+            if not abs(s) < math.inf:
                 raise OverflowError
-            sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
-            run = run + 1 if abs(term) <= rel_tol * abs(sum_hi) else 0
+            bb = s - prev
+            err += (prev - (s - bb)) + (term - bb)
+            run = run + 1 if abs(term) <= rel_tol * abs(s) else 0
             if run >= runs[i]:
                 break
-        if not abs(sum_hi + sum_lo) < math.inf:
+        if not abs(s + err) < math.inf:
             raise OverflowError
     except OverflowError:
         raise series.error(i) from None
-    return sum_hi + sum_lo
+    return s + err
 
 
 def _zero_t_value(p: KineticProblem) -> float:
@@ -422,6 +426,8 @@ def _sum_series_grid(series: _Series, ts: np.ndarray, s: np.ndarray, rel_tol: fl
 
     def step(n):
         series.reach(n)
+        if n >= len(series.entries):  # past an entry that cannot be built, which every lane stops on
+            return np.full(state[0].size, np.nan)  # its run length is 1: series.runs ends there too
         d, x, c, first = series.entries[n]
         if first:  # chains begin in order
             state.append(_powers(state[1].tolist(), x))  # NaN where ** raises

@@ -3,8 +3,9 @@
 All four evaluators share one truncation contract, carried by
 :class:`SeriesControl`: terms are summed until the latest term drops to
 ``rel_tol`` times the partial sum, or ``max_terms`` terms have been taken.
-Partial sums are double-double pairs (:mod:`frac_kinetics._compensated`),
-because the interesting regimes (``c > 0``, ``z < 0``) alternate in sign.
+The interesting regimes (``c > 0``, ``z < 0``) alternate in sign, so every sum
+is compensated: the Mittag-Leffler sums are double-double pairs
+(:mod:`frac_kinetics._compensated`), the Struve sums Sum2 (below).
 Two documented range caps keep the plain power series inside their
 trustworthy region (no asymptotic continuation is attempted):
 ``ML_SERIES_CAP`` (Mittag-Leffler, ``|z| <= 50``) and ``STRUVE_SERIES_CAP``
@@ -13,13 +14,20 @@ trustworthy region (no asymptotic continuation is attempted):
 A k-Struve value is one prefactor, cached per (nu, k), times (x/2)**(nu/k + 1)
 times its 1F2 sum, whose terms come from their ratio; both factors keep their
 binary exponents apart, so only a value past the double range overflows.  A
-sum cut at ``max_terms`` returns only within its tail bound.  The array paths
-share one kernel, ``_lane_sums``, which only sums: one series per lane, with
-the scalar loop's stop rule and double-double sums, until the rule fires or
-the sum is no longer finite (``_k_struve_grid`` a lane per node,
-``kinetics.solve_table`` a lane per node of the solution series).  Every node
-the kernel does not finish goes to its scalar twin, so each entry is the
-double that returns, and the first node where it raises aborts the grid.
+sum cut at ``max_terms`` returns only within its tail bound.  The 1F2 sum, like
+the solution series of ``kinetics``, is Ogita, Rump and Oishi's Sum2 (SIAM J.
+Sci. Comput. 26(6), 2005): a plain running sum, and apart the running sum of
+its steps' ``two_sum`` errors, added at the stop; its error is at most
+u |sum| + gamma_{n-1}**2 sum |t_i|, as if summed in twice the working
+precision.  The array paths share one kernel, ``_lane_sums``, which only sums:
+one series per lane, with the scalar loop's stop rule and Sum2, until the rule
+fires or the sum is no longer finite (``_k_struve_grid`` a lane per node,
+``kinetics.solve_table`` a lane per node of the solution series).  It goes a
+block of terms at a time, both running sums accumulated down the block, the
+block at most 16 terms tall and at most 2,048 terms in all where that leaves
+more than one row.  Every node the kernel does not finish goes to its scalar
+twin, so each entry is the double that returns, and the first node where it
+raises aborts the grid.
 
 ``_ml_eval`` serves ``mittag_leffler`` and ``mittag_leffler2`` only.  For
 positive integer ``alpha`` its term ratio is the exact rational
@@ -106,34 +114,94 @@ class KStruveParams:
 # The lane-parallel series kernel
 
 
+_BLOCK_TERMS, _BLOCK_ROWS = 2048, 16  # a block has at most 16 rows, and fewer where it is wide
+
+
+def _running(ufunc, a):
+    """``ufunc.accumulate(a, axis=0, out=a)``, strictly row after row: as a call per row where ``a`` has two
+    rows, since an accumulate down axis 0 costs some 20 ns a column."""
+    if len(a) > 2:
+        ufunc.accumulate(a, axis=0, out=a)
+    elif len(a) == 2:
+        ufunc(a[0], a[1], out=a[1])
+
+
+def _sum2_block(s, e, terms, scratch, rel_tol: float):
+    """Sum2 down a block, in place: ``s[1:]`` the running sums of ``terms`` from ``s[0]``, ``e[1:]`` the
+    running sums of their ``two_sum`` errors from ``e[0]``.  Returns where a term is at most ``rel_tol``
+    times its sum, and where that sum is finite; ``terms`` and ``scratch`` are overwritten."""
+    s[1:] = terms
+    _running(np.add, s)
+    prev, now, err = s[:-1], s[1:], e[1:]
+    np.abs(now, out=scratch)
+    scratch *= rel_tol
+    small = np.abs(terms, out=err) <= scratch
+    finite = scratch < np.inf  # False at NaN
+    np.subtract(now, prev, out=scratch)  # two_sum(prev, term): its error into err
+    np.subtract(now, scratch, out=err)
+    np.subtract(prev, err, out=err)
+    err += np.subtract(terms, scratch, out=terms)
+    _running(np.add, e)
+    return small, finite
+
+
 def _lane_sums(step, state: list, n_terms: int, rel_tol: float, runs=None):
     """Sum one series per lane, lane for lane the double of its scalar loop.
 
     ``state`` holds the caller's per-lane arrays, ``np.arange`` over the lanes first;
     ``step(n)`` gives term n of the active lanes.  A lane stops on a term at most ``rel_tol``
-    times its sum (with ``runs``, on the ``runs[n]``-th such term in a row), or once its sum is
-    no longer finite (where a scalar loop raises: the caller hands that lane to it), and leaves
-    ``state``, which ends with the lanes that took all ``n_terms`` terms.  Returns the values.
+    times its sum (with ``runs``, on the ``runs[n]``-th such term in a row; 1 past its end), or
+    once its sum is no longer finite (where a scalar loop raises: the caller hands that lane to
+    it), and leaves ``state``, which ends with the lanes that took all ``n_terms`` terms.  Returns
+    the values.
+
+    The sum is Ogita, Rump and Oishi's Sum2, as in the scalar loops: the running sum
+    s_n = fl(s_{n-1} + t_n), and apart the running sum of the ``two_sum`` errors of its steps,
+    added at the stop.  The lanes go a block of rows (terms) at a time, at most ``_BLOCK_ROWS``
+    rows and, past one row, ``_BLOCK_TERMS`` terms (:func:`_sum2_block`); the stop rule is tested
+    on the whole block, each lane takes its value at its own first stop row, and the block's
+    stopped lanes leave together.  So ``step`` runs on past a lane's stop, to the end of its block.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.empty(state[0].size)
-        hi, lo, run = np.zeros(out.size), np.zeros(out.size), np.zeros(out.size, dtype=int)
-        for n in range(n_terms):
-            if not hi.size:
-                break
-            term = step(n)
-            hi, lo = dd_add(hi, lo, term)
-            done = np.abs(term) <= rel_tol * np.abs(hi)
+        s_end = e_end = 0.0  # the running sum and its running error sum, carried from block to block
+        run = None if runs is None else np.zeros(out.size, dtype=np.intp)
+        n0, s = 0, None
+        while n0 < n_terms and state[0].size:
+            m = state[0].size
+            h = min(_BLOCK_ROWS, max(1, _BLOCK_TERMS // m), n_terms - n0)
+            if s is None or s.shape != (h + 1, m):  # else the block before's buffers serve again
+                s, e, terms, scratch = np.empty((h + 1, m)), np.empty((h + 1, m)), np.empty((h, m)), np.empty((h, m))
+            for i in range(h):
+                terms[i] = step(n0 + i)
+            s[0], e[0] = s_end, e_end
+            stop, finite = _sum2_block(s, e, terms, scratch, rel_tol)
             if runs is not None:
-                run = np.where(done, run + 1, 0)
-                done = run >= runs[n]
-            done |= ~np.isfinite(hi)
-            if np.count_nonzero(done):  # count_nonzero: a fraction of .any()'s call cost
-                out[state[0][done]] = hi[done] + lo[done]
-                keep = ~done
-                hi, lo, run = hi[keep], lo[keep], run[keep]
-                state[:] = [a[keep] for a in state]
-        out[state[0]] = hi + lo
+                need = np.ones((h, 1), dtype=np.intp)
+                block = runs[n0 : n0 + h]
+                need[: len(block), 0] = block
+                rows = np.arange(h)[:, None]
+                last = np.where(stop, -1 - run, rows)  # the latest row whose term was not small
+                _running(np.maximum, last)
+                count = np.subtract(rows, last, out=last)
+                stop = count >= need
+                run = count[-1]
+            stop |= ~finite
+            n0 += h
+            s_end, e_end = s[-1], e[-1]
+            hit = stop.any(axis=0)
+            if not np.count_nonzero(hit):  # count_nonzero: a fraction of .any()'s call cost
+                continue
+            lanes = np.flatnonzero(hit)
+            first = stop[:, lanes].argmax(axis=0) if h > 1 else 0  # an argmax down axis 0 costs ~10 ns a column
+            at = lanes + m * (first + 1)  # each lane's first stop row in s and e, as a flat index
+            out[state[0][lanes]] = np.take(s, at) + np.take(e, at)
+            keep = ~hit
+            s_end, e_end = s_end[keep], e_end[keep]
+            s = e = terms = scratch = None  # the block's buffers go before the lanes are compacted
+            run = None if runs is None else run[keep]
+            state[:] = [a[keep] for a in state]
+        out[state[0]] = s_end + e_end
         return out
 
 
@@ -326,17 +394,19 @@ def _struve_series(nu: float, c: float, k: float, half_x: float, ctl: SeriesCont
     if half_x < 0.0:
         pm *= (-1.0) ** exp0  # x < 0 only for integer orders
     h2, nc = half_x * half_x, 0.0 - c  # -c, and 0.0 (not -0.0) at c = 0
-    sum_hi, sum_lo, t, tol, cut = 0.0, 0.0, 1.0, ctl.rel_tol, False
+    s, err, t, tol, cut = 0.0, 0.0, 1.0, ctl.rel_tol, False
     for r in map(float, range(ctl.max_terms)):
-        sum_hi, sum_lo = dd_add(sum_hi, sum_lo, t)
-        if abs(t) <= tol * abs(sum_hi):
+        s, prev = s + t, s  # Sum2: two_sum inlined, its errors summed apart
+        bb = s - prev
+        err += (prev - (s - bb)) + (t - bb)
+        if abs(t) <= tol * abs(s):
             break
         den = k * ((a + r) * (r + 1.5))
         t = t * h2 * (nc / den)  # only h2's rounding recurs in every step; nc / den is rounded anew
     else:
         rho = abs(h2 * nc) / den
-        cut = not abs(t) <= tol * abs(sum_hi + sum_lo) * (1.0 - rho)  # t is t_R rho
-    total = sum_hi + sum_lo
+        cut = not abs(t) <= tol * abs(s + err) * (1.0 - rho)  # t is t_R rho
+    total = s + err
     try:
         value = math.ldexp(cm * pm * total, ce + pe)
     except OverflowError:

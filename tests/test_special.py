@@ -837,28 +837,28 @@ def _line_runs(func, marker, call):
         sys.settrace(None)
 
 
-def _kernel_runs(monkeypatch, module, call):
-    """(what ``call()`` returns, or its error as in ``_outcome``; the number of ``step`` calls of each
-    kernel call made through ``module``)."""
+def _kernel_sums(monkeypatch, module, call, after=None, fill=None):
+    """(what ``call()`` returns, or its error as in ``_outcome``; the first lane's value of each kernel
+    call made through ``module``, by ``repr``), every term from ``step(after)`` on replaced by ``fill``."""
     from frac_kinetics import special
 
-    real, steps = special._lane_sums, []
+    real, sums = special._lane_sums, []
 
     def recording(step, state, n_terms, rel_tol):
-        steps.append(0)
+        def replaced(n):
+            term = step(n)
+            return term if after is None or n < after else np.full_like(term, fill)
 
-        def counted(n):
-            steps[-1] += 1
-            return step(n)
-
-        return real(counted, state, n_terms, rel_tol)
+        out = real(replaced, state, n_terms, rel_tol)
+        sums.append(repr(float(out[0])))
+        return out
 
     with monkeypatch.context() as m:
         m.setattr(module, "_lane_sums", recording)
         try:
-            return call(), steps
+            return call(), sums
         except Exception as e:  # noqa: BLE001 - any error type must match
-            return (type(e), str(e)), steps
+            return (type(e), str(e)), sums
 
 
 def test_k_struve_grid_at_one_lane_is_the_scalar_loop(monkeypatch):
@@ -872,11 +872,128 @@ def test_k_struve_grid_at_one_lane_is_the_scalar_loop(monkeypatch):
     cut = 0
     for nu, c, k, x in cases:
         p = KStruveParams(nu, c, k)
-        want, terms = _line_runs(special._struve_series, "sum_hi, sum_lo = dd_add(", lambda: k_struve(p, x))
-        got, steps = _kernel_runs(monkeypatch, special, lambda: _k_struve_grid(p, np.array([x])))
-        assert (got if isinstance(got, tuple) else repr(float(got[0]))) == want, (nu, c, k, x)
-        # the lane takes the scalar loop's terms; a lane cut at max_terms
-        # raises, by the scalar loop, its error
-        assert steps == [terms], (nu, c, k, x)
+        want, terms = _line_runs(special._struve_series, "s, prev = s + t", lambda: k_struve(p, x))
+        assert terms >= 1, (nu, c, k, x)
+        got, sums = _kernel_sums(monkeypatch, special, lambda: _k_struve_grid(p, np.array([x])))
+        got = got if isinstance(got, tuple) else repr(float(got[0]))
+        assert got == want, (nu, c, k, x)
+        # the lane sums the scalar loop's terms and no other: whatever the kernel
+        # steps past them (the rest of its block) leaves its value as it is; a
+        # lane cut at max_terms raises, by the scalar loop, its error
+        for fill in (np.nan, 1e300):
+            again, moved = _kernel_sums(monkeypatch, special, lambda: _k_struve_grid(p, np.array([x])), terms, fill)
+            again = again if isinstance(again, tuple) else repr(float(again[0]))
+            assert (again, moved) == (got, sums), (nu, c, k, x, fill)
         cut += isinstance(want, tuple) and want[0] is RangeError
     assert cut == 8  # the three named cuts and five seeded draws at k = 0.5, w up to 500
+
+
+# ---------------------------------------------------------------- the lane kernel at block boundaries
+
+
+class _Read(list):
+    """A list that remembers the highest index read: the entry a scalar sum stopped or raised on."""
+
+    last = -1
+
+    def __getitem__(self, i):
+        self.last = max(self.last, i)
+        return list.__getitem__(self, i)
+
+
+class _Listed:
+    """A solution coefficient list given outright, in the protocol of ``kinetics._Series``: term i is
+    d_i t**i (one chain, upsilon = 1) under the stop runs ``runs``, and the entry after the last
+    coefficient cannot be built (a gamma pole)."""
+
+    upsilon = 1.0
+
+    def __init__(self, coefs, runs):
+        self.entries = _Read((d, float(i), 0, i == 0) for i, d in enumerate(coefs))
+        self.entries.append((math.nan, math.nan, 0, True))
+        self.runs = [*runs, 1]
+
+    def reach(self, i):
+        pass
+
+    def error(self, i):
+        if i == len(self.entries) - 1:
+            return PoleError(f"entry {i} hits a gamma pole")
+        return OverflowError(f"entry {i} overflows")
+
+
+def _blocks(stops):
+    """(first row, height) of each block of ``_lane_sums`` for lanes that stop at the rows ``stops``."""
+    from frac_kinetics.special import _BLOCK_ROWS, _BLOCK_TERMS
+
+    alive, n0, blocks = sorted(stops), 0, []
+    while alive:
+        h = min(_BLOCK_ROWS, max(1, _BLOCK_TERMS // len(alive)))
+        blocks.append((n0, h))
+        alive = [r for r in alive if r >= n0 + h]
+        n0 += h
+    return blocks
+
+
+_POLE = 50  # the entry that cannot be built
+
+
+def _block_nodes(lanes):
+    """Nodes for the coefficient list of the test below: seven in eight stop by the rule, on rows
+    spread over 1 to 80 (past the pole from about 50), one in eight overflows on rows 3 to 41."""
+    small = 10.0 ** (-10.0 / np.linspace(1.5, 80.5, lanes - lanes // 8))
+    return np.sort(np.concatenate((small, 10.0 ** (308.0 / np.linspace(2.5, 40.5, lanes // 8)))))
+
+
+@pytest.mark.parametrize("lanes", [1, 101, 127, 128, 129, 4097])  # block heights 16, 16, 16, 16, 15, 1
+def test_lane_sums_at_block_boundaries_are_the_scalar_loop(lanes):
+    from frac_kinetics.kinetics import _sum_series, _sum_series_grid
+
+    # an alternating list with a spike every 7th entry (runs of small terms
+    # restart there) and runs that grow from 1 to 4 small terms, as with
+    # several chains; 1 lane takes each node of the 101-lane grid alone
+    series = _Listed([(-1.0) ** i * (1e3 if i % 7 == 3 else 1.0) for i in range(_POLE)],
+                     [min(1 + i // 4, 4) for i in range(_POLE)])
+    ts = _block_nodes(max(lanes, 101))
+    grids = [ts] if lanes > 1 else np.split(ts, ts.size)
+    rel_tol, covered = 1e-10, set()
+    for g in grids:
+        want, stops = [], []
+        for t in g.tolist():
+            series.entries.last = -1
+            want.append(_outcome(_sum_series, series, t, rel_tol))
+            stops.append(series.entries.last)
+        got = _sum_series_grid(series, g, g.copy(), rel_tol)
+        for t, w, v in zip(g, want, got):
+            # the lane's double where the scalar loop returns; not finite where it raises
+            assert (not math.isfinite(v)) if isinstance(w, tuple) else repr(float(v)) == w, (lanes, t)
+        blocks = _blocks(stops)
+        for stop, w in zip(stops, want):
+            b, h = next((b, h) for b, h in blocks if b <= stop < b + h)
+            if not isinstance(w, tuple):
+                covered |= {"first row"} if stop == b else set()
+                covered |= {"last row"} if stop == b + h - 1 else set()
+                if b and stop - series.runs[stop] + 1 < b:
+                    covered.add("run across a boundary")
+            else:
+                kind = "pole" if w[0] is PoleError else "overflow"
+                covered |= {kind, f"{kind} mid-block"} if b < stop < b + h - 1 else {kind}
+    # at 4,097 lanes the blocks are one row tall until the pole, whose block is 2 tall
+    mid = set() if lanes == 4097 else {"pole mid-block", "overflow mid-block"}
+    assert covered >= {"first row", "last row", "run across a boundary", "pole", "overflow", *mid}
+
+
+@pytest.mark.parametrize("lanes", [1, 101, 127, 128, 129, 4097])
+def test_k_struve_grid_cut_mid_block_is_the_scalar_path(lanes):
+    # max_terms = 37 ends the last block early at every block height but 1:
+    # from x = 9.1 the sums take all 37 terms, which their tail bound passes up
+    # to x = 9.7 and fails from 9.8 on
+    from frac_kinetics import special
+
+    p, ctl = KStruveParams(0.5, 2.0, 0.5), SeriesControl(max_terms=37)
+    xs = np.linspace(0.05, 9.7, max(lanes, 101))
+    for g in [xs] if lanes > 1 else np.split(xs, xs.size)[-12:]:
+        assert _assert_grid_is_scalar(p, g, ctl) is None
+    _, terms = _line_runs(special._struve_series, "s, prev = s + t", lambda: k_struve(p, float(xs[-1]), ctl))
+    assert terms == ctl.max_terms
+    assert _assert_grid_is_scalar(p, np.linspace(12.0, 0.05, lanes)[::-1], ctl)[0] is RangeError
