@@ -458,8 +458,21 @@ def solve_cases() -> list[dict]:
     return [{key: spec.get(key) for key in SOLVE_KEYS} for spec in specs]
 
 
+# make_refs.forcing_terms cuts the forcing series once |f_r| 4**p_r < 1e-40,
+# which bounds its tail for t <= 4 only: past that the reference is wrong
+NEUMANN_T_MAX = 4.0
+
+
 def solve_reference(case) -> list[str]:
-    """N(t) at each node of the case as 40-digit text, from the Neumann series of make_refs.py."""
+    """N(t) at each node of the case as 40-digit text, from the Neumann series of make_refs.py.
+
+    Raises ``ValueError`` for a node past ``NEUMANN_T_MAX``, where that series is cut too early.
+    """
+    if max(case["t"]) > NEUMANN_T_MAX:
+        raise ValueError(
+            f"the Neumann reference holds for t <= {NEUMANN_T_MAX} only (make_refs.forcing_terms cuts "
+            f"the forcing series for that range), got a node t = {max(case['t'])!r}"
+        )
     sys.path.insert(0, str(HERE.parent / "perfbench"))
     from make_refs import neumann
 

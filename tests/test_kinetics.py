@@ -53,7 +53,8 @@ def _thm3(n0=1.0, upsilon=1.0, d=2.0, a=1.0, l=1.0, c=1.0, k=1.0):
 
 
 def _neumann(p, ts):
-    """N(t) at each t (consistent reading) from the Neumann series of ``perfbench/make_refs.py``."""
+    """N(t) at each t (consistent reading) from the Neumann series of ``perfbench/make_refs.py``;
+    ``ValueError`` for a t > 4, past the range of its forcing series."""
     from make_ledger import solve_reference
 
     s = p.struve
@@ -351,6 +352,13 @@ def test_thm2_thm3_at_high_order_against_neumann(p):
     scale = max(map(abs, want))
     for got in ([solve(p, t) for t in ts], solve_table(p, ts).n.tolist()):
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14 * scale
+
+
+def test_neumann_reference_refuses_a_node_past_its_range():
+    # its forcing series is cut for t <= 4 only: at t = 20 it gives
+    # -0.048745517 for -0.048660487, so a node past 4 raises instead
+    with pytest.raises(ValueError, match=r"^the Neumann reference holds for t <= 4\.0 only .* t = 4\.5$"):
+        _neumann(_thm1(), [0.5, 4.5])
 
 
 # ---------------------------------------------------------------- tables
