@@ -838,8 +838,9 @@ def _line_runs(func, marker, call):
 
 
 def _kernel_sums(monkeypatch, module, call, after=None, fill=None):
-    """(what ``call()`` returns, or its error as in ``_outcome``; the first lane's value of each kernel
-    call made through ``module``, by ``repr``), every term from ``step(after)`` on replaced by ``fill``."""
+    """(the ``repr`` of the first value ``call()`` returns, or its error as in ``_outcome``; the same of
+    the first lane of each kernel call made through ``module``), every term from ``step(after)`` on
+    replaced by ``fill``."""
     from frac_kinetics import special
 
     real, sums = special._lane_sums, []
@@ -856,7 +857,7 @@ def _kernel_sums(monkeypatch, module, call, after=None, fill=None):
     with monkeypatch.context() as m:
         m.setattr(module, "_lane_sums", recording)
         try:
-            return call(), sums
+            return repr(float(call()[0])), sums
         except Exception as e:  # noqa: BLE001 - any error type must match
             return (type(e), str(e)), sums
 
@@ -875,15 +876,13 @@ def test_k_struve_grid_at_one_lane_is_the_scalar_loop(monkeypatch):
         want, terms = _line_runs(special._struve_series, "s, prev = s + t", lambda: k_struve(p, x))
         assert terms >= 1, (nu, c, k, x)
         got, sums = _kernel_sums(monkeypatch, special, lambda: _k_struve_grid(p, np.array([x])))
-        got = got if isinstance(got, tuple) else repr(float(got[0]))
         assert got == want, (nu, c, k, x)
         # the lane sums the scalar loop's terms and no other: whatever the kernel
         # steps past them (the rest of its block) leaves its value as it is; a
         # lane cut at max_terms raises, by the scalar loop, its error
         for fill in (np.nan, 1e300):
-            again, moved = _kernel_sums(monkeypatch, special, lambda: _k_struve_grid(p, np.array([x])), terms, fill)
-            again = again if isinstance(again, tuple) else repr(float(again[0]))
-            assert (again, moved) == (got, sums), (nu, c, k, x, fill)
+            again = _kernel_sums(monkeypatch, special, lambda: _k_struve_grid(p, np.array([x])), terms, fill)
+            assert again == (got, sums), (nu, c, k, x, fill)
         cut += isinstance(want, tuple) and want[0] is RangeError
     assert cut == 8  # the three named cuts and five seeded draws at k = 0.5, w up to 500
 
