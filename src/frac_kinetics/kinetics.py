@@ -10,8 +10,8 @@ where ``I^upsilon`` is the Riemann-Liouville integral and the forcing scale
 distinct rate ``a != d``).  Every family solves as one series
 N(t) = sum_i D_i t**x_i, the Neumann series of the integral equation: each
 term b_r t**g_r of the forcing's own series (``_rows``) becomes a power of t
-times a Mittag-Leffler function, expanded term by term into coefficients that
-do not depend on t (``_Series``, built once per problem and cached).
+times a Mittag-Leffler function, expanded into coefficients free of t
+(``_Series``, cached per problem): a sum takes the rows its stop rule needs.
 
 For THM2 and THM3 two readings of the term exponent are shipped behind the
 ``reading`` switch: the default ``"consistent"`` reading carries the k-Struve
@@ -171,21 +171,16 @@ def _check_reading(reading: str) -> None:
         raise DomainError(f"reading must be one of {READINGS}, got {reading!r}")
 
 
-@lru_cache(maxsize=128)
-def _rows(
-    n0: float, lam: float, sigma: float, l: float, c: float, k: float, reading: str, max_terms: int
-) -> tuple[tuple[float, float], ...]:
-    """Rows (b_r, g_r), r < max_terms, of the forcing series N0 * F(t) = sum_r b_r * t**g_r.
+def _rows(n0: float, lam: float, sigma: float, l: float, c: float, k: float, reading: str):
+    """Yield the rows (b_r, g_r), r = 0, 1, ..., of the forcing series N0 * F(t) = sum_r b_r * t**g_r.
 
     b_r = n0 * a_r * (lam / 2)**e_r comes from ``special._scaled_terms`` under either reading
-    (e_r - e_0 = 2r): 0.0 or subnormal only below the double range, ``OverflowError`` above it.
-    g_r = sigma * e_r.  Row r of the solution is b_r * Gamma(g_r + 1) * t**g_r *
-    E_{upsilon, g_r + 1}(-rate**upsilon * t**upsilon), which :class:`_Series` expands without
-    forming Gamma(g_r + 1).
+    (e_r - e_0 = 2r): 0.0 or subnormal only below the double range, ``OverflowError`` as it is drawn
+    above it.  g_r = sigma * e_r.  Row r of the solution is b_r Gamma(g_r + 1) t**g_r E_{upsilon,
+    g_r + 1}(-rate**upsilon t**upsilon), which :class:`_Series` expands without forming Gamma(g_r + 1).
     """
-    rows = []
     scaled = _scaled_terms(n0, lam / 2.0, _exponent(0, l, k, reading), l, c, k)
-    for r, (m, e2) in zip(range(max_terms), scaled):
+    for r, (m, e2) in enumerate(scaled):
         e = _exponent(r, l, k, reading)
         g = sigma * e
         if g + 1.0 <= 0.0 and g + 1.0 == math.floor(g + 1.0):
@@ -200,18 +195,8 @@ def _rows(
         except OverflowError:
             coef = math.inf
         if not abs(coef) < math.inf:
-            raise OverflowError(f"series row r = {r} exceeds the double range; reduce max_terms")
-        rows.append((coef, g))
-    return tuple(rows)
-
-
-def _problem_rows(p: KineticProblem, reading: str, max_terms: int) -> tuple[tuple[float, float], ...]:
-    s = p.struve
-    return _rows(p.n0, *p.forcing_scale, s.nu, s.c, s.k, reading, max_terms)
-
-
-# the benchmark tracer (perfbench/tracer.py) looks the row cache up under its former names
-_thm1_rows = _thm23_rows = _rows
+            raise OverflowError(f"series row r = {r} exceeds the double range")
+        yield coef, g
 
 
 def _check_t(t: float) -> float:
@@ -242,15 +227,15 @@ def _exp(x: float) -> float:
     return math.exp(x) if x < 709.78 else math.inf  # a sum that takes the entry then overflows
 
 
-def _chain(rows, first: int, q: float, upsilon: float, j: int, stride: int):
+def _chain(row, first: int, q: float, upsilon: float, j: int, stride: int):
     """D_n = q D_{n-1} Gamma(a_{n-1}) / Gamma(a_n) + [j | n] b_{first + stride n/j} in double-double, from
-    D_0 = b_first, a_n = g_first + 1 + upsilon n (j = 0: one row).  The ratio is exact division by
-    a_{n-1} + i, i < upsilon, for integer upsilon, else the double-double quotient of two ``math.gamma``
-    values (so the ratios telescope: D_n keeps the rounding of Gamma(a_0) and Gamma(a_n)), or from
-    ``lgamma`` where one is out of range."""
-    beta = rows[first][1] + 1.0
+    D_0 = b_first, a_n = g_first + 1 + upsilon n (j = 0: one row), (b_r, g_r) = ``row(r)``.  The ratio is
+    exact division by a_{n-1} + i, i < upsilon, for integer upsilon, else the double-double quotient of two
+    ``math.gamma`` values (so the ratios telescope: D_n keeps the rounding of Gamma(a_0) and Gamma(a_n)), or
+    from ``lgamma`` where one is out of range."""
+    beta = row(first)[1] + 1.0
     n_int = round(upsilon)
-    d_hi, d_lo = rows[first][0], 0.0
+    d_hi, d_lo = row(first)[0], 0.0
     a_prev, g_prev = beta, _gamma(beta)
     for n in itertools.count(1):
         yield d_hi + d_lo
@@ -270,8 +255,8 @@ def _chain(rows, first: int, q: float, upsilon: float, j: int, stride: int):
             ratio = _gamma_sign(a_prev) * _gamma_sign(a) * _exp(math.lgamma(a_prev) - math.lgamma(a))
             d_hi, d_lo = dd_mul_double(d_hi, d_lo, ratio)
         d_hi, d_lo = dd_mul_double(d_hi, d_lo, q)
-        if j and n % j == 0 and first + n // j * stride < len(rows):
-            d_hi, d_lo = dd_add(d_hi, d_lo, rows[first + n // j * stride][0])
+        if j and n % j == 0:
+            d_hi, d_lo = dd_add(d_hi, d_lo, row(first + n // j * stride)[0])
         a_prev, g_prev = a, g
 
 
@@ -281,35 +266,48 @@ class _Series:
     Row r of :func:`_rows` (b_r, g_r), b_r Gamma(beta_r) t**g_r E_{upsilon, beta_r}(q t**upsilon) with
     beta_r = g_r + 1 and q = -rate**upsilon, expands into D_{r,n} = b_r q**n Gamma(beta_r) /
     Gamma(beta_r + upsilon n) at x = g_r + upsilon n, from D_{r,0} = b_r.  Where 2 sigma / upsilon = j / L,
-    L at most the rows (THM2 and THM3: 2 / 1), row r + L's exponents are row r's from n = j on: rows r,
-    r + L, r + 2L, ... share one chain, the L chains (else one per row) merged by exponent.  ``entries``
-    holds (D_i, x_i, chain, first): a chain's first entry takes its power t**x_i by ``**``, each later
-    one the chain's power before times t**upsilon.
+    L at most 50 (THM2 and THM3: 2 / 1), row r + L's exponents are row r's from n = j on: rows r, r + L,
+    r + 2L, ... share one chain, the L chains (else one per row, without end) merged by exponent, chain c
+    joining as chain c - 1 begins.  Row r is drawn from :func:`_rows` as the merge reaches g_r, so a sum
+    takes the rows its stop rule asks for.  ``entries`` holds (D_i, x_i, chain, first): a chain's first
+    entry takes its power t**x_i by ``**``, each later one the chain's power before times t**upsilon.
 
     Stop rule: a sum ends at the first entry i at which each of the last ``runs[i]`` terms was at
     most ``rel_tol`` times the partial sum after it, ``runs[i]`` being the number of entries with
     exponents in (x_i - P, x_i], P = max(2 sigma, upsilon): the latest entry of every chain begun
     and the first entry of a row (with one chain, the last j entries).
 
-    Entries are built as sums reach them, and kept.  One that cannot be built (a gamma pole, more
-    than ``_MAX_ENTRIES`` entries) is (nan, nan), and a sum that reaches it raises the error met.
+    Entries are built as sums reach them, and kept.  One that cannot be built (a gamma pole, a row past
+    the double range, entry ``_MAX_ENTRIES``) is (nan, nan), and a sum that reaches it raises the error met.
     """
 
-    def __init__(self, p: KineticProblem, reading: str, max_terms: int):
-        rows, upsilon, sigma = _problem_rows(p, reading, max_terms), p.upsilon, p.forcing_scale[1]
-        self.entries, self.runs, self._error, self.upsilon = [], [], None, upsilon
-        ratio = Fraction(2.0 * sigma / upsilon).limit_denominator(len(rows))  # j / L
-        j, n_chains = ratio.numerator, ratio.denominator
-        if j * upsilon != 2.0 * sigma * n_chains:  # no common exponents: a chain per row
-            j, n_chains = 0, len(rows)
-        chains = [_chain(rows, r, -(p.rate**upsilon), upsilon, j, n_chains) for r in range(n_chains)]
-        self._next = self._merged(chains, [row[1] for row in rows[:n_chains]], max(2.0 * sigma, upsilon))
+    def __init__(self, p: KineticProblem, reading: str):
+        s, upsilon, sigma, q = p.struve, p.upsilon, p.forcing_scale[1], -(p.rate**p.upsilon)
+        source, rows = _rows(p.n0, *p.forcing_scale, s.nu, s.c, s.k, reading), []
 
-    def _merged(self, chains, g, span: float):
-        heap, window = [(x, c, 0) for c, x in enumerate(g)], deque()  # g increases: a heap already
+        def row(r: int) -> tuple[float, float]:
+            while len(rows) <= r:
+                rows.append(next(source))
+            return rows[r]
+
+        self.entries, self.runs, self._error, self.upsilon = [], [], None, upsilon
+        ratio = Fraction(2.0 * sigma / upsilon).limit_denominator(50)  # j / L
+        j, n_chains = ratio.numerator, ratio.denominator
+        if j * upsilon != 2.0 * sigma * n_chains:  # no common exponents: a chain per row, without end
+            j, n_chains = 0, sys.maxsize
+        chains = (_chain(row, c, q, upsilon, j, n_chains) for c in range(n_chains))
+        firsts = (sigma * _exponent(c, s.nu, s.k, reading) for c in range(n_chains))  # g_c, as _rows forms it
+        self._next = self._merged(chains, firsts, max(2.0 * sigma, upsilon))
+
+    def _merged(self, chains, firsts, span: float):
+        heap, begun, g, window = [(next(firsts), 0, 0)], [], [], deque()
         for i in range(_MAX_ENTRIES):
             x, c, n = heapq.heappop(heap)
-            d = next(chains[c])
+            if n == 0:  # chain c begins, and chain c + 1, whose exponents are above x, joins (inf: none)
+                begun.append(next(chains))
+                g.append(x)
+                heapq.heappush(heap, (next(firsts, math.inf), c + 1, 0))
+            d = next(begun[c])
             window.append(x)
             while window[0] <= x - span:
                 window.popleft()
@@ -334,7 +332,9 @@ class _Series:
         return OverflowError(f"solution series entry {i} (t**{self.entries[i][1]!r}): a term or the sum overflows")
 
 
-_problem_series = lru_cache(maxsize=128)(_Series)  # one series per (problem, reading, max_terms)
+_problem_series = lru_cache(maxsize=128)(_Series)  # one series per (problem, reading)
+# the benchmark tracer (perfbench/tracer.py) reads the series cache under the row cache's former names
+_thm1_rows = _thm23_rows = _problem_series
 
 
 def _sum_series(series: _Series, t: float, rel_tol: float) -> float:
@@ -421,7 +421,7 @@ def _at_node(g: np.ndarray, i: int):
 
 def _sum_series_grid(series: _Series, ts: np.ndarray, s: np.ndarray, rel_tol: float) -> np.ndarray:
     """:func:`_sum_series` at every node on :func:`_lane_sums`: the same double where that is finite;
-    where it is not, ``_sum_series`` raises."""
+    where it is not, ``_sum_series`` raises.  Every lane stops by entry ``_MAX_ENTRIES``, which cannot be built."""
     state = [np.arange(ts.size), ts, s]  # then the powers of chain c at each node, state[3 + c]
 
     def step(n):
@@ -435,7 +435,7 @@ def _sum_series_grid(series: _Series, ts: np.ndarray, s: np.ndarray, rel_tol: fl
             state[3 + c] *= state[2]
         return d * state[3 + c]
 
-    return _lane_sums(step, state, sys.maxsize, rel_tol, series.runs)  # steps under its errstate
+    return _lane_sums(step, state, _MAX_ENTRIES + 1, rel_tol, series.runs)  # steps under its errstate
 
 
 def solve(p: KineticProblem, t, ctl: SeriesControl | None = None, *, reading: str = "consistent"):
@@ -471,7 +471,7 @@ def solve(p: KineticProblem, t, ctl: SeriesControl | None = None, *, reading: st
             raise RangeError(
                 f"forcing argument lam * t**sigma = {lam * t**sigma!r} exceeds the Struve series cap {STRUVE_SERIES_CAP}"
             )
-        return _sum_series(_problem_series(p, rows_reading, ctl.max_terms), t, ctl.rel_tol)
+        return _sum_series(_problem_series(p, rows_reading), t, ctl.rel_tol)
     table = SolutionTable(t, np.zeros(np.shape(t)))
     g, first = table.t, int(table.t[0] == 0.0)  # the first node with t > 0
     with _at_node(g, 0):
@@ -488,7 +488,7 @@ def solve(p: KineticProblem, t, ctl: SeriesControl | None = None, *, reading: st
     n = ts.size if ok.all() else int(ok.argmin())  # the nodes before the first past a cap (or inf)
     if n:
         with _at_node(g, first):
-            series = _problem_series(p, rows_reading, ctl.max_terms)
+            series = _problem_series(p, rows_reading)
         table.n[first : first + n] = _sum_series_grid(series, ts[:n], s[:n], ctl.rel_tol)
     # the scalar solve returns the same double, or raises its own error, at every other node
     for i in [*np.flatnonzero(~np.isfinite(table.n[first : first + n])).tolist(), *range(n, ts.size)]:

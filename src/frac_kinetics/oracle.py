@@ -336,14 +336,16 @@ def residual(p: KineticProblem, sol: SolutionTable, grid: QuadratureGrid, ctl: S
 
 
 def laplace_image(p: KineticProblem, s: float, ctl: SeriesControl | None = None) -> float:
-    """Closed-form Laplace transform of the THM1 solution, valid for s > d.
+    """Closed-form Laplace transform of the THM1 solution, valid for s > max(d, sqrt(|c|/k)).
 
     Term-wise transform of the solution series with the inner binomial tail
     resummed geometrically:
         sum_r b_r * Gamma(e_r + 1) * s**-(e_r+1) / (1 + d**u s**-u),
     with the rows (b_r, e_r) of the forcing series N0 * F(t) = sum_r b_r t**e_r: term 0 from
     their start b_0 = m * 2**E times Gamma(e_0 + 1) s**-(e_0 + 1), each later one by their
-    ratio times (e_r + 1)(e_r + 2) / s**2, the binary exponents kept apart.
+    ratio times (e_r + 1)(e_r + 2) / s**2, the binary exponents kept apart.  That ratio tends
+    to -c / (k s**2), so the sum converges for s**2 > |c|/k, and the resummation for s > d.
+    A sum that takes ``max_terms`` terms without its stop rule firing raises ``RangeError``.
     """
     if p.variant is not Variant.THM1:
         raise DomainError(f"laplace_image requires variant THM1, got {p.variant}")
@@ -357,6 +359,11 @@ def laplace_image(p: KineticProblem, s: float, ctl: SeriesControl | None = None)
             f"s = {s!r} is outside the geometric convergence region (requires s > d = {p.d!r})"
         )
     st = p.struve
+    if s * s * st.k <= abs(st.c):
+        raise RangeError(
+            f"s = {s!r} is outside the convergence region of the image series "
+            f"(requires s**2 > |c|/k = {abs(st.c) / st.k!r})"
+        )
     e = st.nu / st.k + 1.0  # e_0
     try:
         gm, ge = math.frexp(math.gamma(e + 1.0))
@@ -371,6 +378,10 @@ def laplace_image(p: KineticProblem, s: float, ctl: SeriesControl | None = None)
             break
         gm, de = math.frexp(gm * (e + 1.0) * (e + 2.0) / (s * s))
         ge, e = ge + de, e + 2.0
+    else:
+        raise RangeError(
+            f"the image series at s = {s!r} does not stop within max_terms = {ctl.max_terms} terms"
+        )
     return (sum_hi + sum_lo) / (1.0 + p.d**p.upsilon * s ** (-p.upsilon))
 
 

@@ -32,8 +32,8 @@ Four families:
 * ``rows``: the coefficient rows of the solution series in its
   Mittag-Leffler form, b_r Gamma(g_r + 1), as closed products of gamma
   functions.  The program's row is ``row_image`` of each forcing row (b_r,
-  g_r) of ``kinetics._rows(n0, lam, sigma, l, c, k, reading, max_terms)``,
-  formed in 60-digit arithmetic.  The error is relative; the floor is 1e-12.
+  g_r), r < n, of ``kinetics._rows(n0, lam, sigma, l, c, k, reading)``, the
+  case's ``args`` being those inputs and n, formed in 60-digit arithmetic.  The error is relative; the floor is 1e-12.
   Inputs: the problems of the ``sweep`` benchmark pool and named repros.
 * ``ml``: ``mittag_leffler2(alpha, beta, z)`` at default control.  The value
   and the term-magnitude sum come from sum z**n / Gamma(alpha n + beta), with
@@ -64,6 +64,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import islice
 from pathlib import Path
 
 import mpmath as mp
@@ -412,14 +413,15 @@ def ml_cases() -> list[dict]:
     """(alpha, beta, z, tag) of every ``ml`` case."""
     import numpy as np
 
-    from frac_kinetics.kinetics import _ml_argument, _problem_rows
+    from frac_kinetics.kinetics import _ml_argument, _rows
 
     cases = [dict(alpha=a, beta=1.0, z=z, tag="known wrong") for a, z in ((0.5, -5.0), (0.5, -8.0), (1.0, -20.0),
                                                                          (0.5, -2.0))]
     # the pairs a sweep cell sums: alpha = upsilon, beta of a row, z at t = 1/2 and 1
     betas = set()
     for key, p in _sweep_problems():
-        rows = _problem_rows(p, "consistent", 50)
+        s = p.struve
+        rows = tuple(islice(_rows(p.n0, *p.forcing_scale, s.nu, s.c, s.k, "consistent"), 50))
         for r in (0, 1, 3, 8, 16):
             beta = rows[r][1] + 1.0
             betas.add(beta)
@@ -534,7 +536,7 @@ def main() -> None:
     for prob in row_problems():
         args = prob["args"]
         prob["values"] = [_text(row_reference(*args[:7], r)) for r in range(args[7])]
-        got = outcome(lambda: _rows(*args))
+        got = outcome(lambda: tuple(islice(_rows(*args[:7]), args[7])))
         if isinstance(got, list):
             prob["raises"] = got
         else:
@@ -611,7 +613,7 @@ def refresh_errors() -> None:
             got = outcome(call(case))
             record(family, case, "err", got, lambda: [_up3(error(got, case))])
     for prob in ledger["rows"]:
-        got = outcome(lambda: _rows(*prob["args"]))
+        got = outcome(lambda: tuple(islice(_rows(*prob["args"][:7]), prob["args"][7])))
         record("rows", prob, "errs", got,
                lambda: [_up3(row_error(row_image(row), v)) for row, v in zip(got, prob["values"])])
     _write(ledger["sums"], ledger["rows"], ledger["ml"], ledger["solve"])

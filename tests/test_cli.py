@@ -543,9 +543,9 @@ def test_env_value_reaches_default_used_elsewhere(capsys, monkeypatch):
 
 def test_consecutive_calls_share_no_state(tmp_path, capsys):
     # the argument tree is built once per process; a flag given to one call
-    # must not reach the next.  Three k-Struve rows are not converged at
-    # t = 1, so a leaked --max-terms 3 would change the printed value.
-    code, _, err = _run(capsys, "sweep", "--max-terms", "3", "--out", str(tmp_path / "s.csv"))
+    # must not reach the next.  A solution is cut by its stop rule alone, and
+    # at t = 1 a leaked --rel-tol 1e-6 would change the printed value.
+    code, _, err = _run(capsys, "sweep", "--rel-tol", "1e-6", "--out", str(tmp_path / "s.csv"))
     assert code == 0, err
     args = ("eval", "thm1", "--n0", "1", "--d", "1", "--upsilon", "0.1",
             "--l", "1", "--c", "1", "--k", "1", "--t", "1")
@@ -555,7 +555,7 @@ def test_consecutive_calls_share_no_state(tmp_path, capsys):
         n0=1.0, upsilon=0.1, d=1.0, struve=KStruveParams(1.0, 1.0, 1.0), variant=Variant.THM1
     )
     assert out.strip() == f"{solve_thm1(p, 1.0):.15g}"
-    assert out.strip() != f"{solve_thm1(p, 1.0, SeriesControl(max_terms=3)):.15g}"
+    assert out.strip() != f"{solve_thm1(p, 1.0, SeriesControl(rel_tol=1e-6)):.15g}"
 
 
 def test_help_exits_zero_and_parser_still_works(capsys):

@@ -1,5 +1,6 @@
 import math
 import sys
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -310,8 +311,8 @@ def test_rows_past_gamma_overflow_fit_in_a_double():
 
     from frac_kinetics.kinetics import _rows
 
-    short = _rows(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "consistent", 85)
-    long = _rows(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "consistent", 90)
+    short = tuple(islice(_rows(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "consistent"), 85))
+    long = tuple(islice(_rows(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "consistent"), 90))
     assert long[:85] == short
     for r in range(80, 90):
         want = (-1) ** r / (mp.gamma(r + 2.5) * mp.gamma(r + 1.5)) * mp.mpf(2) ** -(2 * r + 2)
@@ -320,6 +321,47 @@ def test_rows_past_gamma_overflow_fit_in_a_double():
     assert solve_thm1(p, 0.5, SeriesControl(max_terms=90)) == solve_thm1(
         p, 0.5, SeriesControl(max_terms=85)
     )
+
+
+_BUDGET_CASES = [  # THM1 at upsilon = 0.7: 7 chains (2 / 0.7 = 20 / 7); at 0.73, one per row
+    (_thm1(), "consistent"),
+    (_thm1(upsilon=0.7, d=2.0, l=0.5, c=2.0, k=0.5), "consistent"),
+    (_thm1(upsilon=0.73, d=0.5, l=1.5, c=-1.0), "consistent"),
+    (_thm2(upsilon=0.7, d=1.5, l=0.5, c=-1.0, k=2.0), "consistent"),
+    (_thm2(upsilon=1.5, l=0.5, k=2.0), "printed"),
+    (_thm3(upsilon=0.6, d=1.0, a=2.0, c=2.0), "consistent"),
+    (_thm3(upsilon=2.0, d=0.5, a=1.5, l=2.0, k=0.5), "printed"),
+]
+
+
+@pytest.mark.parametrize(
+    "p,reading", _BUDGET_CASES, ids=[f"{p.variant.value}-ups{p.upsilon}-{r}" for p, r in _BUDGET_CASES]
+)
+def test_a_solution_does_not_depend_on_max_terms(p, reading):
+    # a solution takes the forcing rows its stop rule asks for: the term budget
+    # of the Struve and Mittag-Leffler series does not cut it.  At max_terms = 3
+    # THM1 with upsilon = d = l = c = k = 1 was 0.144756374 at t = 1, at 50
+    # 0.144750665
+    grid = np.linspace(0.0, 1.0, 9)
+    want, table = solve(p, 1.0, reading=reading), solve_table(p, grid, reading=reading).n
+    for n in (1, 3, 50, 400):
+        ctl = SeriesControl(max_terms=n)
+        assert repr(solve(p, 1.0, ctl, reading=reading)) == repr(want), n
+        assert solve_table(p, grid, ctl, reading=reading).n.tobytes() == table.tobytes(), n
+    assert table[-1] == want
+    if reading == "consistent":
+        ref = _neumann(p, [1.0])[0]
+        assert abs(want - ref) <= 1e-13 * abs(ref)
+
+
+def test_a_short_budget_leaves_a_solution_within_its_tolerance():
+    # THM2 at max_terms = 30 and rel_tol = 1e-10: cut at 30 rows it was 1.5e-3
+    # off the Neumann sum at t = 1.7009
+    p = _thm2(n0=0.6961775505770265, upsilon=2.0538628192852064, d=2.351738205973436,
+              l=2.637341336205773, c=1.899949145451055)
+    t = 1.700878867220839
+    want = _neumann(p, [t])[0]
+    assert abs(solve_thm2(p, t, SeriesControl(max_terms=30, rel_tol=1e-10)) - want) <= 1e-8 * abs(want)
 
 
 def test_thm2_rows_past_gamma_overflow():
@@ -570,12 +612,16 @@ def test_solve_table_domain_error_at_the_origin():
 
 def test_solve_table_row_overflow_at_the_first_positive_node():
     # d = 1e10, upsilon = 3: lam / 2 = 5e29, so forcing row r = 5 leaves the
-    # double range; |z| stays under the cap up to t = 3.68e-10
-    p = _thm2(upsilon=3.0, d=1e10)
-    # t[0] = 0 returns before any rows are built
-    msg = _same_failure(p, np.linspace(0.0, 3e-10, 11), kind=OverflowError)
-    assert msg.startswith("grid index 1 (") and "series row r = 5 exceeds the double range" in msg
-    assert _same_failure(p, np.linspace(1.5e-10, 3e-10, 11)).startswith("grid index 0 (")
+    # double range; |z| stays under the cap up to t = 3.68e-10.  The sum at
+    # t = 3e-11 stops before row 5; from t = 6e-11 on it reaches that row, and
+    # under THM2 (q = -lam) an entry one factor q past row 4 overflows first
+    grid = np.linspace(0.0, 3e-10, 11)
+    for p, fails in ((_thm2(upsilon=3.0, d=1e10), "solution series entry 9 (t**33.0)"),
+                     (_thm3(upsilon=3.0, d=1e10, a=1.0), "series row r = 5 exceeds the double range")):
+        assert solve_table(p, grid[:2]).n[1] == solve(p, float(grid[1]))
+        msg = _same_failure(p, grid, kind=OverflowError)
+        assert msg.startswith("grid index 2 (") and fails in msg
+        assert _same_failure(p, np.linspace(1.5e-10, 3e-10, 11)).startswith("grid index 0 (")
 
 
 def test_solve_table_fails_like_the_scalar_row_sum():
@@ -625,8 +671,8 @@ def test_rows_with_an_overflowing_denominator_are_not_silent_zeros():
     from frac_kinetics.kinetics import _rows
 
     n0, d, ups, l, c, k = 1.0, 3.0, 0.7, 2.0, 3.0, 3.0
-    long = _rows(n0, d**ups, ups, l, c, k, "consistent", 120)
-    assert long[:87] == _rows(n0, d**ups, ups, l, c, k, "consistent", 87)
+    long = tuple(islice(_rows(n0, d**ups, ups, l, c, k, "consistent"), 120))
+    assert long[:87] == tuple(islice(_rows(n0, d**ups, ups, l, c, k, "consistent"), 87))
     mp.mp.dps = 40
     for r in range(87, 120):
         e = 2 * r + mp.mpf(l) / k + 1
@@ -646,7 +692,7 @@ def test_rows_whose_direct_product_underflows_are_not_silent_zeros():
     from frac_kinetics.kinetics import _rows
 
     n0, d, ups, l, c, k = 1.0, 0.01, 2.0, 1.0, 1.0, 1.0
-    rows = _rows(n0, d**ups, ups, l, c, k, "consistent", 50)
+    rows = tuple(islice(_rows(n0, d**ups, ups, l, c, k, "consistent"), 50))
     mp.mp.dps = 40
     for r in range(26, 42):
         e = 2 * r + mp.mpf(l) / k + 1
@@ -665,7 +711,7 @@ def test_rows_with_a_subnormal_k_gamma_against_mpmath():
     from frac_kinetics.kinetics import _rows
 
     n0, lam, sigma, l, c, k = 1.0, 1.0, 0.1, 0.11039369777854577, -0.9097258095658689, 0.0005
-    rows = _rows(n0, lam, sigma, l, c, k, "consistent", 20)
+    rows = tuple(islice(_rows(n0, lam, sigma, l, c, k, "consistent"), 20))
     with mp.workdps(40):
         for r, (coef, _) in enumerate(rows):
             a = r + mp.mpf(l) / k + mp.mpf(1.5)
@@ -681,8 +727,8 @@ def test_rows_that_are_exactly_zero_stay_zero():
     from frac_kinetics.kinetics import _rows
 
     # c = 0 leaves only row 0; lam = 0 (d = 0) zeroes every row with e_r > 0
-    assert all(coef == 0.0 for coef, _ in _rows(1.0, 0.01, 2.0, 1.0, 0.0, 1.0, "consistent", 50)[1:])
-    assert all(coef == 0.0 for coef, _ in _rows(1.0, 0.0, 2.0, 1.0, 1.0, 1.0, "consistent", 50))
+    assert all(coef == 0.0 for coef, _ in islice(_rows(1.0, 0.01, 2.0, 1.0, 0.0, 1.0, "consistent"), 1, 50))
+    assert all(coef == 0.0 for coef, _ in islice(_rows(1.0, 0.0, 2.0, 1.0, 1.0, 1.0, "consistent"), 50))
 
 
 def test_forcing_scale():

@@ -10,6 +10,7 @@ raising must raise the same type and message, or give a value within that floor.
 """
 
 import json
+from itertools import islice
 from pathlib import Path
 
 import mpmath as mp
@@ -58,7 +59,8 @@ def test_solution_rows_hold_their_ledger_errors():
 
     failures = []
     for prob in LEDGER["rows"]:
-        got = outcome(lambda: _rows.__wrapped__(*prob["args"]))
+        *args, n = prob["args"]
+        got = outcome(lambda: tuple(islice(_rows(*args), n)))
         if isinstance(got, list):
             if got != prob.get("raises"):
                 failures.append((prob["args"], f"raises {got}"))

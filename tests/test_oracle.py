@@ -457,6 +457,35 @@ def test_laplace_image_domain():
         laplace_image(_problem(variant=Variant.THM2), 3.0)
 
 
+def test_laplace_image_refuses_a_series_that_does_not_converge_or_stop():
+    # the image series' term ratio tends to -c / (k s**2): at k = 0.2, c = d = 1
+    # it diverges at s = 1.5 (a 50-term cut gave -1.15e18), and at s = 2.3 and 3
+    # converges too slowly to stop within 50 terms (cuts 0.2117 and 3.2e-13 off)
+    p = _problem(k=0.2)
+    with pytest.raises(RangeError, match=r"s\*\*2 > \|c\|/k = 5\.0"):
+        laplace_image(p, 1.5, SeriesControl(max_terms=2000))
+    for s in (2.3, 3.0):
+        with pytest.raises(RangeError, match="does not stop within max_terms = 50 terms"):
+            laplace_image(p, s)
+
+
+def test_laplace_image_of_a_slow_series_against_mpmath():
+    import mpmath as mp
+
+    def want(s, k=0.2):  # the image series of l = c = d = n0 = upsilon = 1, in 40 digits
+        with mp.workdps(40):
+            s, k, e0 = mp.mpf(s), mp.mpf(k), 1 / mp.mpf(k) + 1
+            total = 0
+            for r in range(2500):
+                a_r = (-1) ** r / (k ** (e0 - mp.mpf(0.5) + r) * mp.gamma(e0 + mp.mpf(0.5) + r) * mp.gamma(r + 1.5))
+                total += a_r * mp.gamma(e0 + 2 * r + 1) / (2 * s) ** (e0 + 2 * r) / s
+            return total / (1 + 1 / s)
+
+    for s, n in ((2.3, 2000), (3.0, 200)):
+        got, ref = laplace_image(_problem(k=0.2), s, SeriesControl(max_terms=n)), want(s)
+        assert abs(got - ref) <= 1e-13 * abs(ref), s
+
+
 def test_laplace_numeric_validation():
     g = QuadratureGrid(n=17, t_max=1.0)
     with pytest.raises(DomainError, match="even"):

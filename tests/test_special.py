@@ -906,6 +906,7 @@ class _Listed:
     coefficient cannot be built (a gamma pole)."""
 
     upsilon = 1.0
+    reached = -1  # the highest index a sum asked for
 
     def __init__(self, coefs, runs):
         self.entries = _Read((d, float(i), 0, i == 0) for i, d in enumerate(coefs))
@@ -913,7 +914,7 @@ class _Listed:
         self.runs = [*runs, 1]
 
     def reach(self, i):
-        pass
+        self.reached = max(self.reached, i)
 
     def error(self, i):
         if i == len(self.entries) - 1:
@@ -962,11 +963,14 @@ def test_lane_sums_at_block_boundaries_are_the_scalar_loop(lanes):
             series.entries.last = -1
             want.append(_outcome(_sum_series, series, t, rel_tol))
             stops.append(series.entries.last)
+        series.reached = -1
         got = _sum_series_grid(series, g, g.copy(), rel_tol)
         for t, w, v in zip(g, want, got):
             # the lane's double where the scalar loop returns; not finite where it raises
             assert (not math.isfinite(v)) if isinstance(w, tuple) else repr(float(v)) == w, (lanes, t)
         blocks = _blocks(stops)
+        # every lane, also one that overflows or meets the pole, leaves at the end of its block
+        assert series.reached == blocks[-1][0] + blocks[-1][1] - 1, lanes
         for stop, w in zip(stops, want):
             b, h = next((b, h) for b, h in blocks if b <= stop < b + h)
             if not isinstance(w, tuple):
