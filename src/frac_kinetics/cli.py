@@ -255,8 +255,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _add_control_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-terms", type=int, default=None,
-                     help="k-Struve rows of a solution; terms of a Struve or Mittag-Leffler series (default 50); "
-                     "a Struve sum cut there fails unless its tail bound is within --rel-tol")
+                     help="Struve, k-Struve and Mittag-Leffler terms (default 50; a solution is cut by "
+                     "--rel-tol alone); a Struve sum cut there fails unless its tail bound is within --rel-tol")
     sub.add_argument("--rel-tol", type=float, default=None, help="series early-exit tolerance (default 1e-14)")
     sub.add_argument("--config", default=None, help="key = value config file; flags override it")
     sub.add_argument(

@@ -20,8 +20,8 @@ class RangeError(DomainError):
     Raised for the documented series caps (Mittag-Leffler ``|z|``, Struve
     ``x``, also as a solution's forcing argument), for a Struve sum cut at
     ``max_terms`` whose tail bound exceeds ``rel_tol``, for a solution series
-    still going after 65,536 entries, and for Laplace-domain evaluation
-    outside the convergence region of the geometric resummation.
+    still going after 65,536 entries, and for a Laplace image series outside
+    its convergence region or not stopping within ``max_terms`` terms.
     """
 
 

@@ -71,9 +71,9 @@ class SeriesControl:
     """Truncation policy for every series in the package.
 
     ``rel_tol`` is the relative cut of every series.  ``max_terms`` bounds the Struve,
-    k-Struve and Mittag-Leffler series and the rows of a solution, whose own series
-    stops by its rule (``kinetics._Series``).  A Struve or k-Struve sum cut at
-    ``max_terms`` raises ``RangeError`` unless its tail bound is within ``rel_tol``.
+    k-Struve, Mittag-Leffler and Laplace image series; a solution takes the rows and
+    terms its stop rule asks for (``kinetics._Series``).  A Struve or k-Struve sum cut
+    at ``max_terms`` raises ``RangeError`` unless its tail bound is within ``rel_tol``.
     """
 
     max_terms: int = 50
