@@ -73,6 +73,9 @@ def k_gamma(x: float, k: float) -> float:
             # a power below the normal range has lost bits (or all of them)
             # that Gamma(x/k) may scale back up: take the product in log space
             return _gamma_sign(xk) * math.exp((xk - 1.0) * math.log(k) + math.lgamma(xk))
-        return power * math.gamma(xk)
+        value = power * math.gamma(xk)
+        if math.isinf(value):  # the product overflows without raising
+            raise OverflowError
+        return value
     except OverflowError:
         raise OverflowError(f"k_gamma({x!r}, {k!r}) exceeds the double range") from None

@@ -4,8 +4,8 @@ All four evaluators share one truncation contract, carried by
 :class:`SeriesControl`: terms are summed until the latest term drops to
 ``rel_tol`` times the partial sum, or ``max_terms`` terms have been taken.
 The interesting regimes (``c > 0``, ``z < 0``) alternate in sign, so every sum
-is compensated: the Mittag-Leffler sums are double-double pairs
-(:mod:`frac_kinetics._compensated`), the Struve sums Sum2 (below).
+is compensated: the Mittag-Leffler sums are double-double pairs (the steps of
+:mod:`frac_kinetics._compensated`, written out), the Struve sums Sum2 (below).
 Two documented range caps keep the plain power series inside their
 trustworthy region (no asymptotic continuation is attempted):
 ``ML_SERIES_CAP`` (Mittag-Leffler, ``|z| <= 50``) and ``STRUVE_SERIES_CAP``
@@ -29,8 +29,9 @@ more than one row.  Every node the kernel does not finish goes to its scalar
 twin, so each entry is the double that returns, and the first node where it
 raises aborts the grid.
 
-``_ml_eval`` serves ``mittag_leffler`` and ``mittag_leffler2`` only.  For
-positive integer ``alpha`` its term ratio is the exact rational
+``_ml_eval`` serves ``mittag_leffler`` and ``mittag_leffler2`` only, with one
+loop per kind of ``alpha`` and no call per term.  For positive integer ``alpha``
+its term ratio is the exact rational
 ``z / ((alpha*n + beta) ... (alpha*n + beta + alpha - 1))``, so the terms are
 generated in double-double: E_1(z) = e^z holds to a few ulp across
 ``|z| <= 10`` despite summands up to ~2.8e3.  numpy (``_lazy_numpy.np``)
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._compensated import dd_add, dd_div_double, dd_mul_double
+from ._compensated import _SPLITTER
 from ._lazy_numpy import np
 from .errors import DomainError, PoleError, RangeError
 
@@ -253,31 +254,69 @@ def _ml_inv_gammas(alpha: float, beta: float, max_terms: int) -> tuple[float, ..
 
 
 def _ml_eval(alpha: float, beta: float, z: float, ctl: SeriesControl) -> float:
-    """Core series for E_{alpha,beta}(z), summed in double-double.  For positive integer ``alpha``
-    the terms come from the exact recurrence t_{n+1} = t_n z / prod_j (alpha n + beta + j), j < alpha,
-    in double-double, the divisions ending once a term is 0 under a nonzero sum; otherwise term n is
-    z**n times the 1/Gamma table, z**n tested for overflow where |z| > 1 and max_terms ln|z| >= 700."""
+    """Core series for E_{alpha,beta}(z) in double-double, the ``_compensated`` steps written out, the
+    same doubles as their calls.  For positive integer ``alpha`` the terms come from the exact recurrence
+    t_{n+1} = t_n z / prod_j (alpha n + beta + j), j < alpha, the divisions ending once a term is 0 under
+    a nonzero sum; otherwise term n is z**n times the 1/Gamma table, z**n tested for overflow (and n
+    counted) only where |z| > 1 and max_terms ln|z| >= 700."""
     inv_g = _ml_inv_gammas(alpha, beta, ctl.max_terms)
+    rel_tol = ctl.rel_tol
     n_int = round(alpha)
-    integer = alpha == n_int and n_int >= 1
-    check = not integer and abs(z) > 1.0 and ctl.max_terms * math.log(abs(z)) >= 700.0
-    sum_hi, sum_lo, t_hi, t_lo, zn = 0.0, 0.0, inv_g[0], 0.0, 1.0
-    for n in range(ctl.max_terms):
-        if not integer:
-            t_hi = zn * inv_g[n]
-        sum_hi, sum_lo = dd_add(sum_hi, sum_lo, t_hi, t_lo)
-        if abs(t_hi) <= ctl.rel_tol * abs(sum_hi):
-            break
-        if integer:
-            t_hi, t_lo = dd_mul_double(t_hi, t_lo, z)
-            for j in range(n_int):
-                if not t_hi and sum_hi:
-                    break
-                t_hi, t_lo = dd_div_double(t_hi, t_lo, alpha * n + beta + j)
-        else:
+    sum_hi, sum_lo = 0.0, 0.0
+    if not (alpha == n_int and n_int >= 1):
+        check = abs(z) > 1.0 and ctl.max_terms * math.log(abs(z)) >= 700.0
+        zn, n = 1.0, 0
+        for g in inv_g:
+            t = zn * g
+            s = sum_hi + t  # sum += (t, 0.0)
+            b = s - sum_hi
+            e = (sum_hi - (s - b)) + (t - b)
+            e += sum_lo + 0.0  # the helper's yl = 0.0: a -0.0 sum_lo adds as 0.0
+            sum_hi = s + e
+            b = sum_hi - s
+            sum_lo = (s - (sum_hi - b)) + (e - b)
+            if abs(t) <= rel_tol * abs(sum_hi):
+                break
             zn *= z
-            if check and math.isinf(zn):
-                raise OverflowError(f"Mittag-Leffler series term overflow at n = {n + 1} (z = {z!r})")
+            if check:
+                n += 1
+                if math.isinf(zn):
+                    raise OverflowError(f"Mittag-Leffler series term overflow at n = {n} (z = {z!r})")
+        return sum_hi + sum_lo
+    c = _SPLITTER * z
+    zh = c - (c - z)
+    zl = z - zh
+    t_hi, t_lo = inv_g[0], 0.0
+    for n in range(ctl.max_terms):
+        s = sum_hi + t_hi  # sum += t
+        b = s - sum_hi
+        e = (sum_hi - (s - b)) + (t_hi - b)
+        e += sum_lo + t_lo
+        sum_hi = s + e
+        b = sum_hi - s
+        sum_lo = (s - (sum_hi - b)) + (e - b)
+        if abs(t_hi) <= rel_tol * abs(sum_hi):
+            break
+        p, c = t_hi * z, _SPLITTER * t_hi  # t *= z
+        ah = c - (c - t_hi)
+        al = t_hi - ah
+        e = ((ah * zh - p) + ah * zl + al * zh) + al * zl
+        e += t_lo * z
+        t_hi = p + e
+        b = t_hi - p
+        t_lo = (p - (t_hi - b)) + (e - b)
+        for j in range(n_int):
+            if not t_hi and sum_hi:  # (0, 0) stays (0, 0); under a nonzero sum its zeros' signs do not matter
+                break
+            d = alpha * n + beta + j  # t /= d
+            q = t_hi / d
+            p, c, cd = q * d, _SPLITTER * q, _SPLITTER * d
+            ah, dh = c - (c - q), cd - (cd - d)
+            al, dl = q - ah, d - dh
+            e = ((t_hi - p) - (((ah * dh - p) + ah * dl + al * dh) + al * dl) + t_lo) / d
+            t_hi = q + e
+            b = t_hi - q
+            t_lo = (q - (t_hi - b)) + (e - b)
     return sum_hi + sum_lo
 
 

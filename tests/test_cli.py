@@ -145,6 +145,14 @@ def test_eval_gamma_underflow_is_input_error(capsys):
         assert err.startswith(f"error: 1/Gamma({beta}) at n = 0 exceeds the double range")
 
 
+def test_eval_kgamma_overflow_is_input_error(capsys):
+    # k**(x/k - 1) and Gamma(x/k) are finite here, their product is not
+    code, out, err = _run(capsys, "eval", "kgamma", "--x", "340", "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: k_gamma(340.0, 2.0) exceeds the double range")
+
+
 def test_eval_zero_rate_with_a_divergent_forcing_is_input_error(capsys):
     # d = 0 evaluates the THM2 forcing at S(0), which diverges for l/k < -1
     code, out, err = _run(capsys, "eval", "thm2", "--n0", "1", "--d", "0", "--upsilon", "1",

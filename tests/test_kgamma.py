@@ -123,6 +123,15 @@ def test_overflow_raises():
         k_gamma(1e4, 1.0)
 
 
+def test_overflowing_product_raises():
+    # from x ~ 302.28 at k = 2 the power and Gamma(x/k) are both finite but
+    # their product is inf, which must raise as any other overflow does
+    assert math.isfinite(k_gamma(302.0, 2.0))
+    for x in (302.28, 340.0):
+        with pytest.raises(OverflowError, match=rf"k_gamma\({x!r}, 2.0\) exceeds the double range"):
+            k_gamma(x, 2.0)
+
+
 def test_error_messages_name_the_argument():
     with pytest.raises(PoleError, match="x = 0.0"):
         gamma(0.0)

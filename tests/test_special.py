@@ -492,6 +492,14 @@ def test_inlined_ml_eval_is_the_helper_loop_at_the_overflow_test_bound(alpha, be
     assert _outcome(_ml_eval, alpha, beta, z, ctl) == want
 
 
+def test_ml_eval_calls_no_double_double_helper():
+    # the helpers cost a call each per term; the loop writes their steps out
+    from frac_kinetics.special import _ml_eval
+
+    names = set(_ml_eval.__code__.co_names)
+    assert not names & {"dd_add", "dd_mul_double", "dd_div_double", "two_sum", "two_prod"}, names
+
+
 def test_huge_integer_alpha_leaves_the_divisor_loop_scalar():
     # 1/Gamma(alpha n + beta) is 0.0 from n = 1 on and the term t_1 = z / (beta)_alpha
     # underflows to (0, 0) within a few hundred of the alpha divisions: the
