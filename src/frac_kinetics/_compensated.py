@@ -7,16 +7,17 @@ cancellation.  Partial sums are therefore carried as an unevaluated pair
 digits in the accumulator.  Adding a plain double term into such a pair is
 Kahan-Neumaier compensated summation; the extra primitives below additionally
 allow *terms* to be generated to double-double accuracy via an exact product
-split, which is what lets the exponential identity E_1(z) = e^z hold to a few
-ulp even at z = -10 where the summands reach ~2.8e3.
+split, which is what lets the integer-order series hold to a few ulp, such as
+E_{2,1}(-x**2) = cos x, whose summands reach cosh x.
 
 No FMA is assumed: products are split with Dekker's algorithm (Veltkamp
-splitting by 2**27 + 1).  The solution coefficients (``kinetics._chain``) and
-``oracle.laplace_image`` call these helpers; the Mittag-Leffler loop
-(``special._ml_eval``) writes their steps out.  The Struve and solution sums,
-in their scalar loops and in the array kernel ``special._lane_sums``, use Sum2
-instead: ``two_sum`` inlined, one running sum of the terms and one of its
-errors, so that the kernel can take a block of terms with one accumulate each.
+splitting by 2**27 + 1).  The solution coefficients (``kinetics._chain``),
+``oracle.laplace_image`` and ``special._ml_half`` call these helpers; the
+Mittag-Leffler loop (``special._ml_eval``) writes their steps out.  The
+Struve and solution sums, in their scalar loops and in the array kernel
+``special._lane_sums``, use Sum2 instead: ``two_sum`` inlined, one running sum
+of the terms and one of its errors, so that the kernel can take a block of
+terms with one accumulate each.
 """
 
 from __future__ import annotations

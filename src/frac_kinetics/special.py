@@ -3,11 +3,13 @@
 All four evaluators share one truncation contract, carried by
 :class:`SeriesControl`: terms are summed until the latest term drops to
 ``rel_tol`` times the partial sum, or ``max_terms`` terms have been taken.
+E_1 and E_{1/2} at ``beta = 1`` are no series but their closed forms
+exp(z) and exp(z**2) erfc(-z), which read neither ``max_terms`` nor ``rel_tol``.
 The interesting regimes (``c > 0``, ``z < 0``) alternate in sign, so every sum
 is compensated: the Mittag-Leffler sums are double-double pairs (the steps of
 :mod:`frac_kinetics._compensated`, written out), the Struve sums Sum2 (below).
 Two documented range caps keep the plain power series inside their
-trustworthy region (no asymptotic continuation is attempted):
+trustworthy region (no series gets an asymptotic continuation):
 ``ML_SERIES_CAP`` (Mittag-Leffler, ``|z| <= 50``) and ``STRUVE_SERIES_CAP``
 (Struve and k-Struve, ``|x| <= 20``).
 
@@ -33,8 +35,9 @@ raises aborts the grid.
 loop per kind of ``alpha`` and no call per term.  For positive integer ``alpha``
 its term ratio is the exact rational
 ``z / ((alpha*n + beta) ... (alpha*n + beta + alpha - 1))``, so the terms are
-generated in double-double: E_1(z) = e^z holds to a few ulp across
-``|z| <= 10`` despite summands up to ~2.8e3.  numpy (``_lazy_numpy.np``)
+generated in double-double: E_{2,1}(-x**2) = cos x holds to a few ulp across
+``x <= 3``.  E_1 and E_{1/2} (``_ml_half``) are within 2e-15 of mpmath on
+``|z| <= 50``, as far as E_{1/2} is a double.  numpy (``_lazy_numpy.np``)
 loads on the first array call; the scalar series never touch it.
 """
 
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._compensated import _SPLITTER
+from ._compensated import _SPLITTER, two_prod
 from ._lazy_numpy import np
 from .errors import DomainError, PoleError, RangeError
 
@@ -73,7 +76,8 @@ class SeriesControl:
 
     ``rel_tol`` is the relative cut of every series.  ``max_terms`` bounds the Struve,
     k-Struve, Mittag-Leffler and Laplace image series; a solution takes the rows and
-    terms its stop rule asks for (``kinetics._Series``).  A Struve or k-Struve sum cut
+    terms its stop rule asks for (``kinetics._Series``).  E_1 and E_{1/2} (beta = 1)
+    are closed forms, which read neither field.  A Struve or k-Struve sum cut
     at ``max_terms`` raises ``RangeError`` unless its tail bound is within ``rel_tol``.
     """
 
@@ -320,10 +324,36 @@ def _ml_eval(alpha: float, beta: float, z: float, ctl: SeriesControl) -> float:
     return sum_hi + sum_lo
 
 
+def _ml_half(z: float) -> float:
+    """E_{1/2}(z) = exp(z**2) erfc(-z), as exp(hi) (1 + lo) erfc(-z) with z**2 = hi + lo exactly (Dekker's
+    ``two_prod``), so the rounding of z**2 does not grow by z**2 through exp.  For x = -z > 26, where erfc(x)
+    nears the subnormal range, the asymptotic series exp(x**2) erfc(x) = (1 / (x sqrt(pi))) sum_n (-1)**n
+    (2n - 1)!! / (2 x**2)**n, to n = 11 (its next term is below 1e-25).  A value past the double range
+    raises ``OverflowError``."""
+    x = -z
+    if x > 26.0:
+        r, t, s = -0.5 / (x * x), 1.0, 1.0
+        for n in range(1, 12):
+            t *= (2 * n - 1) * r
+            s += t
+        return s / (x * math.sqrt(math.pi))
+    hi, lo = two_prod(z, z)
+    try:
+        value = math.exp(hi) * (1.0 + lo) * math.erfc(x)
+    except OverflowError:
+        value = math.inf
+    if not value < math.inf:
+        raise OverflowError(f"E_{{1/2}}(z) = exp(z**2) erfc(-z) exceeds the double range at z = {z!r}")
+    return value
+
+
 def mittag_leffler2(alpha: float, beta: float, z: float, ctl: SeriesControl | None = None) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
-    Truncated series sum of z**n / Gamma(alpha*n + beta) under ``ctl``.
+    Truncated series sum of z**n / Gamma(alpha*n + beta) under ``ctl``, but at
+    ``beta = 1`` with ``alpha = 1`` or ``1/2`` the closed forms E_1(z) = exp(z)
+    and E_{1/2}(z) = exp(z**2) erfc(-z), which read neither ``max_terms`` nor
+    ``rel_tol``; an E_{1/2} past the double range raises ``OverflowError``.
     ``alpha`` must be positive (the series is then entire in z), ``beta`` any
     real avoiding gamma poles at the summed indices, and ``|z|`` is capped at
     ``ML_SERIES_CAP``.
@@ -341,11 +371,15 @@ def mittag_leffler2(alpha: float, beta: float, z: float, ctl: SeriesControl | No
         raise DomainError(f"z must be finite, got {z!r}")
     if abs(z) > ML_SERIES_CAP:
         raise RangeError(f"|z| = {abs(z)!r} exceeds the series cap {ML_SERIES_CAP}")
+    if beta == 1.0 and alpha == 1.0:
+        return math.exp(z)
+    if beta == 1.0 and alpha == 0.5:
+        return _ml_half(z)
     return _ml_eval(alpha, beta, z, ctl)
 
 
 def mittag_leffler(alpha: float, z: float, ctl: SeriesControl | None = None) -> float:
-    """One-parameter Mittag-Leffler function E_alpha(z) = E_{alpha,1}(z)."""
+    """One-parameter Mittag-Leffler function E_alpha(z) = E_{alpha,1}(z); a closed form at alpha = 1 and 1/2."""
     return mittag_leffler2(alpha, 1.0, z, ctl)
 
 
