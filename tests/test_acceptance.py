@@ -198,7 +198,7 @@ def test_criterion_6_degenerate_exponential(criterion):
         p = _problem(upsilon=1.0, d=1.0)
         for t in np.linspace(0.0, 2.0, 41):
             t = float(t)
-            assert abs(solve_constant(p, t) - math.exp(-t)) <= 1e-10
+            assert abs(solve_constant(p, t) - math.exp(-t)) <= 2e-15 * math.exp(-t)
 
         errs = []
         for n in (256, 512):

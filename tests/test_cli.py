@@ -153,6 +153,20 @@ def test_eval_kgamma_overflow_is_input_error(capsys):
     assert err.startswith("error: k_gamma(340.0, 2.0) exceeds the double range")
 
 
+def test_eval_ml_half_is_its_closed_form(capsys):
+    # the 50-term series printed -3.56e19 here; mpmath: exp(64) erfc(8) = 0.0699851662008809277
+    code, out, _ = _run(capsys, "eval", "ml", "--alpha", "0.5", "--z", "-8")
+    assert code == 0
+    assert abs(float(out) - 0.0699851662008809277) <= 2e-15 * 0.0699851662008809277
+
+
+def test_eval_ml_half_overflow_is_input_error(capsys):
+    code, out, err = _run(capsys, "eval", "ml", "--alpha", "0.5", "--z", "30")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: E_{1/2}(z) = exp(z**2) erfc(-z) exceeds the double range at z = 30.0")
+
+
 def test_eval_zero_rate_with_a_divergent_forcing_is_input_error(capsys):
     # d = 0 evaluates the THM2 forcing at S(0), which diverges for l/k < -1
     code, out, err = _run(capsys, "eval", "thm2", "--n0", "1", "--d", "0", "--upsilon", "1",
@@ -424,7 +438,8 @@ def test_verify_small_grid_rejected(capsys):
 # ---------------------------------------------------------------- knob precedence
 
 
-ML_ARGS = ("eval", "ml", "--alpha", "0.5", "--z", "-3")
+# alpha = 0.7 is summed as a series, so max_terms reaches it (E_1 and E_{1/2} are closed forms)
+ML_ARGS = ("eval", "ml", "--alpha", "0.7", "--z", "-3")
 
 
 def test_env_changes_truncation(capsys, monkeypatch):
@@ -540,9 +555,9 @@ def test_bad_max_terms_flag(capsys):
 def test_env_value_reaches_default_used_elsewhere(capsys, monkeypatch):
     # the env knob also feeds sweep/verify paths through the same resolver
     monkeypatch.setenv(ENV_MAX_TERMS, "7")
-    code, out, _ = _run(capsys, "eval", "ml", "--alpha", "1", "--z", "-10")
+    code, out, _ = _run(capsys, "eval", "ml", "--alpha", "0.7", "--z", "-10")
     assert code == 0
-    # 7 alternating terms of exp(-10) are wildly unconverged
+    # 7 alternating terms of E_0.7(-10) = 0.0362 are wildly unconverged: 23844
     assert abs(float(out)) > 1.0
 
 

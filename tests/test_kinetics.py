@@ -166,7 +166,8 @@ def test_constant_forcing_first_order_decay():
     p = _thm1(n0=3.0, d=1.25)
     for t in np.linspace(0.0, 2.0, 21):
         t = float(t)
-        assert abs(solve_constant(p, t) - 3.0 * math.exp(-1.25 * t)) <= 1e-10
+        want = 3.0 * math.exp(-1.25 * t)
+        assert abs(solve_constant(p, t) - want) <= 2e-15 * want
 
 
 # ---------------------------------------------------------------- k = 1 corollaries

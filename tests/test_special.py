@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -301,6 +302,75 @@ def test_two_division_loop_against_closed_forms():
         assert abs(mittag_leffler2(2.0, 1.0, x * x) - math.cosh(x)) <= 4 * u * math.cosh(x), x
         sinc, sinhc = (math.sin(x) / x, math.sinh(x) / x) if x else (1.0, 1.0)
         assert abs(mittag_leffler2(2.0, 2.0, -x * x) - sinc) <= 4 * u * sinhc, x
+
+
+def _ml_series_mp(alpha, z):
+    """E_alpha(z) by its defining series at 80 digits, to 700 terms (ample for alpha >= 1/2, |z| <= 50)."""
+    import mpmath as mp
+
+    with mp.workdps(80):
+        a, z = mp.mpf(alpha), mp.mpf(z)
+        return mp.fsum(z**n * mp.rgamma(a * n + 1) for n in range(700))
+
+
+@pytest.mark.parametrize(
+    "alpha,z",
+    # the 50-term series returned -2.88e9 (true 0.1107), -3.56e19 (0.0700), 2.0e-10 off,
+    # 1.9e-10 off, -2.65 (2.06e-9) and 52 % low
+    [(0.5, -5.0), (0.5, -8.0), (0.5, -2.0), (0.5, -1.997), (1.0, -20.0), (1.0, 50.0)],
+)
+def test_ml_closed_forms_mend_the_series_repros(alpha, z):
+    want = _ml_series_mp(alpha, z)
+    for ctl in (None, SeriesControl(max_terms=1, rel_tol=0.5)):  # a closed form reads no ctl
+        assert abs(mittag_leffler(alpha, z, ctl) - want) <= 2e-15 * want, ctl
+
+
+def _ml_half_max_z():
+    """The largest double z at which E_{1/2}(z) returns, by bisection between 26 and 27."""
+    lo, hi = 26.0, 27.0
+    while math.nextafter(lo, hi) != hi:
+        mid = (lo + hi) / 2.0
+        try:
+            mittag_leffler(0.5, mid)
+            lo = mid
+        except OverflowError:
+            hi = mid
+    return lo
+
+
+def test_ml_closed_forms_against_mpmath():
+    # worst 1.1e-16 (E_1) and 4.4e-16 (E_{1/2}) relative on these draws
+    import mpmath as mp
+
+    rng = np.random.default_rng(24)
+    z_max = _ml_half_max_z()
+    edges = [-50.0, -26.0, math.nextafter(-26.0, -27.0), -1e-300, 0.0, 1e-300, 26.0]
+    with mp.workdps(40):
+        for z in [*rng.uniform(-50.0, 50.0, 1500).tolist(), -50.0, 50.0, *edges]:
+            want = mp.exp(z)
+            assert abs(mittag_leffler(1.0, z) - want) <= 2e-15 * want, z
+        for z in [*rng.uniform(-50.0, z_max, 1500).tolist(), *edges, z_max]:
+            want = mp.exp(mp.mpf(z) ** 2) * mp.erfc(-mp.mpf(z))
+            assert abs(mittag_leffler(0.5, z) - want) <= 2e-15 * want, z
+
+
+def test_ml_half_past_the_double_range_raises():
+    # exp(z**2) erfc(-z) leaves the double range between z_max and the next double
+    # (exp(z**2) alone is still finite there), and it must raise, never return inf
+    import mpmath as mp
+
+    z_max = _ml_half_max_z()
+    assert 26.6 < z_max < 26.7
+    z_next = math.nextafter(z_max, 27.0)
+    with mp.workdps(40):
+        assert mp.exp(mp.mpf(z_max) ** 2) * mp.erfc(-z_max) < sys.float_info.max
+        assert mp.exp(mp.mpf(z_next) ** 2) * mp.erfc(-z_next) > sys.float_info.max
+    assert mittag_leffler(0.5, z_max) < math.inf
+    for z in (z_next, 26.64, 27.0, 30.0, ML_SERIES_CAP):
+        with pytest.raises(OverflowError, match=rf"^E_\{{1/2\}}\(z\) .* at z = {re.escape(repr(z))}$"):
+            mittag_leffler(0.5, z)
+        with pytest.raises(OverflowError):
+            mittag_leffler2(0.5, 1.0, z)
 
 
 @given(
