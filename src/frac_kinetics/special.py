@@ -275,7 +275,9 @@ def _ml_eval(alpha: float, beta: float, z: float, ctl: SeriesControl) -> float:
             s = sum_hi + t  # sum += (t, 0.0)
             b = s - sum_hi
             e = (sum_hi - (s - b)) + (t - b)
-            e += sum_lo + 0.0  # the helper's yl = 0.0: a -0.0 sum_lo adds as 0.0
+            # the helper's sum_lo + 0.0 differs only at sum_lo = -0.0, never reached: a rounded sum is -0.0 only if
+            # both addends are, so from +0.0 s and sum_hi never are, nor is s - (sum_hi - b), sum_lo's first addend
+            e += sum_lo
             sum_hi = s + e
             b = sum_hi - s
             sum_lo = (s - (sum_hi - b)) + (e - b)

@@ -274,9 +274,8 @@ def test_ml2_reference_value():
 
 
 def test_exp_identity_extended_control():
-    # 50 alternating terms cannot resolve e^{-10} below ~6e-11 relative
-    # (truncation, not rounding); with an 80-term budget the double-double
-    # term path holds the identity to a few ulp
+    # E_1 is exp itself at any control; the series for alpha = 1 runs at
+    # beta != 1, below
     ctl = SeriesControl(max_terms=80)
     for z in np.linspace(-10.0, 10.0, 41):
         z = float(z)
@@ -285,11 +284,22 @@ def test_exp_identity_extended_control():
 
 
 def test_exp_identity_default_control_truncation_floor():
+    # no 50-term floor is left: E_1 is the closed form
     worst = max(
         abs(mittag_leffler(1.0, float(z)) - math.exp(z)) / math.exp(z)
         for z in np.linspace(-10.0, 10.0, 41)
     )
-    assert worst <= 1e-9  # documented 50-term truncation floor (~6.1e-11)
+    assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("ctl", [SeriesControl(max_terms=80), SeriesControl()])
+def test_one_division_loop_against_expm1(ctl):
+    # alpha = 1 divides each term by n + beta once: E_{1,2}(z) = expm1(z) / z;
+    # worst 2.4e-15 relative
+    for z in np.linspace(-10.0, 10.0, 41):
+        z = float(z)
+        want = math.expm1(z) / z if z else 1.0
+        assert abs(mittag_leffler2(1.0, 2.0, z, ctl) - want) <= 1e-13 * abs(want), z
 
 
 def test_two_division_loop_against_closed_forms():
