@@ -15,8 +15,9 @@ both):
   it marches by the recursive halving of Hairer, Lubich & Schlichte (SIAM J.
   Sci. Stat. Comput. 6(3), 1985) with exact direct sums in place of their
   FFT, so the history sums hold the O(n**2) products of a node-by-node march;
-  its 16-node leaves are solved by one straight-line function; the march
-  groups its sums differently from the quadrature, which checks it;
+  each leaf of up to 256 nodes is solved in one convolution with the
+  discrete resolvent, the inverse of its lower-triangular Toeplitz system;
+  the march groups its sums differently from the quadrature, which checks it;
   its k-Struve forcing is tabulated once per grid, in one array pass, and the
   table is kept for the residual check on the same problem and grid;
 * Laplace-domain checks: the closed-form image of the THM1 solution (the
@@ -196,88 +197,54 @@ def _forcing_values(p: KineticProblem, forcing, grid: QuadratureGrid, ctl: Serie
         return vals
 
 
-# Nodes per leaf of the halving march in ``volterra_solve``, solved by
-# forward substitution in Python floats; of 8, 16, 32 and 64, 16 was fastest
-# at n = 1,024 to 8,192.  ``_leaf16`` is written out for this size.
-_MARCH_LEAF = 16
+# Largest leaf of the halving march in ``volterra_solve``; of 64, 128, 256 and
+# 512, 256 was fastest at n = 1,024 and 4,096 (cached forcing, one thread).
+_LEAF_CAP = 256
+# The cap halves while the leaf matrix's 1-norm condition number
+# sum|col| * sum|r| exceeds this: a leaf solved through its inverse leaves a
+# defect that grows with it, where the node-by-node march's does not.
+_LEAF_COND = 4.0
 
 
-def _leaf16(h, b, d, lam_cu: float, denom: float) -> list[float]:
-    """Forward substitution over one 16-node leaf of the march, written out.
+def _resolvent(col: np.ndarray) -> np.ndarray:
+    """First column r of the inverse of the lower-triangular Toeplitz matrix with first column ``col``.
 
-    ``h`` holds the leaf's history sums, ``b`` its right-hand sides and ``d``
-    the interior kernel at lags 1..15.  Node i is
-    ``(b_i - lam_cu * (h_i + d[i-1] * n_0 + ... + d[0] * n_{i-1})) / denom``:
-    Python adds left to right, so each history sum is accumulated oldest node
-    first, as a loop over the leaf's nodes would.  A shorter leaf passes
-    zero-padded ``h`` and ``b`` and keeps the leading values, which the padding
-    cannot reach.
+    Newton's doubling on power series: if r[:j] inverts col modulo x**j, the
+    product col * r[:j] is 1 + x**j * w, and r[:j] * (1 - x**j * w) inverts it
+    modulo x**(2j); each step is two short convolutions.
     """
-    h0, h1, h2, h3, h4, h5, h6, h7, h8, h9, h10, h11, h12, h13, h14, h15 = h
-    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = b
-    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12, d13, d14 = d
-    n0 = (b0 - lam_cu * h0) / denom
-    n1 = (b1 - lam_cu * (h1 + d0 * n0)) / denom
-    n2 = (b2 - lam_cu * (h2 + d1 * n0 + d0 * n1)) / denom
-    n3 = (b3 - lam_cu * (h3 + d2 * n0 + d1 * n1 + d0 * n2)) / denom
-    n4 = (b4 - lam_cu * (h4 + d3 * n0 + d2 * n1 + d1 * n2 + d0 * n3)) / denom
-    n5 = (b5 - lam_cu * (h5 + d4 * n0 + d3 * n1 + d2 * n2 + d1 * n3 + d0 * n4)) / denom
-    n6 = (b6 - lam_cu * (h6 + d5 * n0 + d4 * n1 + d3 * n2 + d2 * n3 + d1 * n4 + d0 * n5)) / denom
-    n7 = (b7 - lam_cu * (
-        h7 + d6 * n0 + d5 * n1 + d4 * n2 + d3 * n3 + d2 * n4 + d1 * n5 + d0 * n6)) / denom
-    n8 = (b8 - lam_cu * (
-        h8 + d7 * n0 + d6 * n1 + d5 * n2 + d4 * n3 + d3 * n4 + d2 * n5 + d1 * n6 + d0 * n7)) / denom
-    n9 = (b9 - lam_cu * (
-        h9 + d8 * n0 + d7 * n1 + d6 * n2 + d5 * n3 + d4 * n4 + d3 * n5 + d2 * n6 + d1 * n7
-        + d0 * n8)) / denom
-    n10 = (b10 - lam_cu * (
-        h10 + d9 * n0 + d8 * n1 + d7 * n2 + d6 * n3 + d5 * n4 + d4 * n5 + d3 * n6 + d2 * n7
-        + d1 * n8 + d0 * n9)) / denom
-    n11 = (b11 - lam_cu * (
-        h11 + d10 * n0 + d9 * n1 + d8 * n2 + d7 * n3 + d6 * n4 + d5 * n5 + d4 * n6 + d3 * n7
-        + d2 * n8 + d1 * n9 + d0 * n10)) / denom
-    n12 = (b12 - lam_cu * (
-        h12 + d11 * n0 + d10 * n1 + d9 * n2 + d8 * n3 + d7 * n4 + d6 * n5 + d5 * n6 + d4 * n7
-        + d3 * n8 + d2 * n9 + d1 * n10 + d0 * n11)) / denom
-    n13 = (b13 - lam_cu * (
-        h13 + d12 * n0 + d11 * n1 + d10 * n2 + d9 * n3 + d8 * n4 + d7 * n5 + d6 * n6 + d5 * n7
-        + d4 * n8 + d3 * n9 + d2 * n10 + d1 * n11 + d0 * n12)) / denom
-    n14 = (b14 - lam_cu * (
-        h14 + d13 * n0 + d12 * n1 + d11 * n2 + d10 * n3 + d9 * n4 + d8 * n5 + d7 * n6 + d6 * n7
-        + d5 * n8 + d4 * n9 + d3 * n10 + d2 * n11 + d1 * n12 + d0 * n13)) / denom
-    n15 = (b15 - lam_cu * (
-        h15 + d14 * n0 + d13 * n1 + d12 * n2 + d11 * n3 + d10 * n4 + d9 * n5 + d8 * n6 + d7 * n7
-        + d6 * n8 + d5 * n9 + d4 * n10 + d3 * n11 + d2 * n12 + d1 * n13 + d0 * n14)) / denom
-    return [n0, n1, n2, n3, n4, n5, n6, n7, n8, n9, n10, n11, n12, n13, n14, n15]
+    m = len(col)
+    r = np.empty(m)
+    r[0] = 1.0 / col[0]
+    j = 1
+    while j < m:
+        k = min(j, m - j)
+        w = np.convolve(r[:j], col[: j + k])[j : j + k]
+        r[j : j + k] = -np.convolve(r[:k], w)[:k]
+        j += k
+    return r
 
 
-
-def _march(N, hist, dker, d, rhs, lam_cu: float, denom: float, lo: int, hi: int) -> None:
+def _march(N, hist, dker, r, rhs, lam_cu: float, cap: int, lo: int, hi: int) -> None:
     """Solve nodes lo..hi-1 into N, given in hist[i] the history sum over nodes before lo.
 
-    Each history sum is accumulated oldest node first (older blocks, then
-    the leaf's own nodes in order).  ``d`` is ``dker[:15]`` and ``rhs`` the
-    right-hand sides, both as Python lists for :func:`_leaf16`.
+    A leaf of at most ``cap`` nodes solves denom * x + lam_cu * T x = v, with
+    T the strictly lower-triangular Toeplitz matrix of ``dker`` and
+    v = rhs - lam_cu * hist, as one convolution with the resolvent ``r``.
 
     Module level, not a closure: a nested function that calls itself forms a
     reference cycle on every call, which keeps its tables alive until the
     cyclic garbage collector runs.
     """
     m = hi - lo
-    if m <= _MARCH_LEAF:
-        h = hist[lo:hi].tolist()
-        b = rhs[lo:hi]
-        if m < _MARCH_LEAF:
-            pad = [0.0] * (_MARCH_LEAF - m)
-            h += pad
-            b += pad
-        N[lo:hi] = _leaf16(h, b, d, lam_cu, denom)[:m]
+    if m <= cap:
+        N[lo:hi] = np.convolve(r[:m], rhs[lo:hi] - lam_cu * hist[lo:hi])[:m]
         return
     mid = (lo + hi) // 2
-    _march(N, hist, dker, d, rhs, lam_cu, denom, lo, mid)
+    _march(N, hist, dker, r, rhs, lam_cu, cap, lo, mid)
     # lags 1 .. hi-1-lo from the nodes lo..mid-1 to the nodes mid..hi-1
     hist[mid:hi] += np.convolve(N[lo:mid], dker[: m - 1], "valid")
-    _march(N, hist, dker, d, rhs, lam_cu, denom, mid, hi)
+    _march(N, hist, dker, r, rhs, lam_cu, cap, mid, hi)
 
 
 def volterra_solve(
@@ -289,30 +256,40 @@ def volterra_solve(
     """March the Volterra equation N = N0*F - rate**u * I^u N over the grid.
 
     At each node the diagonal product-trapezoidal weight is moved to the
-    left-hand side and the scalar linear equation solved; everything else is
-    a convolution over already-computed nodes.  Nodes are solved by
-    recursive halving: solve the left half of a range, add its share of the
-    right half's history sums with one direct ``np.convolve`` (no FFT, no
-    matrix inverse), then solve the right half the same way.
+    left-hand side; everything else is a convolution over already-computed
+    nodes.  Nodes are solved by recursive halving: solve the left half of a
+    range, add its share of the right half's history sums with one direct
+    ``np.convolve`` (no FFT), then solve the right half the same way.  A
+    range of at most ``_LEAF_CAP`` nodes is a leaf: its lower-triangular
+    Toeplitz system is solved at once by convolving with the first column r
+    of its inverse, formed once per solve by :func:`_resolvent`.  On stiff
+    grids that matrix is ill-conditioned, and the cap halves until its
+    condition number is at most ``_LEAF_COND``.
     """
     F = _forcing_values(p, _scale(p, forcing), grid, ctl)
     n = grid.n
     c, a0, dker = _weight_parts(n, p.upsilon)
     cu = c * grid.h**p.upsilon
-    lam = p.rate**p.upsilon
-    denom = 1.0 + lam * cu
+    lam_cu = p.rate**p.upsilon * cu
+    denom = 1.0 + lam_cu
     if denom <= 0.0:
         raise SingularStepError(
             f"1 + rate**u * w_ii = {denom!r} <= 0; marching step is singular"
         )
-    rhs = (p.n0 * F).tolist()
-    N = np.empty(n + 1)
-    N[0] = rhs[0]
-    hist = np.empty(n + 1)
-    hist[1:] = a0 * N[0]
-    d = dker[: _MARCH_LEAF - 1].tolist()
-    d += [0.0] * (_MARCH_LEAF - 1 - len(d))  # n < 16: lags the one leaf never reaches
-    _march(N, hist, dker, d, rhs, lam * cu, denom, 1, n + 1)
+    rhs = p.n0 * F
+    # a table that overflows stays silent, as the march in Python floats was
+    with np.errstate(over="ignore", invalid="ignore"):
+        cap = min(n, _LEAF_CAP)
+        col = np.concatenate(([denom], lam_cu * dker[: cap - 1]))
+        r = _resolvent(col)
+        cond = np.cumsum(np.abs(col)) * np.cumsum(np.abs(r))
+        while cap > 1 and not cond[cap - 1] <= _LEAF_COND:
+            cap //= 2
+        N = np.empty(n + 1)
+        N[0] = rhs[0]
+        hist = np.empty(n + 1)
+        hist[1:] = a0 * N[0]
+        _march(N, hist, dker, r, rhs, lam_cu, cap, 1, n + 1)
     return SolutionTable(grid.nodes, N)
 
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,12 +245,13 @@ def _relative_defect(p, sol, grid):
 @pytest.mark.parametrize("ups", [0.1, 0.5, 1.0, 2.0, 2.5])
 @pytest.mark.parametrize("d", [0.0, 1.0, 100.0, 300.0])
 def test_halving_march_defect_within_twice_the_node_by_node_march(variant, forcing, ups, d):
-    # 16-node leaves: sizes below, at and just past one leaf, and grids that
-    # are not powers of two.  Both defects are rounding-level; on the coarse
-    # stiff grids (n <= 33, d >= 100) two summation orders can differ by a
-    # few times either way, so this bound is tight there.
+    # leaves of up to 256 nodes, fewer where the leaf matrix is ill-conditioned
+    # (d >= 100): sizes below, at and just past 16- and 256-node leaves, and
+    # grids that are not powers of two.  Both defects are rounding-level; on
+    # the coarse stiff grids (n <= 33, d >= 100) two summation orders can
+    # differ by a few times either way, so this bound is tight there.
     p = _problem(variant=variant, upsilon=ups, d=d, l=0.5, c=1.2, k=2.0)
-    for n in (8, 15, 16, 17, 33, 1000, 4096):
+    for n in (8, 15, 16, 17, 33, 255, 256, 257, 513, 1000, 4096):
         g = QuadratureGrid(n=n, t_max=1.0)
         try:
             want = _node_by_node_march(p, forcing, g)
@@ -263,8 +265,8 @@ def test_halving_march_defect_within_twice_the_node_by_node_march(variant, forci
 
 
 def _loop_leaf_march(N, hist, dker, rhs, lam_cu, denom, lo, hi):
-    """Reference: the halving march with each leaf solved by a loop over its nodes."""
-    if hi - lo <= oracle._MARCH_LEAF:
+    """Reference: the halving march with each 16-node leaf solved by a loop over its nodes."""
+    if hi - lo <= 16:
         d = dker[: hi - lo - 1].tolist()
         vals = []
         for i, (acc, b) in enumerate(zip(hist[lo:hi].tolist(), rhs[lo:hi].tolist())):
@@ -279,16 +281,20 @@ def _loop_leaf_march(N, hist, dker, rhs, lam_cu, denom, lo, hi):
     _loop_leaf_march(N, hist, dker, rhs, lam_cu, denom, mid, hi)
 
 
-@pytest.mark.parametrize("n", [8, 9, 15, 16, 17, 31, 33, 100, 1000, 4096, 5000])
-@pytest.mark.parametrize("ups,lam_cu", [(0.1, 400.0), (0.5, 1.0), (1.0, 1e-3), (2.5, 37.0)])
-def test_straight_line_leaves_are_the_node_loop_bit_for_bit(monkeypatch, n, ups, lam_cu):
-    # random right-hand sides over 1e-5 .. 1e5 of either sign; the rate is
-    # chosen so that rate**u * c_u * h**u comes out near lam_cu
+def _random_rhs_problem(monkeypatch, n, ups, lam_cu):
+    """Random right-hand sides over 1e-5 .. 1e5 of either sign, and a rate
+    chosen so that rate**u * c_u * h**u comes out near lam_cu."""
     rng = np.random.default_rng(n)
     F = rng.choice([-1.0, 1.0], n + 1) * 10.0 ** rng.uniform(-5.0, 5.0, n + 1)
     monkeypatch.setattr(oracle, "_forcing_values", lambda *args: F)
     g = QuadratureGrid(n=n, t_max=1.0)
-    p = _problem(upsilon=ups, d=(lam_cu * math.gamma(ups + 2.0)) ** (1.0 / ups) / g.h)
+    return _problem(upsilon=ups, d=(lam_cu * math.gamma(ups + 2.0)) ** (1.0 / ups) / g.h), g, F
+
+
+@pytest.mark.parametrize("n", [8, 9, 15, 16, 17, 31, 33, 100, 1000, 4096, 5000])
+@pytest.mark.parametrize("ups,lam_cu", [(0.1, 400.0), (0.5, 1.0), (1.0, 1e-3), (2.5, 37.0)])
+def test_resolvent_leaves_match_the_node_loop(monkeypatch, n, ups, lam_cu):
+    p, g, F = _random_rhs_problem(monkeypatch, n, ups, lam_cu)
     c, a0, dker = oracle._weight_parts(n, p.upsilon)
     cu = c * g.h**p.upsilon
     lam = p.rate**p.upsilon
@@ -299,7 +305,48 @@ def test_straight_line_leaves_are_the_node_loop_bit_for_bit(monkeypatch, n, ups,
     hist[1:] = a0 * want[0]
     _loop_leaf_march(want, hist, dker, p.n0 * F, lam * cu, 1.0 + lam * cu, 1, n + 1)
     got = volterra_solve(p, Forcing.CONSTANT, g).n
-    assert got.tobytes() == want.tobytes()
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    scale = float(np.max(np.abs(want[finite])))
+    assert float(np.max(np.abs(got[finite] - want[finite]))) <= 1e-13 * scale
+
+
+def test_march_raises_no_floating_point_warnings(monkeypatch):
+    # this input's table overflows: the march stays as silent as it was in
+    # Python floats
+    p, g, _ = _random_rhs_problem(monkeypatch, 1000, 2.5, 37.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        volterra_solve(p, Forcing.CONSTANT, g)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 16, 100, 255, 256])
+@pytest.mark.parametrize("ups,lam_cu", [(0.1, 400.0), (0.5, 1.0), (1.0, 400.0), (2.0, 0.5), (2.5, 1.0)])
+def test_resolvent_inverts_the_leaf_matrix(m, ups, lam_cu):
+    # within m * u times the matrix's 1-norm condition number sum|col| * sum|r|,
+    # which reaches 1e65 here; denom in place of sum|col| holds only where that
+    # number is small, as on the leaves the march solves
+    _, _, dker = oracle._weight_parts(256, ups)
+    col = np.concatenate(([1.0 + lam_cu], lam_cu * dker[: m - 1]))
+    r = oracle._resolvent(col)
+    e0 = np.zeros(m)
+    e0[0] = 1.0
+    bound = m * 2.0**-53 * float(np.abs(col).sum() * np.abs(r).sum())
+    assert float(np.max(np.abs(np.convolve(col, r)[:m] - e0))) <= bound
+
+
+@pytest.mark.parametrize("ups,d,n,cap", [(2.0, 300.0, 4096, 16), (0.5, 1.0, 4096, 256)])
+def test_leaf_cap_halves_on_stiff_grids(monkeypatch, ups, d, n, cap):
+    caps = set()
+    march = oracle._march
+
+    def spy(*args):
+        caps.add(args[6])
+        march(*args)
+
+    monkeypatch.setattr(oracle, "_march", spy)
+    volterra_solve(_problem(upsilon=ups, d=d), Forcing.STRUVE_T, QuadratureGrid(n=n, t_max=1.0))
+    assert caps == {cap}
 
 
 def test_halving_march_leaves_no_garbage_cycles():
