@@ -8,8 +8,11 @@ both):
 * a product-trapezoidal quadrature for the Riemann-Liouville integral
   (exact for piecewise-linear integrands against the weakly singular kernel
   ``(t - s)**(upsilon - 1)``, second-order for smooth ones); its interior
-  sums go by blocks of rows, each block's triangle kept from a convolution of
-  its whole square, with no product of the origin value to add and take away;
+  sums are exact direct Toeplitz sums, with no product of the origin value to
+  add and take away: one convolution on grids of up to 512 steps, and above
+  that the lags below 128 from one convolution and the rest from 128 x 128
+  tiles, one matrix product per tile diagonal (the blocking of Hairer, Lubich
+  & Schlichte, below, with exact sums where they use the FFT);
 * a marching solver for the underlying Volterra equation of the second kind,
   obtained by moving the diagonal quadrature weight to the left-hand side;
   it marches by the recursive halving of Hairer, Lubich & Schlichte (SIAM J.
@@ -39,7 +42,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from ._compensated import dd_add
 from ._lazy_numpy import np
@@ -84,9 +87,12 @@ class QuadratureGrid:
     def h(self) -> float:
         return self.t_max / self.n
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.n + 1)
+        """The n + 1 nodes, built once per grid and read-only (not a field: equality and hash ignore it)."""
+        nodes = np.linspace(0.0, self.t_max, self.n + 1)
+        nodes.setflags(write=False)
+        return nodes
 
 
 @dataclass(frozen=True)
@@ -134,8 +140,10 @@ def _node_values(f, grid: QuadratureGrid) -> np.ndarray:
     return vals
 
 
-# Rows per block of ``rl_integral``'s interior sums.
+# Grids of up to ``_RL_BLOCK`` steps take ``rl_integral``'s interior sums from
+# one convolution; larger ones by ``_RL_TILE`` x ``_RL_TILE`` Toeplitz tiles.
 _RL_BLOCK = 512
+_RL_TILE = 128
 
 
 def rl_integral(f, upsilon: float, grid: QuadratureGrid) -> np.ndarray:
@@ -152,16 +160,32 @@ def rl_integral(f, upsilon: float, grid: QuadratureGrid) -> np.ndarray:
     c, a0, dker = _weight_parts(n, upsilon)
     cu = c * grid.h**upsilon
     # interior sums S_i = sum_{j=1..i-1} dker[i-j-1] * vals[j] (vals[0] takes
-    # the origin weight a0), by blocks of rows [s, e): the nodes before the
-    # block in one 'valid' convolution, the block's own triangle from one short
-    # full one, which forms the block's whole square of products and keeps half
+    # the origin weight a0): S[i + 2] = sum_{j<=i} dker[i-j] * u[j] for u = vals[1:n]
     S = np.zeros(n + 1)
-    for s in range(1, n + 1, _RL_BLOCK):
-        e = min(s + _RL_BLOCK, n + 1)
-        if s > 1:
-            S[s:e] = np.convolve(vals[1:s], dker[: e - 2], "valid")
-        if e - s > 1:
-            S[s + 1 : e] += np.convolve(vals[s : e - 1], dker[: e - s - 1])[: e - s - 1]
+    L = n - 1
+    if n <= _RL_BLOCK:
+        S[2:] += np.convolve(vals[1:n], dker[:L])[:L]
+    else:
+        # lags below B from one convolution; each lag of B and up in exactly one
+        # B x B tile: with U the rows of u, U[p] @ T_d adds to output row p + d,
+        # T_d[s, q] = dker[dB + q - s], zero below lag B.  T_0 never enters the
+        # product, so an inf at a node reaches no earlier output through 0 * inf
+        B = _RL_TILE
+        P = -(-L // B)
+        U = np.zeros((P, B))
+        U.ravel()[:L] = vals[1:n]
+        far = np.zeros(P * B)
+        far[B:L] = dker[B:L]
+        windows = np.lib.stride_tricks.sliding_window_view(far, B)
+        Y = np.zeros((P, B))
+        T = np.empty((B, B))
+        buf = np.empty((P - 1, B))
+        with np.errstate(over="ignore", invalid="ignore"):  # np.convolve is silent; matmul is not
+            for d in range(1, P):
+                T[...] = windows[d * B : (d - 1) * B : -1]
+                np.matmul(U[: P - d], T, out=buf[: P - d])
+                Y[d:] += buf[: P - d]
+            S[2:] = np.convolve(vals[1:n], dker[:B])[:L] + Y.ravel()[:L]
     out = np.empty(n + 1)
     out[0] = 0.0
     out[1:] = cu * (a0 * vals[0] + vals[1:] + S[1:])

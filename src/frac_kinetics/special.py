@@ -214,7 +214,7 @@ def _powers(xs: list[float], e: float) -> np.ndarray:
     """``x**e`` at every node with CPython's float ``**`` (``np.power`` differs in the last
     bit), NaN where it raises (x**e is never NaN for x > 0)."""
     try:
-        return np.fromiter((x**e for x in xs), float, len(xs))
+        return np.fromiter(map(pow, xs, itertools.repeat(e, len(xs))), float, len(xs))
     except ArithmeticError:
         pass
     vals = np.full(len(xs), np.nan)

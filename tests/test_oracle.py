@@ -55,6 +55,20 @@ def test_grid_validation():
         QuadratureGrid(n=16, t_max=float("inf"))
 
 
+def test_grid_nodes_are_built_once_and_read_only():
+    g, h = QuadratureGrid(n=64, t_max=1.0), QuadratureGrid(n=64, t_max=1.0)
+    assert g.nodes is g.nodes
+    with pytest.raises(ValueError):
+        g.nodes[1] = 0.5
+    # the cached nodes are no field: g (nodes built) and h (not yet) are equal
+    # grids with one hash, so they share one forcing table
+    assert g == h and hash(g) == hash(h) and "nodes" not in repr(g)
+    oracle._forcing_values.cache_clear()
+    table = oracle._forcing_values(_problem(), Forcing.STRUVE_T, g, None)
+    assert oracle._forcing_values(_problem(), Forcing.STRUVE_T, h, None) is table
+    assert oracle._forcing_values.cache_info().hits == 1
+
+
 def test_residual_report_validation():
     ResidualReport(max_defect=1.0, mean_defect=0.5, argmax_t=0.1)
     with pytest.raises(DomainError):
@@ -119,8 +133,9 @@ def test_power_rule_reduced_order_for_sqrt(ups, lo, hi):
         assert lo <= math.log2(a / b) <= hi
 
 
-def _rl_reference(vals, ups, g):
-    """The quadrature on the same node values and weights, each sum exact (40 digits)."""
+def _rl_reference(vals, ups, g, rows=None):
+    """The quadrature on the same node values and weights, each sum exact (40 digits):
+    the output at each of ``rows`` (default: every node, 0 first)."""
     import mpmath as mp
 
     c, a0, dker = oracle._weight_parts(g.n, ups)
@@ -128,8 +143,8 @@ def _rl_reference(vals, ups, g):
     with mp.workdps(40):
         v = [mp.mpf(x) for x in vals.tolist()]
         d = [mp.mpf(x) for x in dker.tolist()]
-        out = [mp.mpf(0)]
-        for i in range(1, g.n + 1):
+        out = [mp.mpf(0)] if rows is None else []
+        for i in range(1, g.n + 1) if rows is None else rows:
             interior = mp.fdot(d[i - 2 :: -1], v[1:i]) if i > 1 else 0
             out.append(mp.mpf(cu) * (mp.mpf(float(a0[i - 1])) * v[0] + v[i] + interior))
     return out
@@ -150,6 +165,66 @@ def test_rl_integral_against_exact_sums_on_an_origin_spike(n, ups):
     assert got[0] == 0.0
     worst = max(abs(mp.mpf(float(x)) - w) / abs(w) for x, w in zip(got[1:], want[1:]))
     assert worst <= 8 * 2.0**-53, float(worst)
+
+
+def _block_loop_rl_integral(vals, ups, g):
+    """Reference: the quadrature with its interior sums by 512-row blocks, each
+    block's triangle kept from a full convolution of its whole square."""
+    n = g.n
+    c, a0, dker = oracle._weight_parts(n, ups)
+    cu = c * g.h**ups
+    S = np.zeros(n + 1)
+    for s in range(1, n + 1, 512):
+        e = min(s + 512, n + 1)
+        if s > 1:
+            S[s:e] = np.convolve(vals[1:s], dker[: e - 2], "valid")
+        if e - s > 1:
+            S[s + 1 : e] += np.convolve(vals[s : e - 1], dker[: e - s - 1])[: e - s - 1]
+    out = np.empty(n + 1)
+    out[0] = 0.0
+    out[1:] = cu * (a0 * vals[0] + vals[1:] + S[1:])
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 17, 255, 511, 512])
+@pytest.mark.parametrize("ups", [0.1, 0.5, 1.5, 2.5])
+def test_rl_integral_on_one_block_is_the_block_loop_bit_for_bit(n, ups):
+    g = QuadratureGrid(n=n, t_max=1.0)
+    vals = np.cos(3.0 * g.nodes) - 0.3
+    vals[0] = 1e6
+    assert rl_integral(vals, ups, g).tobytes() == _block_loop_rl_integral(vals, ups, g).tobytes()
+
+
+@pytest.mark.parametrize("n", [513, 1025, 4096])
+@pytest.mark.parametrize("ups", [0.1, 0.5, 1.5, 2.5])
+def test_rl_integral_tiles_against_exact_sums(n, ups):
+    # rows on both sides of the first tile edges (output row i holds the lags
+    # up to i - 2), of the old 512-row blocks, in the middle and at the end
+    import mpmath as mp
+
+    B = oracle._RL_TILE
+    g = QuadratureGrid(n=n, t_max=1.0)
+    vals = np.cos(3.0 * g.nodes)
+    vals[0] = 1e6
+    rows = sorted(i for i in {B - 1, B, B + 1, B + 2, B + 3, 511, 512, 513, 514, 515, n // 2, n - 1, n} if i <= n)
+    got = rl_integral(vals, ups, g)
+    want = _rl_reference(vals, ups, g, rows)
+    worst = max(abs(mp.mpf(float(got[i])) - w) / abs(w) for i, w in zip(rows, want))
+    assert worst <= 8 * 2.0**-53, float(worst)
+
+
+@pytest.mark.parametrize("n,at", [(300, 150), (4096, 1), (4096, 130), (4096, 2000), (4096, 4095)])
+def test_rl_integral_keeps_outputs_before_an_inf_finite(n, at):
+    # an inf node value may reach only the outputs at and after it, and the
+    # tiles' matrix products raise no warning where the convolution raised none
+    g = QuadratureGrid(n=n, t_max=1.0)
+    vals = np.cos(3.0 * g.nodes)
+    vals[at] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = rl_integral(vals, 0.5, g)
+    assert np.isfinite(out[:at]).all()
+    assert not np.isfinite(out[at:]).any()
 
 
 def test_semigroup_property():

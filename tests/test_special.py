@@ -21,7 +21,7 @@ from frac_kinetics import (
     struve_h,
 )
 from frac_kinetics.kgamma import k_gamma
-from frac_kinetics.special import _k_struve_grid
+from frac_kinetics.special import _k_struve_grid, _powers
 
 # frozen 45-digit brute-force series references (200 terms)
 STRUVE_H_0_1 = 0.56865662704828795099
@@ -226,6 +226,31 @@ def test_k_struve_grid_at_zero():
     # nu/k < -1: divergent
     with pytest.raises(DomainError, match="diverges at x = 0"):
         _k_struve_grid(KStruveParams(-2.5, 1.0, 2.0), xs)
+
+
+def _loop_powers(xs, e):
+    out = []
+    for x in xs:
+        try:
+            out.append(x**e)
+        except ArithmeticError:
+            out.append(math.nan)
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "e,bad", [(0.37, None), (2.0, None), (-1.5, None), (-1.5, 0.0), (2.0, 1e300), (1.5, 1e300)]
+)
+def test_powers_are_float_pow_node_for_node(e, bad):
+    # CPython's float ** on a 4,097-node grid, NaN where it raises
+    # (0.0 ** -1.5 divides by zero, 1e300 ** 2.0 overflows)
+    xs = np.linspace(0.0, 3.0, 4097).tolist()
+    if e < 0.0:
+        xs[0] = 0.5
+    if bad is not None:
+        xs[2048] = bad
+    assert _powers(xs, e).tobytes() == _loop_powers(xs, e).tobytes()
+    assert np.isnan(_powers(xs, e)).sum() == (bad is not None)
 
 
 @pytest.mark.parametrize(
