@@ -9,10 +9,10 @@ both):
   (exact for piecewise-linear integrands against the weakly singular kernel
   ``(t - s)**(upsilon - 1)``, second-order for smooth ones); its interior
   sums are exact direct Toeplitz sums, with no product of the origin value to
-  add and take away: one convolution on grids of up to 512 steps, and above
-  that the lags below 128 from one convolution and the rest from 128 x 128
-  tiles, one matrix product per tile diagonal (the blocking of Hairer, Lubich
-  & Schlichte, below, with exact sums where they use the FFT);
+  add and take away: the lags below 128 from one convolution and the rest
+  from 128 x 128 tiles, one matrix product per tile diagonal (the blocking
+  of Hairer, Lubich & Schlichte, below, with exact sums where they use the
+  FFT);
 * a marching solver for the underlying Volterra equation of the second kind,
   obtained by moving the diagonal quadrature weight to the left-hand side;
   it marches by the recursive halving of Hairer, Lubich & Schlichte (SIAM J.
@@ -140,9 +140,7 @@ def _node_values(f, grid: QuadratureGrid) -> np.ndarray:
     return vals
 
 
-# Grids of up to ``_RL_BLOCK`` steps take ``rl_integral``'s interior sums from
-# one convolution; larger ones by ``_RL_TILE`` x ``_RL_TILE`` Toeplitz tiles.
-_RL_BLOCK = 512
+# Side of the Toeplitz tiles of ``rl_integral``'s interior sums.
 _RL_TILE = 128
 
 
@@ -161,31 +159,30 @@ def rl_integral(f, upsilon: float, grid: QuadratureGrid) -> np.ndarray:
     cu = c * grid.h**upsilon
     # interior sums S_i = sum_{j=1..i-1} dker[i-j-1] * vals[j] (vals[0] takes
     # the origin weight a0): S[i + 2] = sum_{j<=i} dker[i-j] * u[j] for u = vals[1:n]
+    # lags below B from one convolution; each lag of B and up in exactly one
+    # B x B tile: with U the rows of u, U[p] @ T_d adds to output row p + d,
+    # T_d[s, q] = dker[dB + q - s], zero below lag B.  T_0 never enters the
+    # product, so an inf at a node reaches no earlier output through 0 * inf
+    # (a later one in the next row can read 0 * inf = NaN); a grid of at most
+    # B + 1 steps is one row, with no tile: the convolution is every sum
     S = np.zeros(n + 1)
     L = n - 1
-    if n <= _RL_BLOCK:
-        S[2:] += np.convolve(vals[1:n], dker[:L])[:L]
-    else:
-        # lags below B from one convolution; each lag of B and up in exactly one
-        # B x B tile: with U the rows of u, U[p] @ T_d adds to output row p + d,
-        # T_d[s, q] = dker[dB + q - s], zero below lag B.  T_0 never enters the
-        # product, so an inf at a node reaches no earlier output through 0 * inf
-        B = _RL_TILE
-        P = -(-L // B)
-        U = np.zeros((P, B))
-        U.ravel()[:L] = vals[1:n]
-        far = np.zeros(P * B)
-        far[B:L] = dker[B:L]
-        windows = np.lib.stride_tricks.sliding_window_view(far, B)
-        Y = np.zeros((P, B))
-        T = np.empty((B, B))
-        buf = np.empty((P - 1, B))
-        with np.errstate(over="ignore", invalid="ignore"):  # np.convolve is silent; matmul is not
-            for d in range(1, P):
-                T[...] = windows[d * B : (d - 1) * B : -1]
-                np.matmul(U[: P - d], T, out=buf[: P - d])
-                Y[d:] += buf[: P - d]
-            S[2:] = np.convolve(vals[1:n], dker[:B])[:L] + Y.ravel()[:L]
+    B = _RL_TILE
+    P = -(-L // B)
+    U = np.zeros((P, B))
+    U.ravel()[:L] = vals[1:n]
+    far = np.zeros(P * B)
+    far[B:L] = dker[B:L]
+    windows = np.lib.stride_tricks.sliding_window_view(far, B)
+    Y = np.zeros((P, B))
+    T = np.empty((B, B))
+    buf = np.empty((P - 1, B))
+    with np.errstate(over="ignore", invalid="ignore"):  # np.convolve is silent; matmul is not
+        for d in range(1, P):
+            T[...] = windows[d * B : (d - 1) * B : -1]
+            np.matmul(U[: P - d], T, out=buf[: P - d])
+            Y[d:] += buf[: P - d]
+        S[2:] = np.convolve(vals[1:n], dker[:B])[:L] + Y.ravel()[:L]
     out = np.empty(n + 1)
     out[0] = 0.0
     out[1:] = cu * (a0 * vals[0] + vals[1:] + S[1:])
@@ -314,7 +311,7 @@ def volterra_solve(
         hist = np.empty(n + 1)
         hist[1:] = a0 * N[0]
         _march(N, hist, dker, r, rhs, lam_cu, cap, 1, n + 1)
-    return SolutionTable(grid.nodes, N)
+    return SolutionTable(grid.nodes.copy(), N)
 
 
 def residual(p: KineticProblem, sol: SolutionTable, grid: QuadratureGrid, ctl: SeriesControl | None = None) -> ResidualReport:
