@@ -11,75 +11,13 @@ Public surface:
 * :mod:`frac_kinetics.cli` — ``frac-kinetics`` command-line tool.
 """
 
-from .errors import DomainError, PoleError, RangeError, SingularStepError
-from .kgamma import gamma, k_gamma
-from .kinetics import (
-    READINGS,
-    KineticProblem,
-    SolutionTable,
-    Variant,
-    solve,
-    solve_constant,
-    solve_table,
-    solve_thm1,
-    solve_thm2,
-    solve_thm3,
-)
-from .oracle import (
-    Forcing,
-    QuadratureGrid,
-    ResidualReport,
-    laplace_image,
-    laplace_numeric,
-    residual,
-    rl_integral,
-    volterra_solve,
-)
-from .special import (
-    ML_SERIES_CAP,
-    STRUVE_SERIES_CAP,
-    KStruveParams,
-    SeriesControl,
-    k_struve,
-    mittag_leffler,
-    mittag_leffler2,
-    struve_h,
-)
+from . import errors, kgamma, kinetics, oracle, special
+from .errors import *  # noqa: F403
+from .kgamma import *  # noqa: F403
+from .kinetics import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .special import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DomainError",
-    "PoleError",
-    "RangeError",
-    "SingularStepError",
-    "gamma",
-    "k_gamma",
-    "KStruveParams",
-    "SeriesControl",
-    "struve_h",
-    "k_struve",
-    "mittag_leffler",
-    "mittag_leffler2",
-    "ML_SERIES_CAP",
-    "STRUVE_SERIES_CAP",
-    "Variant",
-    "KineticProblem",
-    "SolutionTable",
-    "READINGS",
-    "solve",
-    "solve_thm1",
-    "solve_thm2",
-    "solve_thm3",
-    "solve_constant",
-    "solve_table",
-    "Forcing",
-    "QuadratureGrid",
-    "ResidualReport",
-    "rl_integral",
-    "volterra_solve",
-    "residual",
-    "laplace_image",
-    "laplace_numeric",
-    "__version__",
-]
+__all__ = [name for m in (errors, kgamma, special, kinetics, oracle) for name in m.__all__] + ["__version__"]

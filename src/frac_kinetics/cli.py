@@ -74,12 +74,9 @@ def _parse_config(path: str) -> dict[str, str]:
     return out
 
 
-# config key -> (parse a config or environment value, what it must parse as, built-in default)
-_KNOBS = {
-    "max_terms": (int, "an integer", 50),
-    "rel_tol": (float, "a number", 1e-14),
-    "exponent_reading": (str, "", "consistent"),
-}
+# config key -> (parse a config or environment value, what it must parse as); an unset knob takes
+# the library's default, SeriesControl's field or READINGS[0]
+_KNOBS = {"max_terms": (int, "an integer"), "rel_tol": (float, "a number"), "exponent_reading": (str, "")}
 
 
 def _resolve_knobs(args: argparse.Namespace) -> tuple[SeriesControl, str]:
@@ -90,7 +87,7 @@ def _resolve_knobs(args: argparse.Namespace) -> tuple[SeriesControl, str]:
         raise _CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
     env = {"max_terms": os.environ.get(ENV_MAX_TERMS) or None}  # an empty variable counts as unset
     knobs = {}
-    for name, (parse, kind, default) in _KNOBS.items():
+    for name, (parse, kind) in _KNOBS.items():
         value = getattr(args, name, None)
         for source, text in ((f"config {name}", config.get(name)), (ENV_MAX_TERMS, env.get(name))):
             if value is None and text is not None:
@@ -98,8 +95,9 @@ def _resolve_knobs(args: argparse.Namespace) -> tuple[SeriesControl, str]:
                     value = parse(text)
                 except ValueError as exc:
                     raise _CliError(f"{source}: {text!r} is not {kind}") from exc
-        knobs[name] = default if value is None else value
-    reading = knobs.pop("exponent_reading")
+        if value is not None:
+            knobs[name] = value
+    reading = knobs.pop("exponent_reading", READINGS[0])
     try:
         ctl = SeriesControl(**knobs)
     except DomainError as exc:
@@ -190,14 +188,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for k in k_values:
         for upsilon in upsilon_values:
             try:
-                problem = KineticProblem(
-                    n0=args.n0,
-                    upsilon=upsilon,
-                    d=args.d,
-                    struve=KStruveParams(nu=args.l, c=args.c, k=k),
-                    variant=variant,
-                    a=args.a,
-                )
+                problem = _build_problem(variant, dict(vars(args), k=k, upsilon=upsilon))
                 table = solve_table(problem, grid, ctl, reading=reading)
             except (DomainError, OverflowError) as exc:
                 raise _CliError(f"cell k = {k:g}, upsilon = {upsilon:g}: {exc}") from exc

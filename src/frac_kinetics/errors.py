@@ -5,6 +5,8 @@ derives from ``ValueError`` so that callers who do not care about the finer
 distinctions can catch the usual builtin.
 """
 
+__all__ = ["DomainError", "PoleError", "RangeError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of the operation."""
@@ -24,11 +26,3 @@ class RangeError(DomainError):
     its convergence region or not stopping within ``max_terms`` terms.
     """
 
-
-class SingularStepError(RuntimeError):
-    """The implicit update of the Volterra marching scheme became singular.
-
-    Cannot occur for positive rate constants and positive fractional order;
-    guarded against anyway so that a bad parameter combination fails loudly
-    instead of dividing by ~0.
-    """

@@ -1,18 +1,18 @@
-"""The k-generalized gamma function and the classical gamma wrapper.
+"""The k-generalized gamma function and the classical gamma as its k = 1 case.
 
-The one-parameter deformation used throughout the k-Struve series is the
-Diaz-Pariguan k-gamma function
+The Diaz-Pariguan k-gamma function
 
     Gamma_k(x) = k**(x/k - 1) * Gamma(x/k),        k > 0,
 
-which satisfies the deformed recurrence ``Gamma_k(x + k) = x * Gamma_k(x)``
-and reduces to Euler's gamma at k = 1.  Where ``k**(x/k - 1)`` falls below the
+satisfies the deformed recurrence ``Gamma_k(x + k) = x * Gamma_k(x)`` and
+reduces to Euler's gamma at k = 1.  Where ``k**(x/k - 1)`` falls below the
 normal double range (small k, large x/k) the product is taken in log space.
 
-``gamma`` delegates to CPython's ``math.gamma`` (a Lanczos-class rational
-approximation, accurate to a few ulp; verified against a 30-digit reference
-to <= 1e-14 relative on (0.1, 50) in the test suite).  Negative non-pole
-arguments work through the reflection path built into ``math.gamma``.
+``gamma(x)`` is ``k_gamma(x, 1.0)``: the power is then exactly 1.0, so the
+value is CPython's ``math.gamma`` (a Lanczos-class rational approximation,
+accurate to a few ulp; verified against a 30-digit reference to <= 1e-14
+relative on (0.1, 50) in the test suite).  Negative non-pole arguments work
+through the reflection path built into ``math.gamma``.
 """
 
 from __future__ import annotations
@@ -33,18 +33,6 @@ def _check_pole(x_over_k: float, x: float) -> None:
 def _gamma_sign(x: float) -> float:
     """Sign of Gamma(x) off its poles: negative on (-1, 0), (-3, -2), ..."""
     return -1.0 if x < 0.0 and math.floor(x) % 2 == 1 else 1.0
-
-
-def gamma(x: float) -> float:
-    """Euler's gamma function; equal to ``k_gamma(x, 1)`` in semantics."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    _check_pole(x, x)
-    try:
-        return math.gamma(x)
-    except OverflowError:
-        raise OverflowError(f"gamma({x!r}) exceeds the double range") from None
 
 
 def k_gamma(x: float, k: float) -> float:
@@ -79,3 +67,8 @@ def k_gamma(x: float, k: float) -> float:
         return value
     except OverflowError:
         raise OverflowError(f"k_gamma({x!r}, {k!r}) exceeds the double range") from None
+
+
+def gamma(x: float) -> float:
+    """Euler's gamma function, Gamma_1(x) = ``k_gamma(x, 1.0)``."""
+    return k_gamma(x, 1.0)

@@ -46,7 +46,7 @@ from functools import cached_property, lru_cache
 
 from ._compensated import dd_add
 from ._lazy_numpy import np
-from .errors import DomainError, RangeError, SingularStepError
+from .errors import DomainError, RangeError
 from .kinetics import KineticProblem, SolutionTable, Variant
 from .special import _DEFAULT_CTL, SeriesControl, _exp_scaled, _k_struve_grid, _powers, _scaled_power, _scaled_terms
 
@@ -292,11 +292,7 @@ def volterra_solve(
     c, a0, dker = _weight_parts(n, p.upsilon)
     cu = c * grid.h**p.upsilon
     lam_cu = p.rate**p.upsilon * cu
-    denom = 1.0 + lam_cu
-    if denom <= 0.0:
-        raise SingularStepError(
-            f"1 + rate**u * w_ii = {denom!r} <= 0; marching step is singular"
-        )
+    denom = 1.0 + lam_cu  # at least 1: KineticProblem has d >= 0, a > 0 and upsilon > 0
     rhs = p.n0 * F
     # a table that overflows stays silent, as the march in Python floats was
     with np.errstate(over="ignore", invalid="ignore"):

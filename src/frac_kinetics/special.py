@@ -262,12 +262,14 @@ def _ml_eval(alpha: float, beta: float, z: float, ctl: SeriesControl) -> float:
     same doubles as their calls.  For positive integer ``alpha`` the terms come from the exact recurrence
     t_{n+1} = t_n z / prod_j (alpha n + beta + j), j < alpha, the divisions ending once a term is 0 under
     a nonzero sum; otherwise term n is z**n times the 1/Gamma table, z**n tested for overflow (and n
-    counted) only where |z| > 1 and max_terms ln|z| >= 700."""
-    inv_g = _ml_inv_gammas(alpha, beta, ctl.max_terms)
-    rel_tol = ctl.rel_tol
+    counted) only where |z| > 1 and max_terms ln|z| >= 700.  The integer loop reads only 1/Gamma(beta): for
+    integer alpha a pole, or a 1/Gamma past the double range, at some n > 0 implies one at n = 0."""
     n_int = round(alpha)
+    integer = alpha == n_int and n_int >= 1
+    inv_g = _ml_inv_gammas(alpha, beta, 1 if integer else ctl.max_terms)
+    rel_tol = ctl.rel_tol
     sum_hi, sum_lo = 0.0, 0.0
-    if not (alpha == n_int and n_int >= 1):
+    if not integer:
         check = abs(z) > 1.0 and ctl.max_terms * math.log(abs(z)) >= 700.0
         zn, n = 1.0, 0
         for g in inv_g:
@@ -455,8 +457,8 @@ def _scaled_terms(n0: float, h: float, e0: float, nu: float, c: float, k: float)
 
 
 def _struve_series(nu: float, c: float, k: float, half_x: float, ctl: SeriesControl) -> float:
-    """S^k_{nu,c}(2 half_x) = C half_x**(nu/k + 1) 1F2(1; 3/2, A; -w), w = c half_x**2 / k, the terms
-    t_{r+1} = t_r (-w) / ((A + r)(3/2 + r)), t_0 = 1, summed in double-double under the stop rule.
+    """S^k_{nu,c}(2 half_x), half_x >= 0, = C half_x**(nu/k + 1) 1F2(1; 3/2, A; -w), w = c half_x**2 / k,
+    the terms t_{r+1} = t_r (-w) / ((A + r)(3/2 + r)), t_0 = 1, summed in double-double under the stop rule.
 
     A sum cut at ``max_terms`` returns only if its tail bound |t_R| rho / (1 - rho), rho = |w| /
     ((A + R)(3/2 + R)) at its last index R (the ratios fall from there), is within ``rel_tol`` of it;
@@ -464,10 +466,7 @@ def _struve_series(nu: float, c: float, k: float, half_x: float, ctl: SeriesCont
     value already leaves the double range, as any value or sum past the range does.
     """
     a, cm, ce = _k_struve_prefactor(nu, k)
-    exp0 = nu / k + 1.0
-    pm, pe = _scaled_power(abs(half_x), exp0)
-    if half_x < 0.0:
-        pm *= (-1.0) ** exp0  # x < 0 only for integer orders
+    pm, pe = _scaled_power(half_x, nu / k + 1.0)
     h2, nc = half_x * half_x, 0.0 - c  # -c, and 0.0 (not -0.0) at c = 0
     s, err, t, tol, cut = 0.0, 0.0, 1.0, ctl.rel_tol, False
     for r in map(float, range(ctl.max_terms)):
@@ -497,32 +496,39 @@ def _struve_series(nu: float, c: float, k: float, half_x: float, ctl: SeriesCont
     return value
 
 
-def struve_h(p: float, x: float, ctl: SeriesControl | None = None) -> float:
-    """Struve function H_p(x) by its defining power series.
-
-    Negative ``x`` is accepted only for integer ``p`` (where the powers stay
-    real); ``p`` must exceed -3/2 so no denominator crosses a pole.
-    """
+def _k_struve(nu: float, c: float, k: float, x: float, ctl: SeriesControl | None) -> float:
+    """S^k_{nu,c}(x) for x in [0, cap], the one path of ``k_struve`` and ``struve_h``."""
     if ctl is None:
         ctl = _DEFAULT_CTL
-    p = float(p)
     x = float(x)
-    if not (math.isfinite(p) and p > -1.5):
-        raise DomainError(f"p must be a finite real > -3/2, got {p!r}")
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
-    if x < 0.0 and p != math.floor(p):
-        raise DomainError(f"x must be >= 0 for non-integer p (x = {x!r}, p = {p!r})")
-    if abs(x) > STRUVE_SERIES_CAP:
-        raise RangeError(f"|x| = {abs(x)!r} exceeds the series cap {STRUVE_SERIES_CAP}")
+    if x < 0.0:
+        raise DomainError(f"x must be >= 0, got {x!r}")
+    if x > STRUVE_SERIES_CAP:
+        raise RangeError(f"|x| = {x!r} exceeds the series cap {STRUVE_SERIES_CAP}")
     if x == 0.0:
-        if p > -1.0:
+        ratio = nu / k
+        if ratio > -1.0:
             return 0.0
-        if p < -1.0:
-            raise DomainError(f"H_p diverges at x = 0 for p < -1 (p = {p!r})")
-        # p == -1: the series limit is the r = 0 coefficient, 2/pi
-    # at k = 1 the k-power is 1.0 and Gamma_k is Gamma: H_p is S^1_{p,1}
-    return _struve_series(p, 1.0, 1.0, x / 2.0, ctl)
+        if ratio < -1.0:
+            raise DomainError(f"k-Struve diverges at x = 0 for nu/k < -1 (nu = {nu!r}, k = {k!r})")
+        # nu/k = -1: the series limit is the r = 0 coefficient (2/pi for H_{-1})
+    return _struve_series(nu, c, k, x / 2.0, ctl)
+
+
+def struve_h(p: float, x: float, ctl: SeriesControl | None = None) -> float:
+    """Struve function H_p(x) = S^1_{p,1}(x) by its defining power series.
+
+    ``p`` must exceed -3/2 so no denominator crosses a pole.  Negative ``x``
+    is accepted only for integer ``p``, as H_p(x) = (-1)**(p + 1) H_p(-x).
+    """
+    p, x = float(p), float(x)
+    if not (math.isfinite(p) and p > -1.5):
+        raise DomainError(f"p must be a finite real > -3/2, got {p!r}")
+    if -math.inf < x < 0.0 and p == math.floor(p):
+        return (-1.0) ** (p + 1.0) * _k_struve(p, 1.0, 1.0, -x, ctl)
+    return _k_struve(p, 1.0, 1.0, x, ctl)
 
 
 def k_struve(params: KStruveParams, x: float, ctl: SeriesControl | None = None) -> float:
@@ -533,24 +539,7 @@ def k_struve(params: KStruveParams, x: float, ctl: SeriesControl | None = None) 
     collapses to ``struve_h(nu, x)`` at k = 1, c = 1.  A sum cut at
     ``max_terms`` raises ``RangeError`` unless its tail bound is within ``rel_tol``.
     """
-    if ctl is None:
-        ctl = _DEFAULT_CTL
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if x < 0.0:
-        raise DomainError(f"x must be >= 0, got {x!r}")
-    if x > STRUVE_SERIES_CAP:
-        raise RangeError(f"x = {x!r} exceeds the series cap {STRUVE_SERIES_CAP}")
-    if x == 0.0:
-        ratio = params.nu / params.k
-        if ratio > -1.0:
-            return 0.0
-        if ratio < -1.0:
-            raise DomainError(
-                f"k-Struve diverges at x = 0 for nu/k < -1 (nu = {params.nu!r}, k = {params.k!r})"
-            )
-    return _struve_series(params.nu, params.c, params.k, x / 2.0, ctl)
+    return _k_struve(params.nu, params.c, params.k, x, ctl)
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from frac_kinetics import (
     solve_thm3,
     struve_h,
 )
-from frac_kinetics.cli import ENV_MAX_TERMS, main
+from frac_kinetics.cli import ENV_MAX_TERMS, _build_parser, _resolve_knobs, main
 
 
 @pytest.fixture(autouse=True)
@@ -440,6 +440,14 @@ def test_verify_small_grid_rejected(capsys):
 
 # alpha = 0.7 is summed as a series, so max_terms reaches it (E_1 and E_{1/2} are closed forms)
 ML_ARGS = ("eval", "ml", "--alpha", "0.7", "--z", "-3")
+
+
+@pytest.mark.parametrize("argv", [["eval", "gamma"], ["sweep", "--out", "x.csv"], ["verify"]])
+def test_unset_knobs_take_the_library_defaults(argv):
+    # no flag, config or environment value: SeriesControl's own defaults and
+    # the first reading, which solve takes by default
+    args = _build_parser().parse_args(argv)
+    assert _resolve_knobs(args) == (SeriesControl(), "consistent")
 
 
 def test_env_changes_truncation(capsys, monkeypatch):

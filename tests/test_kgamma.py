@@ -109,6 +109,22 @@ def test_k_gamma_where_the_power_leaves_the_normal_range(x, k):
     assert abs(k_gamma(x, k) - want) <= 1e-12 * want
 
 
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except Exception as e:  # noqa: BLE001 - any error type must match
+        return type(e)
+
+
+def test_gamma_is_k_gamma_at_k_one():
+    # Gamma = Gamma_1: the same double or the same error type on [-175, 175]
+    # by eighths, across the poles x = 0, -1, ..., the overflow from x = 171.62
+    # on and the negative arguments where Gamma underflows
+    for i in range(-1400, 1401):
+        x = i / 8.0
+        assert _outcome(gamma, x) == _outcome(k_gamma, x, 1.0), x
+
+
 def test_k_must_be_positive():
     with pytest.raises(DomainError):
         k_gamma(1.0, 0.0)

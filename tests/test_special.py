@@ -99,6 +99,31 @@ def test_struve_negative_x_integer_order_only():
         struve_h(0.5, -1.0)
 
 
+@pytest.mark.parametrize("p", [-1.0, 0.0, 1.0, 2.0, 3.0, 5.0])
+def test_struve_h_at_negative_x_is_the_parity_image(p):
+    # H_p(-x) = (-1)**(p + 1) H_p(x) for integer p, as the same double, on
+    # both signs of the smallest subnormal too, where H_p rounds to a signed
+    # zero; x = -0.0 is x = 0, which gives 0.0 (2/pi at p = -1) for either sign
+    xs = np.linspace(-20.0, 20.0, 160).tolist() + [5e-324, -5e-324, 1e-300, -1e-300]
+    for x in xs:
+        assert repr(struve_h(p, -x)) == repr((-1.0) ** (p + 1) * struve_h(p, x)), x
+    assert repr(struve_h(p, -0.0)) == repr(struve_h(p, 0.0)) == repr(2.0 / math.pi if p == -1.0 else 0.0)
+
+
+def test_struve_h_errors_name_the_x_passed():
+    # struve_h evaluates H_p(-x) at |x|, but no message may name a number the
+    # caller did not pass
+    for x in (25.0, -25.0):
+        with pytest.raises(RangeError, match=r"^\|x\| = 25\.0 exceeds the series cap 20\.0$"):
+            struve_h(0.0, x)
+    with pytest.raises(RangeError, match=r"^\|x\| = 25\.0 exceeds the series cap 20\.0$"):
+        k_struve(KStruveParams(1.0, 1.0, 2.0), 25.0)
+    with pytest.raises(DomainError, match=r"^x must be finite, got -inf$"):
+        struve_h(1.0, -math.inf)
+    with pytest.raises(DomainError, match=r"^x must be >= 0, got -1\.0$"):
+        struve_h(0.5, -1.0)
+
+
 def test_struve_domain_and_cap():
     with pytest.raises(DomainError):
         struve_h(-1.5, 1.0)
@@ -461,6 +486,31 @@ def test_ml2_gamma_underflow_is_an_overflow_error(beta):
     # At the last two it is subnormal (3.5e-323, -4.6e-322) and 1/Gamma is +-inf: a NaN before
     with pytest.raises(OverflowError, match=rf"^1/Gamma\({beta}\) at n = 0 exceeds the double range"):
         mittag_leffler2(0.5, beta, 0.1)
+
+
+def test_ml_integer_alpha_builds_one_inverse_gamma():
+    # the integer-alpha loop forms its terms from their exact ratio and reads
+    # only 1/Gamma(beta); a non-integer alpha reads max_terms entries
+    from frac_kinetics.special import _ml_inv_gammas
+
+    _ml_inv_gammas.cache_clear()
+    mittag_leffler2(2.0, 1.5, -1.0)
+    mittag_leffler2(0.5, 1.5, -1.0)
+    hits = _ml_inv_gammas.cache_info().hits
+    assert len(_ml_inv_gammas(2.0, 1.5, 1)) == 1
+    assert len(_ml_inv_gammas(0.5, 1.5, 50)) == 50
+    assert _ml_inv_gammas.cache_info().hits == hits + 2
+    # for integer alpha a pole or a 1/Gamma past the double range at some n > 0
+    # is one at n = 0 too, so the errors keep their messages
+    for alpha in (1.0, 2.0):
+        with pytest.raises(PoleError) as pole:
+            mittag_leffler2(alpha, -3.0, 0.5)
+        assert str(pole.value) == f"alpha*n + beta = -3.0 hits a gamma pole at n = 0 (alpha = {alpha}, beta = -3.0)"
+        with pytest.raises(OverflowError) as over:
+            mittag_leffler2(alpha, -177.25, 0.5)
+        assert str(over.value) == (
+            f"1/Gamma(-177.25) at n = 0 exceeds the double range (alpha = {alpha}, beta = -177.25)"
+        )
 
 
 def test_k_struve_coefficients_past_the_double_range_are_not_silent_zeros():

@@ -1,4 +1,5 @@
-"""Start-up: the scalar API and ``frac-kinetics eval`` run without loading numpy."""
+"""Start-up: the package's public names, and the scalar API and ``frac-kinetics eval`` running without
+loading numpy."""
 
 import json
 import os
@@ -7,6 +8,29 @@ import sys
 from pathlib import Path
 
 import frac_kinetics
+
+PUBLIC = {
+    "DomainError", "PoleError", "RangeError",
+    "gamma", "k_gamma",
+    "KStruveParams", "SeriesControl", "struve_h", "k_struve", "mittag_leffler", "mittag_leffler2",
+    "ML_SERIES_CAP", "STRUVE_SERIES_CAP",
+    "Variant", "KineticProblem", "SolutionTable", "READINGS",
+    "solve", "solve_thm1", "solve_thm2", "solve_thm3", "solve_constant", "solve_table",
+    "Forcing", "QuadratureGrid", "ResidualReport",
+    "rl_integral", "volterra_solve", "residual", "laplace_image", "laplace_numeric",
+    "__version__",
+}
+
+
+def test_public_names_are_pinned_and_resolve():
+    # the package re-exports its modules' __all__ lists: each name once, and
+    # each bound in the package
+    assert sorted(frac_kinetics.__all__) == sorted(PUBLIC)
+    namespace = {}
+    exec("from frac_kinetics import *", namespace)
+    for name in PUBLIC:
+        assert getattr(frac_kinetics, name) is namespace[name]
+
 
 # every scalar entry point once
 _SCALARS = r"""
