@@ -342,24 +342,29 @@ def _sum_series(series: _Series, t: float, rel_tol: float) -> float:
     sum, and apart the running sum of its ``two_sum`` errors, added at the stop, as ``special._lane_sums``
     sums a lane.  Raises :meth:`_Series.error` where an entry cannot be built or a power, a term or the
     sum leaves the double range."""
-    tu, entries, runs, powers = t**series.upsilon, series.entries, series.runs, {}
-    s, err, run = 0.0, 0.0, 0
+    tu, entries, runs, powers, inf = t**series.upsilon, series.entries, series.runs, [], math.inf
+    s, err, run, built = 0.0, 0.0, 0, len(entries)
     try:
         for i in itertools.count():
-            if i == len(entries):
+            if i == built:
                 series.reach(i)
+                built = len(entries)
             d, x, c, first = entries[i]
-            powers[c] = power = t**x if first else powers[c] * tu
+            if first:  # chains begin in order
+                power = t**x
+                powers.append(power)
+            else:
+                powers[c] = power = powers[c] * tu
             term = d * power
             s, prev = s + term, s  # Sum2: two_sum inlined, its errors summed apart
-            if not abs(s) < math.inf:
+            if not abs(s) < inf:
                 raise OverflowError
             bb = s - prev
             err += (prev - (s - bb)) + (term - bb)
             run = run + 1 if abs(term) <= rel_tol * abs(s) else 0
             if run >= runs[i]:
                 break
-        if not abs(s + err) < math.inf:
+        if not abs(s + err) < inf:
             raise OverflowError
     except OverflowError:
         raise series.error(i) from None
@@ -424,16 +429,17 @@ def _sum_series_grid(series: _Series, ts: np.ndarray, s: np.ndarray, rel_tol: fl
     where it is not, ``_sum_series`` raises.  Every lane stops by entry ``_MAX_ENTRIES``, which cannot be built."""
     state = [np.arange(ts.size), ts, s]  # then the powers of chain c at each node, state[3 + c]
 
-    def step(n):
+    def step(n, out):
         series.reach(n)
         if n >= len(series.entries):  # past an entry that cannot be built, which every lane stops on
-            return np.full(state[0].size, np.nan)  # its run length is 1: series.runs ends there too
+            out.fill(np.nan)  # its run length is 1: series.runs ends there too
+            return
         d, x, c, first = series.entries[n]
         if first:  # chains begin in order
             state.append(_powers(state[1].tolist(), x))  # NaN where ** raises
         else:
             state[3 + c] *= state[2]
-        return d * state[3 + c]
+        np.multiply(state[3 + c], d, out=out)
 
     return _lane_sums(step, state, _MAX_ENTRIES + 1, rel_tol, series.runs)  # steps under its errstate
 

@@ -25,9 +25,9 @@ precision.  The array paths share one kernel, ``_lane_sums``, which only sums:
 one series per lane, with the scalar loop's stop rule and Sum2, until the rule
 fires or the sum is no longer finite (``_k_struve_grid`` a lane per node,
 ``kinetics.solve_table`` a lane per node of the solution series).  It goes a
-block of terms at a time, both running sums accumulated down the block, the
-block at most 16 terms tall and at most 2,048 terms in all where that leaves
-more than one row.  Every node the kernel does not finish goes to its scalar
+block of terms at a time, each term written in place into its row, both
+running sums taken down the block, the block at most 32 terms tall and at
+most 4,096 terms in all where that leaves more than one row.  Every node the kernel does not finish goes to its scalar
 twin, so each entry is the double that returns, and the first node where it
 raises aborts the grid.
 
@@ -119,16 +119,19 @@ class KStruveParams:
 # The lane-parallel series kernel
 
 
-_BLOCK_TERMS, _BLOCK_ROWS = 2048, 16  # a block has at most 16 rows, and fewer where it is wide
+_BLOCK_TERMS, _BLOCK_ROWS = 4096, 32  # a block has at most 32 rows, and fewer where it is wide
+_ACCUMULATE_LANES = 256  # the widest block whose running sums are one accumulate
 
 
 def _running(ufunc, a):
-    """``ufunc.accumulate(a, axis=0, out=a)``, strictly row after row: as a call per row where ``a`` has two
-    rows, since an accumulate down axis 0 costs some 20 ns a column."""
-    if len(a) > 2:
+    """``ufunc.accumulate(a, axis=0, out=a)``, strictly row after row.  An accumulate down axis 0 costs
+    some 3.5 ns an element up to 256 lanes (6.7 ns at 4,096), a call per row some 0.85 us plus 0.3 ns
+    an element, so blocks wider than ``_ACCUMULATE_LANES`` lanes take a call per row."""
+    if a.shape[1] <= _ACCUMULATE_LANES:
         ufunc.accumulate(a, axis=0, out=a)
-    elif len(a) == 2:
-        ufunc(a[0], a[1], out=a[1])
+    else:
+        for i in range(1, len(a)):
+            ufunc(a[i - 1], a[i], out=a[i])
 
 
 def _sum2_block(s, e, terms, scratch, rel_tol: float):
@@ -154,18 +157,19 @@ def _lane_sums(step, state: list, n_terms: int, rel_tol: float, runs=None):
     """Sum one series per lane, lane for lane the double of its scalar loop.
 
     ``state`` holds the caller's per-lane arrays, ``np.arange`` over the lanes first;
-    ``step(n)`` gives term n of the active lanes.  A lane stops on a term at most ``rel_tol``
-    times its sum (with ``runs``, on the ``runs[n]``-th such term in a row; 1 past its end), or
-    once its sum is no longer finite (where a scalar loop raises: the caller hands that lane to
-    it), and leaves ``state``, which ends with the lanes that took all ``n_terms`` terms.  Returns
-    the values.
+    ``step(n, out)`` writes term n of the active lanes into ``out``.  A lane stops on a term at
+    most ``rel_tol`` times its sum (with ``runs``, on the ``runs[n]``-th such term in a row; 1 past
+    its end), or once its sum is no longer finite (where a scalar loop raises: the caller hands
+    that lane to it), and leaves ``state``, which ends with the lanes that took all ``n_terms``
+    terms.  Returns the values.
 
     The sum is Ogita, Rump and Oishi's Sum2, as in the scalar loops: the running sum
     s_n = fl(s_{n-1} + t_n), and apart the running sum of the ``two_sum`` errors of its steps,
     added at the stop.  The lanes go a block of rows (terms) at a time, at most ``_BLOCK_ROWS``
     rows and, past one row, ``_BLOCK_TERMS`` terms (:func:`_sum2_block`); the stop rule is tested
     on the whole block, each lane takes its value at its own first stop row, and the block's
-    stopped lanes leave together.  So ``step`` runs on past a lane's stop, to the end of its block.
+    stopped lanes leave together: by slicing where they are the first active lanes, else by a
+    boolean mask.  So ``step`` runs on past a lane's stop, to the end of its block.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.empty(state[0].size)
@@ -178,7 +182,7 @@ def _lane_sums(step, state: list, n_terms: int, rel_tol: float, runs=None):
             if s is None or s.shape != (h + 1, m):  # else the block before's buffers serve again
                 s, e, terms, scratch = np.empty((h + 1, m)), np.empty((h + 1, m)), np.empty((h, m)), np.empty((h, m))
             for i in range(h):
-                terms[i] = step(n0 + i)
+                step(n0 + i, terms[i])
             s[0], e[0] = s_end, e_end
             stop, finite = _sum2_block(s, e, terms, scratch, rel_tol)
             if runs is not None:
@@ -198,12 +202,16 @@ def _lane_sums(step, state: list, n_terms: int, rel_tol: float, runs=None):
             if not np.count_nonzero(hit):  # count_nonzero: a fraction of .any()'s call cost
                 continue
             lanes = np.flatnonzero(hit)
-            first = stop[:, lanes].argmax(axis=0) if h > 1 else 0  # an argmax down axis 0 costs ~10 ns a column
+            j = lanes.size
+            if lanes[-1] == j - 1:  # the first j lanes stopped: they leave by slicing, the rest as views
+                sel, keep = slice(j), slice(j, None)
+            else:
+                sel, keep = lanes, ~hit
+            first = stop[:, sel].argmax(axis=0) if h > 1 else 0  # an argmax down axis 0 costs ~10 ns a column
             at = lanes + m * (first + 1)  # each lane's first stop row in s and e, as a flat index
-            out[state[0][lanes]] = np.take(s, at) + np.take(e, at)
-            keep = ~hit
-            s_end, e_end = s_end[keep], e_end[keep]
+            out[state[0][sel]] = np.take(s, at) + np.take(e, at)
             s = e = terms = scratch = None  # the block's buffers go before the lanes are compacted
+            s_end, e_end = s_end[keep], e_end[keep]
             run = None if runs is None else run[keep]
             state[:] = [a[keep] for a in state]
         out[state[0]] = s_end + e_end
@@ -211,11 +219,12 @@ def _lane_sums(step, state: list, n_terms: int, rel_tol: float, runs=None):
 
 
 def _powers(xs: list[float], e: float) -> np.ndarray:
-    """``x**e`` at every node with CPython's float ``**`` (``np.power`` differs in the last
-    bit), NaN where it raises (x**e is never NaN for x > 0)."""
+    """``x**e`` at every node, NaN where it raises (x**e is never NaN for x > 0): ``math.pow``,
+    the libm ``pow`` of CPython's float ``**`` (``np.power`` differs in the last bit), which
+    raises ``ValueError`` where ``0.0 ** -e`` raises ``ZeroDivisionError``."""
     try:
-        return np.fromiter(map(pow, xs, itertools.repeat(e, len(xs))), float, len(xs))
-    except ArithmeticError:
+        return np.fromiter(map(math.pow, xs, itertools.repeat(e, len(xs))), float, len(xs))
+    except (ArithmeticError, ValueError):
         pass
     vals = np.full(len(xs), np.nan)
     for i, x in enumerate(xs):
@@ -557,10 +566,11 @@ def _k_struve_grid(params: KStruveParams, xs: np.ndarray, ctl: SeriesControl | N
     nu, nc, k = params.nu, 0.0 - params.c, params.k  # -c, and 0.0 (not -0.0) at c = 0
     a, cm, ce = _k_struve_prefactor(nu, k)
 
-    def step(n):
+    def step(n, out):
         _, t, h2 = state
-        state[1] = t * h2 * (nc / (k * ((a + n) * (n + 1.5))))
-        return t
+        out[:] = t
+        t *= h2
+        t *= nc / (k * ((a + n) * (n + 1.5)))
 
     with np.errstate(over="ignore", invalid="ignore"):
         lane = (xs > 0.0) & (xs <= STRUVE_SERIES_CAP)  # False at NaN

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -276,6 +277,18 @@ def test_powers_are_float_pow_node_for_node(e, bad):
         xs[2048] = bad
     assert _powers(xs, e).tobytes() == _loop_powers(xs, e).tobytes()
     assert np.isnan(_powers(xs, e)).sum() == (bad is not None)
+
+
+def test_powers_are_float_pow_at_edge_bases():
+    # math.pow is the libm pow of CPython's float **: the same double at every
+    # base and exponent, and NaN where ** raises (0.0 ** -e divides by zero,
+    # where math.pow raises ValueError; a power past the double range overflows)
+    bases = [0.0, 5e-324, 1e-310, sys.float_info.min, 1e-300, 1e-3, 0.5, 1.0, 1.0 + 2.0**-52, 2.0, 3.0, 19.999,
+             1e300, sys.float_info.max, math.inf, math.nan, *np.geomspace(1e-300, 1e300, 397).tolist()]
+    for e in (0.0, -0.0, 1.0, 2.0, 0.5, 1.5, 0.37, 1.0 / 3.0, 3.0, 7.0, 171.5, 1e3, -1.0, -1.5, -2.0, -0.37,
+              -171.5, math.inf, -math.inf, math.nan):
+        assert [repr(v) for v in _powers(bases, e).tolist()] == [repr(v) for v in _loop_powers(bases, e).tolist()], e
+    assert np.isnan(_powers([0.0], -1.5)[0]) and np.isnan(_powers([2.0, 0.0, 3.0], -2.0)[1])
 
 
 @pytest.mark.parametrize(
@@ -1009,9 +1022,10 @@ def _kernel_sums(monkeypatch, module, call, after=None, fill=None):
     real, sums = special._lane_sums, []
 
     def recording(step, state, n_terms, rel_tol):
-        def replaced(n):
-            term = step(n)
-            return term if after is None or n < after else np.full_like(term, fill)
+        def replaced(n, out):
+            step(n, out)
+            if after is not None and n >= after:
+                out.fill(fill)
 
         out = real(replaced, state, n_terms, rel_tol)
         sums.append(repr(float(out[0])))
@@ -1098,17 +1112,17 @@ def _blocks(stops):
     return blocks
 
 
-_POLE = 50  # the entry that cannot be built
+_POLE = 100  # the entry that cannot be built
 
 
 def _block_nodes(lanes):
     """Nodes for the coefficient list of the test below: seven in eight stop by the rule, on rows
-    spread over 1 to 80 (past the pole from about 50), one in eight overflows on rows 3 to 41."""
-    small = 10.0 ** (-10.0 / np.linspace(1.5, 80.5, lanes - lanes // 8))
+    spread over 1 to 160 (past the pole from about 100), one in eight overflows on rows 3 to 41."""
+    small = 10.0 ** (-10.0 / np.linspace(1.5, 160.5, lanes - lanes // 8))
     return np.sort(np.concatenate((small, 10.0 ** (308.0 / np.linspace(2.5, 40.5, lanes // 8)))))
 
 
-@pytest.mark.parametrize("lanes", [1, 101, 127, 128, 129, 4097])  # block heights 16, 16, 16, 16, 15, 1
+@pytest.mark.parametrize("lanes", [1, 101, 127, 128, 129, 4097])  # first block heights 32, 32, 32, 32, 31, 1
 def test_lane_sums_at_block_boundaries_are_the_scalar_loop(lanes):
     from frac_kinetics.kinetics import _sum_series, _sum_series_grid
 
@@ -1144,9 +1158,45 @@ def test_lane_sums_at_block_boundaries_are_the_scalar_loop(lanes):
             else:
                 kind = "pole" if w[0] is PoleError else "overflow"
                 covered |= {kind, f"{kind} mid-block"} if b < stop < b + h - 1 else {kind}
-    # at 4,097 lanes the blocks are one row tall until the pole, whose block is 2 tall
-    mid = set() if lanes == 4097 else {"pole mid-block", "overflow mid-block"}
+    # at 4,097 lanes the blocks are one row tall while more than 2,048 lanes
+    # run, past every overflow row; the pole's block is 4 tall
+    mid = {"pole mid-block"} if lanes == 4097 else {"pole mid-block", "overflow mid-block"}
     assert covered >= {"first row", "last row", "run across a boundary", "pole", "overflow", *mid}
+
+
+@lru_cache(maxsize=1)
+def _geometry_grids():
+    """(name, call, the scalar loop's bytes) of each grid of the test below: THM1 sweep grids of
+    101 nodes at upsilon = 1 (one chain) and 1.5 (three chains), and a 4,097-node forcing table,
+    whose sums stop in node order, and the same nodes in reverse, whose sums do not."""
+    from frac_kinetics import KineticProblem, Variant, solve
+
+    grids, ts = [], np.linspace(0.0, 1.0, 101)
+    for upsilon in (1.0, 1.5):
+        p = KineticProblem(n0=1.0, upsilon=upsilon, d=1.0, struve=KStruveParams(1.0, 1.0, 1.0), variant=Variant.THM1)
+        want = np.array([solve(p, t) for t in ts.tolist()]).tobytes()
+        grids.append((f"sweep upsilon = {upsilon}", lambda p=p: solve(p, ts).n, want))
+    p, xs = KStruveParams(0.5, 1.0, 1.0), np.linspace(0.0, 10.0, 4097)
+    for name, g in (("forcing", xs), ("forcing reversed", xs[::-1].copy())):
+        grids.append((name, lambda g=g: _k_struve_grid(p, g), _scalar_k_struve(p, g).tobytes()))
+    return grids
+
+
+@pytest.mark.parametrize("accumulate_lanes", [0, 256, 1 << 20])
+@pytest.mark.parametrize("rows,terms", [(1, 1), (16, 2048), (32, 4096), (64, 8192)])
+def test_grid_values_do_not_depend_on_block_geometry(monkeypatch, rows, terms, accumulate_lanes):
+    # block height, block size and the running sums' method change no double;
+    # both ways of dropping the stopped lanes run at every geometry
+    from frac_kinetics import special
+
+    monkeypatch.setattr(special, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(special, "_BLOCK_TERMS", terms)
+    monkeypatch.setattr(special, "_ACCUMULATE_LANES", accumulate_lanes)
+    for name, call, want in _geometry_grids():
+        assert call().tobytes() == want, name
+    (_, forcing, _), (_, reversed_, _) = _geometry_grids()[2:]
+    assert _line_runs(special._lane_sums, "sel, keep = slice(", forcing)[1]
+    assert _line_runs(special._lane_sums, "sel, keep = lanes, ~hit", reversed_)[1]
 
 
 @pytest.mark.parametrize("lanes", [1, 101, 127, 128, 129, 4097])
