@@ -436,7 +436,7 @@ def _sum_series_grid(series: _Series, ts: np.ndarray, s: np.ndarray, rel_tol: fl
             return
         d, x, c, first = series.entries[n]
         if first:  # chains begin in order
-            state.append(_powers(state[1].tolist(), x))  # NaN where ** raises
+            state.append(_powers(state[1], x))  # NaN where ** raises
         else:
             state[3 + c] *= state[2]
         np.multiply(state[3 + c], d, out=out)
@@ -486,7 +486,7 @@ def solve(p: KineticProblem, t, ctl: SeriesControl | None = None, *, reading: st
             table.n[0] = _zero_t_value(p)
     ts = g[first:]
     with np.errstate(over="ignore", invalid="ignore"):
-        s = _powers(ts.tolist(), p.upsilon)
+        s = _powers(ts, p.upsilon)
         ok = np.abs(-_powers([p.rate], p.upsilon)[0] * s) <= ML_SERIES_CAP  # False at NaN
         with suppress(OverflowError):  # of d**upsilon: _problem_series raises it at the first node
             lam, sigma = p.forcing_scale

@@ -210,7 +210,7 @@ def _forcing_values(p: KineticProblem, forcing, grid: QuadratureGrid, ctl: Serie
             lam, sigma = _scale(p, forcing)
             # t**1.0 == t, and both products round correctly, so the numpy
             # product is the per-node expression lam * t**sigma
-            powers = grid.nodes if sigma == 1.0 else _powers(grid.nodes.tolist(), sigma)
+            powers = grid.nodes if sigma == 1.0 else _powers(grid.nodes, sigma)
             if np.isnan(powers).any():  # the first t**sigma that raises, raised again
                 float(grid.nodes[np.argmax(np.isnan(powers))]) ** sigma
             vals = _k_struve_grid(p.struve, lam * powers, ctl)

@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -218,19 +217,16 @@ def _lane_sums(step, state: list, n_terms: int, rel_tol: float, runs=None):
         return out
 
 
-def _powers(xs: list[float], e: float) -> np.ndarray:
-    """``x**e`` at every node, NaN where it raises (x**e is never NaN for x > 0): ``math.pow``,
-    the libm ``pow`` of CPython's float ``**`` (``np.power`` differs in the last bit), which
-    raises ``ValueError`` where ``0.0 ** -e`` raises ``ZeroDivisionError``."""
-    try:
-        return np.fromiter(map(math.pow, xs, itertools.repeat(e, len(xs))), float, len(xs))
-    except (ArithmeticError, ValueError):
-        pass
-    vals = np.full(len(xs), np.nan)
-    for i, x in enumerate(xs):
-        with suppress(ArithmeticError):
-            vals[i] = x**e
-    return vals
+def _powers(xs: np.ndarray, e: float) -> np.ndarray:
+    """``x**e`` at every node of ``xs`` (left unwritten) in a fresh array, NaN where ``**`` raises: ``x**e``
+    at a finite ``x`` and ``e`` past the double range or ``0.0 ** -e``.  ``np.float_power`` runs libm ``pow``,
+    the ``pow`` of CPython's float ``**`` (``np.power``'s SIMD loops differ from it in the last bit)."""
+    xs = np.asarray(xs, float)
+    with np.errstate(all="ignore"):
+        p = np.float_power(xs, e)
+    if math.isfinite(e):
+        p[np.isinf(p) & np.isfinite(xs)] = np.nan
+    return p
 
 
 # --------------------------------------------------------------------------
@@ -575,7 +571,7 @@ def _k_struve_grid(params: KStruveParams, xs: np.ndarray, ctl: SeriesControl | N
     with np.errstate(over="ignore", invalid="ignore"):
         lane = (xs > 0.0) & (xs <= STRUVE_SERIES_CAP)  # False at NaN
         half_x = np.where(lane, xs, 0.0) / 2.0
-        p = _powers(half_x.tolist(), nu / k + 1.0)  # NaN where ** raises
+        p = _powers(half_x, nu / k + 1.0)  # NaN where ** raises
         state = [np.arange(xs.size), np.ones(xs.size), half_x * half_x]
         pm, pe = np.frexp(p)
         vals = np.ldexp(cm * pm * _lane_sums(step, state, ctl.max_terms, ctl.rel_tol), ce + pe)

@@ -13,6 +13,7 @@ from frac_kinetics import (
     KStruveParams,
     ML_SERIES_CAP,
     PoleError,
+    QuadratureGrid,
     RangeError,
     SeriesControl,
     STRUVE_SERIES_CAP,
@@ -228,8 +229,9 @@ def _assert_grid_is_scalar(p, xs, ctl=None):
     [None, SeriesControl(max_terms=7), SeriesControl(rel_tol=1e-6), SeriesControl(max_terms=80, rel_tol=1e-15)],
 )
 def test_k_struve_grid_is_the_scalar_path(n, nu, c, k, ctl):
-    # node for node the same double: np.power differs from CPython's float
-    # ** in the last bit on some nodes, so a tolerance would hide a change;
+    # node for node the same double: the powers are libm pow, as CPython's
+    # float ** is (np.power differs from it in the last bit on some nodes),
+    # so a tolerance would hide a change;
     # where a node's sum is cut at max_terms with its tail bound unmet (most
     # nodes past x ~ 5 at 7 terms), the grid raises that node's error
     p = KStruveParams(nu, c, k)
@@ -255,12 +257,15 @@ def test_k_struve_grid_at_zero():
 
 
 def _loop_powers(xs, e):
+    # CPython's float ** node by node, NaN where it raises or, at a negative
+    # base and a non-integer e, returns a complex number
     out = []
     for x in xs:
         try:
-            out.append(x**e)
+            v = x**e
         except ArithmeticError:
-            out.append(math.nan)
+            v = math.nan
+        out.append(v if isinstance(v, float) else math.nan)
     return np.array(out)
 
 
@@ -280,15 +285,47 @@ def test_powers_are_float_pow_node_for_node(e, bad):
 
 
 def test_powers_are_float_pow_at_edge_bases():
-    # math.pow is the libm pow of CPython's float **: the same double at every
-    # base and exponent, and NaN where ** raises (0.0 ** -e divides by zero,
-    # where math.pow raises ValueError; a power past the double range overflows)
+    # np.float_power runs libm pow, the pow of CPython's float **: the same
+    # double at every base and exponent, and NaN where ** raises (0.0 ** -e
+    # divides by zero, a power past the double range overflows; ** at an
+    # infinite base or exponent never raises)
     bases = [0.0, 5e-324, 1e-310, sys.float_info.min, 1e-300, 1e-3, 0.5, 1.0, 1.0 + 2.0**-52, 2.0, 3.0, 19.999,
              1e300, sys.float_info.max, math.inf, math.nan, *np.geomspace(1e-300, 1e300, 397).tolist()]
     for e in (0.0, -0.0, 1.0, 2.0, 0.5, 1.5, 0.37, 1.0 / 3.0, 3.0, 7.0, 171.5, 1e3, -1.0, -1.5, -2.0, -0.37,
               -171.5, math.inf, -math.inf, math.nan):
         assert [repr(v) for v in _powers(bases, e).tolist()] == [repr(v) for v in _loop_powers(bases, e).tolist()], e
     assert np.isnan(_powers([0.0], -1.5)[0]) and np.isnan(_powers([2.0, 0.0, 3.0], -2.0)[1])
+
+
+def test_powers_are_float_pow_on_seeded_bases():
+    # 10**5 seeded bases over the whole double range, subnormals and [0, 20]
+    # (a quarter negated), at the exponents the callers form: upsilon,
+    # nu/k + 1 and integers; bit for bit where ** gives a float.  np.power's
+    # SIMD loops differ from ** on thousands of these bases at each exponent
+    # on an AVX-512 CPU, so there this test fails for np.power
+    rng = np.random.default_rng(29)
+    wide = rng.integers(0, 2047, 60_000, dtype=np.uint64) << np.uint64(52) | rng.integers(0, 2**52, 60_000, dtype=np.uint64)
+    subnormal = rng.integers(1, 2**52, 10_000, dtype=np.uint64)
+    xs = np.concatenate([wide.view(float), subnormal.view(float), rng.uniform(0.0, 20.0, 30_000)])
+    xs[rng.random(xs.size) < 0.25] *= -1.0
+    xs = np.concatenate([xs, [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, sys.float_info.max]])
+    for e in (0.1, 0.3, 0.75, 1.5, 0.5 / 3.0 + 1.0, 1.3 / 1.9 + 1.0, -2.5 / 2.0 + 1.0, 2.0, 3.0, -2.0):
+        got, want = _powers(xs, e), _loop_powers(xs.tolist(), e)
+        ok = ~np.isnan(want)
+        assert np.array_equal(np.isnan(got), ~ok), e
+        assert got[ok].tobytes() == want[ok].tobytes(), e
+
+
+@pytest.mark.parametrize("e", [1.0, 0.37, -1.5])
+def test_powers_leave_a_read_only_grid_unwritten(e):
+    # the oracle passes its grid's read-only nodes; at e = -1.5 the NaN of
+    # 0.0 ** -1.5 is written into the result alone
+    g = QuadratureGrid(n=64, t_max=1.0)
+    before = g.nodes.tobytes()
+    p = _powers(g.nodes, e)
+    assert not g.nodes.flags.writeable and g.nodes.tobytes() == before
+    assert p.flags.writeable and not np.shares_memory(p, g.nodes)
+    assert p.tobytes() == _loop_powers(g.nodes.tolist(), e).tobytes()
 
 
 @pytest.mark.parametrize(
