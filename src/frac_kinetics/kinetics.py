@@ -176,20 +176,16 @@ def _rows(n0: float, lam: float, sigma: float, l: float, c: float, k: float, rea
 
     b_r = n0 * a_r * (lam / 2)**e_r comes from ``special._scaled_terms`` under either reading
     (e_r - e_0 = 2r): 0.0 or subnormal only below the double range, ``OverflowError`` as it is drawn
-    above it.  g_r = sigma * e_r.  Row r of the solution is b_r Gamma(g_r + 1) t**g_r E_{upsilon,
-    g_r + 1}(-rate**upsilon t**upsilon), which :class:`_Series` expands without forming Gamma(g_r + 1).
+    above it, ``DomainError`` at lam = 0 and e_0 < 0, where the forcing S(0) diverges.  g_r = sigma * e_r.
+    Row r of the solution is b_r Gamma(g_r + 1) t**g_r E_{upsilon, g_r + 1}(-rate**upsilon t**upsilon),
+    which :class:`_Series` expands without forming Gamma(g_r + 1).
     """
     scaled = _scaled_terms(n0, lam / 2.0, _exponent(0, l, k, reading), l, c, k)
-    for r, (m, e2) in enumerate(scaled):
-        e = _exponent(r, l, k, reading)
-        g = sigma * e
+    for r in itertools.count():
+        g = sigma * _exponent(r, l, k, reading)
         if g + 1.0 <= 0.0 and g + 1.0 == math.floor(g + 1.0):
             raise PoleError(f"row r = {r}: Gamma(sigma*e_r + 1) hits a gamma pole at {g + 1.0!r}")
-        if lam == 0.0 and e < 0.0:
-            raise DomainError(
-                f"row r = {r}: lam = 0 puts the forcing at S(0), which diverges for a negative "
-                f"exponent e_r = {e!r} (l/k < -1 under the consistent reading)"
-            )
+        m, e2 = next(scaled)
         try:
             coef = math.ldexp(m, e2)
         except OverflowError:
@@ -351,6 +347,8 @@ def _sum_series(series: _Series, t: float, rel_tol: float) -> float:
                 built = len(entries)
             d, x, c, first = entries[i]
             if first:  # chains begin in order
+                if not t and x < 0.0:  # the least exponent comes first
+                    raise DomainError(f"t = 0 requires a leading t-exponent g_0 >= 0, got g_0 = {x!r}")
                 power = t**x
                 powers.append(power)
             else:
@@ -369,15 +367,6 @@ def _sum_series(series: _Series, t: float, rel_tol: float) -> float:
     except OverflowError:
         raise series.error(i) from None
     return s + err
-
-
-def _zero_t_value(p: KineticProblem) -> float:
-    if p.struve.nu > -p.struve.k:
-        return 0.0
-    raise DomainError(
-        "t = 0 requires l > -k (the leading t-exponent is otherwise non-positive); "
-        f"got l = {p.struve.nu!r}, k = {p.struve.k!r}"
-    )
 
 
 def _of_variant(p: KineticProblem, variant: Variant) -> KineticProblem:
@@ -457,11 +446,15 @@ def solve(p: KineticProblem, t, ctl: SeriesControl | None = None, *, reading: st
     ``reading`` must be one of ``READINGS`` for every variant; it picks the
     THM2/THM3 term exponent, and THM1 has a single one.
 
-    Where the leading forcing exponent g_0 = sigma * e_0 is at most -1 (THM2
-    or THM3 with upsilon > 1 and l/k in (-3/2, -1), or such exponents under
-    the printed reading), the forcing has no Riemann-Liouville integral: a
-    t > 0 gives the analytically continued closed form, which no oracle leg
-    can check, and t = 0 raises ``DomainError``.
+    t = 0 is summed as any t, so N(0) = N0 * S(0) by the sign of the leading
+    forcing exponent g_0 = sigma * e_0 (e_0 of the reading): 0.0 where g_0 > 0,
+    the row-0 coefficient where g_0 = 0 (l = -k under the consistent reading),
+    and ``DomainError`` where g_0 < 0.  THM2/THM3 with lam = d**upsilon = 0 put
+    the forcing at S(0) at every t, which raises ``DomainError`` where e_0 < 0.
+    Where g_0 is at most -1 (THM2 or THM3 with upsilon > 1 and l/k in
+    (-3/2, -1), or such exponents under the printed reading), the forcing has
+    no Riemann-Liouville integral: a t > 0 gives the analytically continued
+    closed form, which no oracle leg can check.
     """
     if ctl is None:
         ctl = _DEFAULT_CTL
@@ -469,8 +462,6 @@ def solve(p: KineticProblem, t, ctl: SeriesControl | None = None, *, reading: st
     if not hasattr(t, "__len__"):  # a real t: no numpy
         _check_reading(reading)
         t = _check_t(t)
-        if t == 0.0:
-            return _zero_t_value(p)
         _ml_argument(p.rate, p.upsilon, t)
         lam, sigma = p.forcing_scale
         if lam * t**sigma > STRUVE_SERIES_CAP:
@@ -479,27 +470,24 @@ def solve(p: KineticProblem, t, ctl: SeriesControl | None = None, *, reading: st
             )
         return _sum_series(_problem_series(p, rows_reading), t, ctl.rel_tol)
     table = SolutionTable(t, np.zeros(np.shape(t)))
-    g, first = table.t, int(table.t[0] == 0.0)  # the first node with t > 0
-    with _at_node(g, 0):
-        _check_reading(reading)
-        if first:
-            table.n[0] = _zero_t_value(p)
-    ts = g[first:]
+    g = table.t
     with np.errstate(over="ignore", invalid="ignore"):
-        s = _powers(ts, p.upsilon)
-        ok = np.abs(-_powers([p.rate], p.upsilon)[0] * s) <= ML_SERIES_CAP  # False at NaN
-        with suppress(OverflowError):  # of d**upsilon: _problem_series raises it at the first node
+        s = _powers(g, p.upsilon)
+        ok = np.zeros(g.size, dtype=bool)
+        with suppress(OverflowError):  # of rate**upsilon or d**upsilon: the scalar solve raises it
             lam, sigma = p.forcing_scale
-            ok &= lam * (ts if sigma == 1.0 else s) <= STRUVE_SERIES_CAP
-    n = ts.size if ok.all() else int(ok.argmin())  # the nodes before the first past a cap (or inf)
+            ok = np.abs(p.rate**p.upsilon * s) <= ML_SERIES_CAP  # False at NaN
+            ok &= lam * (g if sigma == 1.0 else s) <= STRUVE_SERIES_CAP
+    n = g.size if ok.all() else int(ok.argmin())  # the nodes before the first past a cap (or inf)
     if n:
-        with _at_node(g, first):
+        with _at_node(g, 0):
+            _check_reading(reading)  # else the scalar solve checks it at node 0
             series = _problem_series(p, rows_reading)
-        table.n[first : first + n] = _sum_series_grid(series, ts[:n], s[:n], ctl.rel_tol)
+        table.n[:n] = _sum_series_grid(series, g[:n], s[:n], ctl.rel_tol)
     # the scalar solve returns the same double, or raises its own error, at every other node
-    for i in [*np.flatnonzero(~np.isfinite(table.n[first : first + n])).tolist(), *range(n, ts.size)]:
-        with _at_node(g, first + i):
-            table.n[first + i] = solve(p, float(ts[i]), ctl, reading=reading)
+    for i in [*np.flatnonzero(~np.isfinite(table.n[:n])).tolist(), *range(n, g.size)]:
+        with _at_node(g, i):
+            table.n[i] = solve(p, float(g[i]), ctl, reading=reading)
     return table
 
 

@@ -28,8 +28,9 @@ both):
   truncated numerical transform with an explicit tail bound.
 
 The k-Struve forcing S^k_{l,c}(lam * t**sigma) is tabulated from its scale
-(lam, sigma); ``residual`` takes the problem's ``forcing_scale``.  numpy
-(``_lazy_numpy.np``) loads on the first array call; ``laplace_image`` makes none.
+(lam, sigma); ``volterra_solve`` and ``residual`` take the problem's
+``forcing_scale``.  numpy (``_lazy_numpy.np``) loads on the first array call;
+``laplace_image`` makes none.
 
 The quadrature weights come from integrating the hat-function interpolant
 exactly:  with ``c_u = h**u / Gamma(u + 2)`` the node weights at step ``i``
@@ -63,7 +64,8 @@ __all__ = [
 
 
 class Forcing(enum.Enum):
-    """Forcing term of the Volterra equation (CONSTANT is a test hook)."""
+    """Forcing term of the Volterra equation: STRUVE_T is THM1's, STRUVE_DT THM2's and THM3's
+    (CONSTANT is a test hook)."""
 
     STRUVE_T = "struve_t"
     STRUVE_DT = "struve_dt"
@@ -189,25 +191,20 @@ def rl_integral(f, upsilon: float, grid: QuadratureGrid) -> np.ndarray:
     return out
 
 
-def _scale(p: KineticProblem, forcing):
-    """(lam, sigma) of S(lam * t**sigma) for STRUVE_T (S(t)) and STRUVE_DT (THM2's); others pass through."""
-    return {Forcing.STRUVE_T: (1.0, 1.0), Forcing.STRUVE_DT: (p.d**p.upsilon, p.upsilon)}.get(forcing, forcing)
-
-
 @lru_cache(maxsize=1)
 def _forcing_values(p: KineticProblem, forcing, grid: QuadratureGrid, ctl: SeriesControl | None) -> np.ndarray:
     """Read-only forcing table at the grid nodes.
 
-    ``forcing`` is a :class:`Forcing` member or a scale (lam, sigma).  The
-    last table is kept: ``volterra_solve`` and ``residual`` pass the scale,
-    so ``residual`` reuses the table ``volterra_solve`` just built on the
-    same problem and grid.
+    ``forcing`` is ``Forcing.CONSTANT`` or a scale (lam, sigma).  The last
+    table is kept: ``volterra_solve`` and ``residual`` pass the problem's
+    scale, so ``residual`` reuses the table ``volterra_solve`` just built on
+    the same problem and grid.
     """
     with np.errstate(over="ignore"):  # lam * t**sigma overflows to inf, as a Python float product does
         if forcing is Forcing.CONSTANT:
             vals = np.ones(grid.n + 1)
         else:
-            lam, sigma = _scale(p, forcing)
+            lam, sigma = forcing
             # t**1.0 == t, and both products round correctly, so the numpy
             # product is the per-node expression lam * t**sigma
             powers = grid.nodes if sigma == 1.0 else _powers(grid.nodes, sigma)
@@ -286,8 +283,15 @@ def volterra_solve(
     of its inverse, formed once per solve by :func:`_resolvent`.  On stiff
     grids that matrix is ill-conditioned, and the cap halves until its
     condition number is at most ``_LEAF_COND``.
+
+    ``forcing`` must be the problem's own (``STRUVE_T`` for THM1,
+    ``STRUVE_DT`` for THM2 and THM3) or ``CONSTANT``; any other raises
+    ``DomainError``.  The k-Struve table takes the problem's ``forcing_scale``.
     """
-    F = _forcing_values(p, _scale(p, forcing), grid, ctl)
+    own = Forcing.STRUVE_T if p.variant is Variant.THM1 else Forcing.STRUVE_DT
+    if forcing not in (own, Forcing.CONSTANT):
+        raise DomainError(f"{p.variant.name} is forced by {own}, got {forcing!r}")
+    F = _forcing_values(p, forcing if forcing is Forcing.CONSTANT else p.forcing_scale, grid, ctl)
     n = grid.n
     c, a0, dker = _weight_parts(n, p.upsilon)
     cu = c * grid.h**p.upsilon

@@ -409,12 +409,16 @@ def _exp_scaled(*logs: float) -> tuple[float, int]:
 
 
 def _scaled_power(base: float, e: float) -> tuple[float, int]:
-    """base**e, base >= 0, as (m, E), m * 2**E with 0.5 <= m < 1 (0.0 or inf only at base 0): one ``**``
-    where that is a normal double, else base**(e/2) squared, the binary exponent kept apart, so that a
-    power past the double range keeps its digits (a few u, where a logarithm loses u |e ln base|)."""
+    """base**e, base >= 0, as (m, E), m * 2**E with 0.5 <= m < 1: one ``**`` where that is a normal double,
+    else base**(e/2) squared, the binary exponent kept apart, so that a power past the double range keeps
+    its digits (a few u, where a logarithm loses u |e ln base|).  At base 0, the leading power of a k-Struve
+    series at x = 0 (and of the forcing rows at lam = 0), it is 0.0 for e > 0, 1.0 for e = 0, and a negative
+    e raises ``DomainError``: the series diverges there."""
+    if not base and e < 0.0:
+        raise DomainError(f"k-Struve diverges at x = 0: its leading power (x/2)**{e!r} has a negative exponent")
     try:
         p = base**e
-    except (OverflowError, ZeroDivisionError):  # 0.0 ** -e raises
+    except OverflowError:
         p = math.inf
     if _TINY <= p < math.inf or not base:
         return math.frexp(p)
@@ -512,14 +516,7 @@ def _k_struve(nu: float, c: float, k: float, x: float, ctl: SeriesControl | None
         raise DomainError(f"x must be >= 0, got {x!r}")
     if x > STRUVE_SERIES_CAP:
         raise RangeError(f"|x| = {x!r} exceeds the series cap {STRUVE_SERIES_CAP}")
-    if x == 0.0:
-        ratio = nu / k
-        if ratio > -1.0:
-            return 0.0
-        if ratio < -1.0:
-            raise DomainError(f"k-Struve diverges at x = 0 for nu/k < -1 (nu = {nu!r}, k = {k!r})")
-        # nu/k = -1: the series limit is the r = 0 coefficient (2/pi for H_{-1})
-    return _struve_series(nu, c, k, x / 2.0, ctl)
+    return _struve_series(nu, c, k, (x + 0.0) / 2.0, ctl)  # + 0.0: (-0.0)**e is -0.0 at odd integer e
 
 
 def struve_h(p: float, x: float, ctl: SeriesControl | None = None) -> float:
@@ -543,6 +540,8 @@ def k_struve(params: KStruveParams, x: float, ctl: SeriesControl | None = None) 
     times (x/2)**(2r + nu/k + 1), taken as a prefactor times a 1F2 sum;
     collapses to ``struve_h(nu, x)`` at k = 1, c = 1.  A sum cut at
     ``max_terms`` raises ``RangeError`` unless its tail bound is within ``rel_tol``.
+    At x = 0 it is 0.0 for nu/k > -1, the r = 0 coefficient at nu/k = -1, and a
+    ``DomainError`` below (the series diverges there).
     """
     return _k_struve(params.nu, params.c, params.k, x, ctl)
 

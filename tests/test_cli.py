@@ -404,6 +404,16 @@ def test_verify_zero_rate_passes(capsys):
     assert code == 0
 
 
+def test_verify_at_a_zero_leading_exponent_passes(capsys):
+    # l = -k: the grid's t = 0 node is N0 S(0) = 2/pi, no longer an error
+    code, out, _ = _run(capsys, "verify", "--l", "-1", "--k", "1")
+    assert code == 0
+    assert "relative defect" in out
+    args = ("--n0", "1", "--d", "1", "--upsilon", "0.5", "--l", "-1", "--c", "1", "--k", "1", "--t", "0")
+    _, value, _ = _run(capsys, "eval", "thm1", *args)
+    assert value == _run(capsys, "eval", "kstruve", "--nu", "-1", "--c", "1", "--k", "1", "--x", "0")[1]
+
+
 def test_verify_printed_reading_fails_off_k1(capsys):
     code, out, _ = _run(
         capsys, "verify", "--variant", "thm2", "--k", "2", "--upsilon", "0.5",

@@ -145,6 +145,32 @@ def test_zero_t_rejected_for_nonpositive_leading_exponent():
         solve_thm1(_thm1(l=-1.2), 0.0)
 
 
+@pytest.mark.parametrize("make,upsilon", [(_thm1, 0.5), (_thm2, 1.5)])
+def test_zero_t_at_a_zero_leading_exponent_is_the_forcing_at_the_origin(make, upsilon):
+    # l = -k: e_0 = 0, so N(0) = N0 S(0), the row-0 coefficient (2/pi for H_{-1})
+    p = make(n0=1.7, upsilon=upsilon, d=1.3, l=-2.0, c=0.7, k=2.0)
+    want = 1.7 * k_struve(p.struve, 0.0)
+    assert want > 0.0
+    assert solve(p, 0.0) == want
+    assert solve_table(p, np.linspace(0.0, 1.0, 5)).n[0] == want
+
+
+def test_zero_t_follows_the_printed_exponent():
+    # printed reading: e_0 = l + 1, not l/k + 1
+    p = _thm2(l=-1.5, k=2.0)  # printed e_0 = -0.5: N(1e-12) = 1.5e6, and N(0) diverges
+    assert solve(p, 0.0) == 0.0  # consistent e_0 = 1/4
+    assert solve(p, 1e-12, reading="printed") > 1e6
+    with pytest.raises(DomainError, match="t = 0 requires"):
+        solve(p, 0.0, reading="printed")
+    msg = _same_failure(p, np.linspace(0.0, 1.0, 5), reading="printed")
+    assert msg.startswith("grid index 0 (t = 0.0): t = 0 requires")
+    q = _thm2(l=-0.69, k=0.5)  # printed e_0 = 0.31, consistent e_0 = -0.38
+    assert solve(q, 0.0, reading="printed") == 0.0
+    assert solve_table(q, np.linspace(0.0, 1.0, 5), reading="printed").n[0] == 0.0
+    with pytest.raises(DomainError, match="t = 0 requires"):
+        solve(q, 0.0)
+
+
 # ---------------------------------------------------------------- degenerate limits
 
 
@@ -774,12 +800,34 @@ def test_gamma_underflow_in_a_row_is_an_overflow_error():
     assert solve_table(p, np.array([0.25, 0.5]), reading="printed").n[1] == got
 
 
+@pytest.mark.parametrize(
+    "upsilon,want", [(2.5, 2.382270227225354200575384e105), (2.2, 2.592978459164972675798185e96)]
+)
+def test_chain_ratio_from_lgamma_where_a_gamma_leaves_the_double_range(monkeypatch, upsilon, want):
+    # printed reading, l = -100.25, k = 100: row 0's Gamma(beta), beta =
+    # upsilon (l + 1) + 1, underflows, so a non-integer upsilon takes its chain
+    # ratios Gamma(a_{n-1}) / Gamma(a_n) from lgamma (the only caller of
+    # kinetics._exp); want is the 80-digit mpmath sum of the closed form, as in
+    # the upsilon = 2 test above with n < 300
+    from frac_kinetics import kinetics
+
+    calls, exp = [], kinetics._exp
+    monkeypatch.setattr(kinetics, "_exp", lambda x: calls.append(x) or exp(x))
+    kinetics._problem_series.cache_clear()
+    p = _thm2(upsilon=upsilon, l=-100.25, k=100.0)
+    got = solve(p, 0.5, reading="printed")
+    assert calls
+    assert abs(got - want) <= 1e-14 * want
+    assert solve_table(p, np.array([0.25, 0.5]), reading="printed").n[1] == got
+    kinetics._problem_series.cache_clear()  # no entry built through the counting _exp stays cached
+
+
 def test_zero_rate_with_a_divergent_forcing_is_a_domain_error():
     # THM2 at d = 0 sums rows of S(0 * t**upsilon); row 0 has e_0 = l/k + 1 = -0.2
     p = _thm2(d=0.0, l=-1.2)
-    with pytest.raises(DomainError, match=r"^row r = 0: .*diverges"):
+    with pytest.raises(DomainError, match=r"^k-Struve diverges at x = 0: .* negative exponent"):
         solve_thm2(p, 0.5)
-    with pytest.raises(DomainError, match=r"^grid index 0 \(t = 0\.5\): row r = 0: .*diverges"):
+    with pytest.raises(DomainError, match=r"^grid index 0 \(t = 0\.5\): k-Struve diverges at x = 0"):
         solve_table(p, np.array([0.5, 1.0]))
 
 
@@ -808,5 +856,5 @@ def test_a_leading_exponent_below_minus_one_gives_the_continued_closed_form(caps
     # verify starts its grid at t = 0, where such a problem has no value
     assert main(["verify", "--variant", "thm2", "--upsilon", "2.2", "--l", "-1.49", "--d", "0.5"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: grid index 0 (t = 0.0): t = 0 requires l > -k")
+    assert err.startswith("error: grid index 0 (t = 0.0): t = 0 requires a leading t-exponent g_0 >= 0")
 

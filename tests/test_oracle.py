@@ -64,8 +64,8 @@ def test_grid_nodes_are_built_once_and_read_only():
     # grids with one hash, so they share one forcing table
     assert g == h and hash(g) == hash(h) and "nodes" not in repr(g)
     oracle._forcing_values.cache_clear()
-    table = oracle._forcing_values(_problem(), Forcing.STRUVE_T, g, None)
-    assert oracle._forcing_values(_problem(), Forcing.STRUVE_T, h, None) is table
+    table = oracle._forcing_values(_problem(), (1.0, 1.0), g, None)
+    assert oracle._forcing_values(_problem(), (1.0, 1.0), h, None) is table
     assert oracle._forcing_values.cache_info().hits == 1
     # a solved table's abscissae are its own writable copy of the nodes
     sol = volterra_solve(_problem(), Forcing.STRUVE_T, g)
@@ -231,6 +231,21 @@ def test_volterra_zero_rate_returns_forcing():
     assert np.array_equal(num.n, want)
 
 
+def test_volterra_takes_only_the_problem_s_own_forcing():
+    # S(t) on a THM2 problem marched another equation: its table was 0.080
+    # from the problem's own, and its residual 0.18 against 2.2e-16
+    g = QuadratureGrid(n=64, t_max=1.0)
+    thm2 = _problem(variant=Variant.THM2, upsilon=0.5, d=2.0)
+    thm3 = _problem(variant=Variant.THM3, upsilon=0.5, d=2.0, a=1.0)
+    for p, other in ((_problem(), Forcing.STRUVE_DT), (thm2, Forcing.STRUVE_T), (thm3, Forcing.STRUVE_T)):
+        with pytest.raises(DomainError, match=f"^{p.variant.name} is forced by "):
+            volterra_solve(p, other, g)
+        with pytest.raises(DomainError):
+            volterra_solve(p, p.forcing_scale, g)
+        volterra_solve(p, Forcing.CONSTANT, g)
+    assert residual(thm2, volterra_solve(thm2, Forcing.STRUVE_DT, g), g).max_defect <= 1e-15
+
+
 def test_volterra_constant_forcing_first_order_kinetics():
     # upsilon = 1, F = 1: the marching result must track n0*exp(-d t) at
     # second order
@@ -273,7 +288,7 @@ def test_volterra_richardson_contraction(ups):
 
 def _node_by_node_march(p, forcing, grid):
     """Reference: the march one node at a time, each history sum one np.dot."""
-    F = oracle._forcing_values(p, oracle._scale(p, forcing), grid, None)
+    F = oracle._forcing_values(p, p.forcing_scale, grid, None)
     c, a0, dker = oracle._weight_parts(grid.n, p.upsilon)
     cu = c * grid.h**p.upsilon
     lam = p.rate**p.upsilon
@@ -424,8 +439,8 @@ def test_forcing_table_is_the_per_node_expression(ups, l, c, k, d):
     want_t = np.array([k_struve(p.struve, t) for t in g.nodes])
     dpow = p.d**p.upsilon
     want_dt = np.array([k_struve(p.struve, dpow * t**p.upsilon) for t in g.nodes])
-    assert oracle._forcing_values(p, Forcing.STRUVE_T, g, None).tobytes() == want_t.tobytes()
-    assert oracle._forcing_values(p, Forcing.STRUVE_DT, g, None).tobytes() == want_dt.tobytes()
+    assert oracle._forcing_values(p, (1.0, 1.0), g, None).tobytes() == want_t.tobytes()
+    assert oracle._forcing_values(p, p.forcing_scale, g, None).tobytes() == want_dt.tobytes()
 
 
 def test_forcing_power_overflow_raises_as_the_per_node_product():
@@ -436,13 +451,13 @@ def test_forcing_power_overflow_raises_as_the_per_node_product():
     with pytest.raises(OverflowError) as want:
         float(g.nodes[1]) ** 40.0
     with pytest.raises(OverflowError) as got:
-        oracle._forcing_values(p, Forcing.STRUVE_DT, g, None)
+        oracle._forcing_values(p, p.forcing_scale, g, None)
     assert str(got.value) == str(want.value)
 
 
 def test_forcing_table_is_read_only():
     g = QuadratureGrid(n=64, t_max=1.0)
-    for forcing in Forcing:
+    for forcing in (Forcing.CONSTANT, (1.0, 1.0), (2.0, 0.5)):
         table = oracle._forcing_values(_problem(), forcing, g, None)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -471,8 +486,8 @@ def test_solve_then_check_tabulates_the_forcing_once(monkeypatch):
     residual(q, volterra_solve(q, Forcing.STRUVE_T, other), other)
     assert len(calls) == 3
     assert not np.array_equal(
-        oracle._forcing_values(q, Forcing.STRUVE_T, other, None),
-        oracle._forcing_values(p, Forcing.STRUVE_T, other, None),
+        oracle._forcing_values(q, (1.0, 1.0), other, None),
+        oracle._forcing_values(p, (1.0, 1.0), other, None),
     )
 
 
