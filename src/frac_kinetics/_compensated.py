@@ -1,23 +1,20 @@
-"""Error-free transformations and double-double helpers for series summation.
+"""Error-free transformations and double-double helpers for series terms and coefficients.
 
 The series in this package alternate in sign for the parameter regimes of
 interest (``c > 0``, ``z < 0``), so naive accumulation loses digits to
-cancellation.  Partial sums are therefore carried as an unevaluated pair
-``(hi, lo)`` of doubles (a "double-double"), giving roughly 32 significant
-digits in the accumulator.  Adding a plain double term into such a pair is
-Kahan-Neumaier compensated summation; the extra primitives below additionally
-allow *terms* to be generated to double-double accuracy via an exact product
-split, which is what lets the integer-order series hold to a few ulp, such as
+cancellation.  Every sum is therefore Sum2: ``two_sum`` inlined, one running
+sum of the terms and one of its errors, added at the stop (the scalar loops of
+``special``, ``kinetics`` and ``oracle.laplace_image``, and the array kernel
+``special._lane_sums``, which takes a block of terms with one accumulate each).
+The pairs ``(hi, lo)`` of doubles (a "double-double") below carry *terms* and
+coefficients to some 32 digits via an exact product split, which is what lets
+the integer-order Mittag-Leffler series hold to a few ulp, such as
 E_{2,1}(-x**2) = cos x, whose summands reach cosh x.
 
 No FMA is assumed: products are split with Dekker's algorithm (Veltkamp
-splitting by 2**27 + 1).  The solution coefficients (``kinetics._chain``),
-``oracle.laplace_image`` and ``special._ml_half`` call these helpers; the
-Mittag-Leffler loop (``special._ml_eval``) writes their steps out.  The
-Struve and solution sums, in their scalar loops and in the array kernel
-``special._lane_sums``, use Sum2 instead: ``two_sum`` inlined, one running sum
-of the terms and one of its errors, so that the kernel can take a block of
-terms with one accumulate each.
+splitting by 2**27 + 1).  The solution coefficients (``kinetics._chain``) and
+``special._ml_half`` call these helpers; the integer-order Mittag-Leffler loop
+(``special._ml_eval``) writes their steps out.
 """
 
 from __future__ import annotations

@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from ._compensated import dd_add
 from ._lazy_numpy import np
 from .errors import DomainError, RangeError
 from .kinetics import KineticProblem, SolutionTable, Variant
@@ -343,7 +342,8 @@ def laplace_image(p: KineticProblem, s: float, ctl: SeriesControl | None = None)
     their start b_0 = m * 2**E times Gamma(e_0 + 1) s**-(e_0 + 1), each later one by their
     ratio times (e_r + 1)(e_r + 2) / s**2, the binary exponents kept apart.  That ratio tends
     to -c / (k s**2), so the sum converges for s**2 > |c|/k, and the resummation for s > d.
-    A sum that takes ``max_terms`` terms without its stop rule firing raises ``RangeError``.
+    The sum is Sum2, as the series of ``special``.  A sum that takes ``max_terms`` terms without its stop
+    rule firing raises ``RangeError``, and one whose term or partial sum overflows ``OverflowError``.
     """
     if p.variant is not Variant.THM1:
         raise DomainError(f"laplace_image requires variant THM1, got {p.variant}")
@@ -368,11 +368,13 @@ def laplace_image(p: KineticProblem, s: float, ctl: SeriesControl | None = None)
     except OverflowError:
         gm, ge = _exp_scaled(math.lgamma(e + 1.0))
     sm, se = _scaled_power(s, -(e + 1.0))
-    sum_hi, sum_lo = 0.0, 0.0
+    acc, err = 0.0, 0.0
     for r, (m, e2) in zip(range(ctl.max_terms), _scaled_terms(p.n0, 0.5, e, st.nu, st.c, st.k)):
         term = math.ldexp(m * gm * sm, e2 + ge + se)
-        sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
-        if abs(term) <= ctl.rel_tol * abs(sum_hi):
+        acc, prev = acc + term, acc  # Sum2: two_sum inlined, its errors summed apart
+        b = acc - prev
+        err += (prev - (acc - b)) + (term - b)
+        if abs(term) <= ctl.rel_tol * abs(acc):
             break
         gm, de = math.frexp(gm * (e + 1.0) * (e + 2.0) / (s * s))
         ge, e = ge + de, e + 2.0
@@ -380,7 +382,9 @@ def laplace_image(p: KineticProblem, s: float, ctl: SeriesControl | None = None)
         raise RangeError(
             f"the image series at s = {s!r} does not stop within max_terms = {ctl.max_terms} terms"
         )
-    return (sum_hi + sum_lo) / (1.0 + p.d**p.upsilon * s ** (-p.upsilon))
+    if not abs(acc + err) < math.inf:
+        raise OverflowError(f"image series at s = {s!r}: a term or its partial sum leaves the double range")
+    return (acc + err) / (1.0 + p.d**p.upsilon * s ** (-p.upsilon))
 
 
 def laplace_numeric(f, s: float, grid: QuadratureGrid) -> tuple[float, float]:

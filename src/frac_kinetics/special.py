@@ -6,8 +6,7 @@ All four evaluators share one truncation contract, carried by
 E_1 and E_{1/2} at ``beta = 1`` are no series but their closed forms
 exp(z) and exp(z**2) erfc(-z), which read neither ``max_terms`` nor ``rel_tol``.
 The interesting regimes (``c > 0``, ``z < 0``) alternate in sign, so every sum
-is compensated: the Mittag-Leffler sums are double-double pairs (the steps of
-:mod:`frac_kinetics._compensated`, written out), the Struve sums Sum2 (below).
+is compensated, all by one rule, Sum2 (below).
 Two documented range caps keep the plain power series inside their
 trustworthy region (no series gets an asymptotic continuation):
 ``ML_SERIES_CAP`` (Mittag-Leffler, ``|z| <= 50``) and ``STRUVE_SERIES_CAP``
@@ -16,14 +15,15 @@ trustworthy region (no series gets an asymptotic continuation):
 A k-Struve value is one prefactor, cached per (nu, k), times (x/2)**(nu/k + 1)
 times its 1F2 sum, whose terms come from their ratio; both factors keep their
 binary exponents apart, so only a value past the double range overflows.  A
-sum cut at ``max_terms`` returns only within its tail bound.  The 1F2 sum, like
-the solution series of ``kinetics``, is Ogita, Rump and Oishi's Sum2 (SIAM J.
-Sci. Comput. 26(6), 2005): a plain running sum, and apart the running sum of
-its steps' ``two_sum`` errors, added at the stop; its error is at most
-u |sum| + gamma_{n-1}**2 sum |t_i|, as if summed in twice the working
-precision.  The array paths share one kernel, ``_lane_sums``, which only sums:
-one series per lane, with the scalar loop's stop rule and Sum2, until the rule
-fires or the sum is no longer finite (``_k_struve_grid`` a lane per node,
+sum cut at ``max_terms`` returns only within its tail bound.  The 1F2 and
+Mittag-Leffler sums, like the solution series of ``kinetics``, are Ogita, Rump
+and Oishi's Sum2 (SIAM J. Sci. Comput. 26(6), 2005): a plain running sum, and
+apart the running sum of its steps' ``two_sum`` errors, added at the stop; its
+error is at most u |sum| + gamma_{n-1}**2 sum |t_i|, as if summed in twice the
+working precision.  A term or partial sum past the double range raises
+``OverflowError``.  The array paths share one kernel, ``_lane_sums``, which only
+sums: one series per lane, with the scalar loop's stop rule and Sum2, until the
+rule fires or the sum is no longer finite (``_k_struve_grid`` a lane per node,
 ``kinetics.solve_table`` a lane per node of the solution series).  It goes a
 block of terms at a time, each term written in place into its row, both
 running sums taken down the block, the block at most 32 terms tall and at
@@ -35,10 +35,11 @@ raises aborts the grid.
 loop per kind of ``alpha`` and no call per term.  For positive integer ``alpha``
 its term ratio is the exact rational
 ``z / ((alpha*n + beta) ... (alpha*n + beta + alpha - 1))``, so the terms are
-generated in double-double: E_{2,1}(-x**2) = cos x holds to a few ulp across
-``x <= 3``.  E_1 and E_{1/2} (``_ml_half``) are within 2e-15 of mpmath on
-``|z| <= 50``, as far as E_{1/2} is a double.  numpy (``_lazy_numpy.np``)
-loads on the first array call; the scalar series never touch it.
+generated in double-double, their low parts summed with the ``two_sum`` errors:
+E_{2,1}(-x**2) = cos x holds to a few ulp across ``x <= 3``.  E_1 and E_{1/2}
+(``_ml_half``) are within 2e-15 of mpmath on ``|z| <= 50``, as far as E_{1/2}
+is a double.  numpy (``_lazy_numpy.np``) loads on the first array call; the
+scalar series never touch it.
 """
 
 from __future__ import annotations
@@ -263,74 +264,69 @@ def _ml_inv_gammas(alpha: float, beta: float, max_terms: int) -> tuple[float, ..
 
 
 def _ml_eval(alpha: float, beta: float, z: float, ctl: SeriesControl) -> float:
-    """Core series for E_{alpha,beta}(z) in double-double, the ``_compensated`` steps written out, the
-    same doubles as their calls.  For positive integer ``alpha`` the terms come from the exact recurrence
-    t_{n+1} = t_n z / prod_j (alpha n + beta + j), j < alpha, the divisions ending once a term is 0 under
-    a nonzero sum; otherwise term n is z**n times the 1/Gamma table, z**n tested for overflow (and n
-    counted) only where |z| > 1 and max_terms ln|z| >= 700.  The integer loop reads only 1/Gamma(beta): for
-    integer alpha a pole, or a 1/Gamma past the double range, at some n > 0 implies one at n = 0."""
+    """Core series for E_{alpha,beta}(z) by Sum2, as the Struve sums.  For positive integer ``alpha`` the
+    terms come in double-double (the ``_compensated`` steps written out, the same doubles as their calls)
+    from the exact recurrence t_{n+1} = t_n z / prod_j (alpha n + beta + j), j < alpha, the divisions ending
+    once a term is 0 under a nonzero sum, and each term's low part goes into the error sum; otherwise term
+    n is z**n times the 1/Gamma table, z**n tested for overflow (and n counted) only where |z| > 1 and
+    max_terms ln|z| >= 700.  The integer loop reads only 1/Gamma(beta): for integer alpha a pole, or a
+    1/Gamma past the double range, at some n > 0 implies one at n = 0.  Raises ``OverflowError`` where a
+    term or the partial sum leaves the double range."""
     n_int = round(alpha)
     integer = alpha == n_int and n_int >= 1
     inv_g = _ml_inv_gammas(alpha, beta, 1 if integer else ctl.max_terms)
     rel_tol = ctl.rel_tol
-    sum_hi, sum_lo = 0.0, 0.0
+    s, err = 0.0, 0.0
     if not integer:
         check = abs(z) > 1.0 and ctl.max_terms * math.log(abs(z)) >= 700.0
         zn, n = 1.0, 0
         for g in inv_g:
             t = zn * g
-            s = sum_hi + t  # sum += (t, 0.0)
-            b = s - sum_hi
-            e = (sum_hi - (s - b)) + (t - b)
-            # the helper's sum_lo + 0.0 differs only at sum_lo = -0.0, never reached: a rounded sum is -0.0 only if
-            # both addends are, so from +0.0 s and sum_hi never are, nor is s - (sum_hi - b), sum_lo's first addend
-            e += sum_lo
-            sum_hi = s + e
-            b = sum_hi - s
-            sum_lo = (s - (sum_hi - b)) + (e - b)
-            if abs(t) <= rel_tol * abs(sum_hi):
+            s, prev = s + t, s  # Sum2: two_sum inlined, its errors summed apart
+            b = s - prev
+            err += (prev - (s - b)) + (t - b)
+            if abs(t) <= rel_tol * abs(s):
                 break
             zn *= z
             if check:
                 n += 1
                 if math.isinf(zn):
                     raise OverflowError(f"Mittag-Leffler series term overflow at n = {n} (z = {z!r})")
-        return sum_hi + sum_lo
-    c = _SPLITTER * z
-    zh = c - (c - z)
-    zl = z - zh
-    t_hi, t_lo = inv_g[0], 0.0
-    for n in range(ctl.max_terms):
-        s = sum_hi + t_hi  # sum += t
-        b = s - sum_hi
-        e = (sum_hi - (s - b)) + (t_hi - b)
-        e += sum_lo + t_lo
-        sum_hi = s + e
-        b = sum_hi - s
-        sum_lo = (s - (sum_hi - b)) + (e - b)
-        if abs(t_hi) <= rel_tol * abs(sum_hi):
-            break
-        p, c = t_hi * z, _SPLITTER * t_hi  # t *= z
-        ah = c - (c - t_hi)
-        al = t_hi - ah
-        e = ((ah * zh - p) + ah * zl + al * zh) + al * zl
-        e += t_lo * z
-        t_hi = p + e
-        b = t_hi - p
-        t_lo = (p - (t_hi - b)) + (e - b)
-        for j in range(n_int):
-            if not t_hi and sum_hi:  # (0, 0) stays (0, 0); under a nonzero sum its zeros' signs do not matter
+    else:
+        c = _SPLITTER * z
+        zh = c - (c - z)
+        zl = z - zh
+        t_hi, t_lo = inv_g[0], 0.0
+        for n in range(ctl.max_terms):
+            s, prev = s + t_hi, s
+            b = s - prev
+            err += (prev - (s - b)) + (t_hi - b) + t_lo
+            if abs(t_hi) <= rel_tol * abs(s):
                 break
-            d = alpha * n + beta + j  # t /= d
-            q = t_hi / d
-            p, c, cd = q * d, _SPLITTER * q, _SPLITTER * d
-            ah, dh = c - (c - q), cd - (cd - d)
-            al, dl = q - ah, d - dh
-            e = ((t_hi - p) - (((ah * dh - p) + ah * dl + al * dh) + al * dl) + t_lo) / d
-            t_hi = q + e
-            b = t_hi - q
-            t_lo = (q - (t_hi - b)) + (e - b)
-    return sum_hi + sum_lo
+            p, c = t_hi * z, _SPLITTER * t_hi  # t *= z
+            ah = c - (c - t_hi)
+            al = t_hi - ah
+            e = ((ah * zh - p) + ah * zl + al * zh) + al * zl
+            e += t_lo * z
+            t_hi = p + e
+            b = t_hi - p
+            t_lo = (p - (t_hi - b)) + (e - b)
+            for j in range(n_int):
+                if not t_hi and s:  # (0, 0) stays (0, 0); under a nonzero sum its zeros' signs do not matter
+                    break
+                d = alpha * n + beta + j  # t /= d
+                q = t_hi / d
+                p, c, cd = q * d, _SPLITTER * q, _SPLITTER * d
+                ah, dh = c - (c - q), cd - (cd - d)
+                al, dl = q - ah, d - dh
+                e = ((t_hi - p) - (((ah * dh - p) + ah * dl + al * dh) + al * dl) + t_lo) / d
+                t_hi = q + e
+                b = t_hi - q
+                t_lo = (q - (t_hi - b)) + (e - b)
+    if not abs(s + err) < math.inf:
+        raise OverflowError("Mittag-Leffler series overflows: a term or its partial sum leaves the double range "
+                            f"(alpha = {alpha!r}, beta = {beta!r}, z = {z!r})")
+    return s + err
 
 
 def _ml_half(z: float) -> float:

@@ -145,6 +145,15 @@ def test_eval_gamma_underflow_is_input_error(capsys):
         assert err.startswith(f"error: 1/Gamma({beta}) at n = 0 exceeds the double range")
 
 
+@pytest.mark.parametrize("alpha,beta", [("1", "-170.5"), ("0.5", "-170.3"), ("2", "-170.5")])
+def test_eval_ml2_overflowing_sum_is_input_error(capsys, alpha, beta):
+    # the sum's terms leave the double range: exit 2 with a message, not nan at exit 0
+    code, out, err = _run(capsys, "eval", "ml2", "--alpha", alpha, "--beta", beta, "--z", "50")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Mittag-Leffler series overflows: a term or its partial sum leaves the double range")
+
+
 def test_eval_kgamma_overflow_is_input_error(capsys):
     # k**(x/k - 1) and Gamma(x/k) are finite here, their product is not
     code, out, err = _run(capsys, "eval", "kgamma", "--x", "340", "--k", "2")
@@ -291,6 +300,28 @@ def test_sweep_bad_list(tmp_path, capsys):
     )
     assert code == 2
     assert "--k-list" in err
+
+
+def test_sweep_names_its_non_monotone_columns(tmp_path, capsys):
+    code, out, _ = _run(capsys, "sweep", "--t-max", "10", "--c", "4", "--k-list", "1,2",
+                        "--out", str(tmp_path / "x.csv"))
+    assert code == 0
+    assert out.endswith("; non-monotone columns: N_k1_v1, N_k2_v1\n")
+
+
+@pytest.mark.parametrize(
+    "args,want",
+    [
+        (("--l", "-2"), "error: cell k = 1, upsilon = 1: nu must exceed -(3/2)k (got nu = -2.0 with k = 1.0)\n"),
+        (("--upsilon-list", "1,-1"), "error: cell k = 1, upsilon = -1: upsilon must be > 0, got -1.0\n"),
+        (("--k-list", ","), "error: --k-list: list must be non-empty\n"),
+        (("--t-min", "1", "--t-max", "1"), "error: need t_max > t_min >= 0, got t_min = 1.0, t_max = 1.0\n"),
+    ],
+    ids=["cell-nu", "cell-upsilon", "empty-list", "empty-range"],
+)
+def test_sweep_input_errors_exit_2(tmp_path, capsys, args, want):
+    code, out, err = _run(capsys, "sweep", *args, "--out", str(tmp_path / "x.csv"))
+    assert (code, out, err) == (2, "", want)
 
 
 # ---------------------------------------------------------------- sweep output targets

@@ -132,6 +132,12 @@ def test_k_must_be_positive():
         k_gamma(1.0, -2.0)
 
 
+def test_x_must_be_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=rf"^x must be finite, got {bad!r}$"):
+            k_gamma(bad, 2.0)
+
+
 def test_overflow_raises():
     with pytest.raises(OverflowError):
         gamma(1e4)

@@ -95,6 +95,18 @@ def test_problem_validation():
         )
 
 
+def test_problem_validation_of_types_and_non_finite_values():
+    with pytest.raises(DomainError, match=r"^variant must be a Variant member, got 'thm1'$"):
+        KineticProblem(n0=1.0, upsilon=1.0, d=1.0, struve=KStruveParams(1.0, 1.0, 1.0), variant="thm1")
+    for name in ("n0", "upsilon", "d"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match=rf"^{name} must be a finite real, got {bad!r}$"):
+                _thm1(**{name: bad})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match=rf"^a must be a positive finite real, got {bad!r}$"):
+            _thm3(a=bad)
+
+
 def test_rate_property():
     assert _thm1(d=3.0).rate == 3.0
     assert _thm2(d=3.0).rate == 3.0

@@ -572,6 +572,15 @@ def test_laplace_image_domain():
         laplace_image(_problem(variant=Variant.THM2), 3.0)
 
 
+def test_laplace_image_sum_past_the_double_range_is_an_overflow_error():
+    # at c < 0 every term is positive, and at n0 = 1e308, s = 1.01 their sum leaves the double range
+    # within 50 terms, while each term is a double: a RangeError (its NaN sum never stopped) before
+    p = _problem(n0=1e308, d=0.5, l=0.5, c=-1.0)
+    with pytest.raises(OverflowError, match=r"^image series at s = 1\.01: a term or its partial sum leaves"):
+        laplace_image(p, 1.01)
+    assert math.isfinite(laplace_image(p, 1.5))
+
+
 def test_laplace_image_refuses_a_series_that_does_not_converge_or_stop():
     # the image series' term ratio tends to -c / (k s**2): at k = 0.2, c = d = 1
     # it diverges at s = 1.5 (a 50-term cut gave -1.15e18), and at s = 2.3 and 3

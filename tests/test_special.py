@@ -518,6 +518,14 @@ def test_ml_domain_checks():
         mittag_leffler(1.0, -(ML_SERIES_CAP + 1.0))
 
 
+def test_ml2_beta_and_z_must_be_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=rf"^beta must be finite, got {bad!r}$"):
+            mittag_leffler2(0.5, bad, 1.0)
+        with pytest.raises(DomainError, match=rf"^z must be finite, got {bad!r}$"):
+            mittag_leffler2(0.5, 1.5, bad)
+
+
 def test_ml2_pole_detection():
     # alpha*n + beta sweeps over 0 at n = 3 for (1, -3)
     with pytest.raises(PoleError):
@@ -536,6 +544,19 @@ def test_ml2_gamma_underflow_is_an_overflow_error(beta):
     # At the last two it is subnormal (3.5e-323, -4.6e-322) and 1/Gamma is +-inf: a NaN before
     with pytest.raises(OverflowError, match=rf"^1/Gamma\({beta}\) at n = 0 exceeds the double range"):
         mittag_leffler2(0.5, beta, 0.1)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.0, -170.5), (0.5, -170.3), (2.0, -170.5)])
+def test_ml2_sum_whose_terms_overflow_is_an_overflow_error(alpha, beta):
+    # E_{1,-170.5}(50) = 1.22e313 and E_{1/2,-170.3}(50) = 1.27e1668 are past the double range, and
+    # E_{2,-170.5}(50) = -3.02e307 is a double whose terms are not (mpmath, 1,300 digits): all three
+    # returned NaN before, with no error
+    with pytest.raises(OverflowError) as over:
+        mittag_leffler2(alpha, beta, 50.0)
+    assert str(over.value) == (
+        "Mittag-Leffler series overflows: a term or its partial sum leaves the double range "
+        f"(alpha = {alpha}, beta = {beta}, z = 50.0)"
+    )
 
 
 def test_ml_integer_alpha_builds_one_inverse_gamma():
@@ -599,18 +620,20 @@ def test_k_struve_coefficients_past_the_double_range_are_not_silent_zeros():
 
 
 def _ml_eval_reference(alpha, beta, z, ctl):
-    """The Mittag-Leffler loop as it reads with the ``_compensated`` helper calls."""
-    from frac_kinetics._compensated import dd_add, dd_div_double, dd_mul_double
+    """The Mittag-Leffler loop as it reads with the ``_compensated`` helper calls: Sum2, the running sum
+    and apart the running sum of its ``two_sum`` errors and of the integer loop's term low parts."""
+    from frac_kinetics._compensated import dd_div_double, dd_mul_double, two_sum
     from frac_kinetics.special import _ml_inv_gammas
 
     inv_g = _ml_inv_gammas(alpha, beta, ctl.max_terms)
-    sum_hi, sum_lo = 0.0, 0.0
+    s, err = 0.0, 0.0
     n_int = round(alpha)
     if alpha == n_int and n_int >= 1:
         t_hi, t_lo = inv_g[0], 0.0
         for n in range(ctl.max_terms):
-            sum_hi, sum_lo = dd_add(sum_hi, sum_lo, t_hi, t_lo)
-            if abs(t_hi) <= ctl.rel_tol * abs(sum_hi):
+            s, e = two_sum(s, t_hi)
+            err += e + t_lo
+            if abs(t_hi) <= ctl.rel_tol * abs(s):
                 break
             t_hi, t_lo = dd_mul_double(t_hi, t_lo, z)
             for j in range(int(n_int)):
@@ -619,15 +642,19 @@ def _ml_eval_reference(alpha, beta, z, ctl):
         zn = 1.0
         for n in range(ctl.max_terms):
             term = zn * inv_g[n]
-            sum_hi, sum_lo = dd_add(sum_hi, sum_lo, term)
-            if abs(term) <= ctl.rel_tol * abs(sum_hi):
+            s, e = two_sum(s, term)
+            err += e
+            if abs(term) <= ctl.rel_tol * abs(s):
                 break
             zn *= z
             if math.isinf(zn):
                 raise OverflowError(
                     f"Mittag-Leffler series term overflow at n = {n + 1} (z = {z!r})"
                 )
-    return sum_hi + sum_lo
+    if not abs(s + err) < math.inf:
+        raise OverflowError("Mittag-Leffler series overflows: a term or its partial sum leaves the double range "
+                            f"(alpha = {alpha!r}, beta = {beta!r}, z = {z!r})")
+    return s + err
 
 
 def _outcome(f, *args):
